@@ -3,7 +3,10 @@
 Submodules:
 
 * diagrams: Young-diagram arithmetic (conjugation, boxes, hooks, dimensions)
-* symfunc: Littlewood-Richardson coefficients and Schur-basis products
+* combination: Combination, the one immutable Z-combination type for
+  decompositions, Schur expansions and plethysms, and its builder
+* symfunc: Littlewood-Richardson coefficients, Schur-basis products and the
+  slot-wise LR product on pairs of partitions
 * plethysm: closed-form powers of squares and tensor products
 * grothendieck: composition-factor decompositions of tensor words
 * poset: the quadruple index order, chains and the defect

@@ -17,8 +17,9 @@ from pathlib import Path
 from . import ext as ext_mod
 from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symalg, symfunc
+from .combination import Combination, index_label
 from .config import resolve_config
-from .diagrams import Partition, gl_dimension, parse_partition, partitions
+from .diagrams import Partition, gl_dimension, parse_naturals, parse_partition, partitions
 from .errors import DegreeCapExceeded, GuardExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
 from .poset import QuadIndex, parse_quad
@@ -57,44 +58,30 @@ def partition_json(p: Partition) -> list[int]:
     return list(p)
 
 
-def index_json(s: SimpleIndex) -> list[list[int]]:
-    return [list(p) for p in s]
+def terms_output(terms: Combination) -> tuple[list[str], list[dict]]:
+    """Text lines and JSON objects of a combination, one per term.
+
+    A JSON term names its index kind: ``partition``, ``pair`` or ``index``.
+    """
+    lines = [f"{mult} {index_label(idx)}" for idx, mult in terms.items()] or ["0"]
+    payload = []
+    for idx, mult in terms.items():
+        if isinstance(idx, Partition):
+            payload.append({"partition": partition_json(idx), "mult": mult})
+        else:
+            field = "index" if isinstance(idx, SimpleIndex) else "pair"
+            payload.append({field: [partition_json(p) for p in idx], "mult": mult})
+    return lines, payload
 
 
-def decomposition_lines(dec: gr.Decomposition) -> list[str]:
-    lines = [f"{mult} {idx}" for idx, mult in dec.items()]
-    return lines or ["0"]
-
-def decomposition_json(dec: gr.Decomposition) -> list[dict]:
-    return [{"index": index_json(idx), "mult": mult} for idx, mult in dec.items()]
-
-
-def partition_terms_lines(terms: dict[Partition, int]) -> list[str]:
-    items = sorted(terms.items(), key=lambda kv: kv[0].key)
-    return [f"{mult} {p}" for p, mult in items] or ["0"]
-
-
-def partition_terms_json(terms: dict[Partition, int]) -> list[dict]:
-    items = sorted(terms.items(), key=lambda kv: kv[0].key)
-    return [{"partition": partition_json(p), "mult": mult} for p, mult in items]
-
-
-def pair_terms_lines(terms) -> list[str]:
-    items = sorted(terms.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key))
-    return [f"{mult} {a},{b}" for (a, b), mult in items] or ["0"]
-
-
-def pair_terms_json(terms) -> list[dict]:
-    items = sorted(terms.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key))
-    return [{"pair": [partition_json(a), partition_json(b)], "mult": mult} for (a, b), mult in items]
-
-
-def symfunc_lines(f: symfunc.SymFunc) -> list[str]:
-    return [f"{coeff} {p}" for p, coeff in f.items()] or ["0"]
-
-
-def symfunc_json(f: symfunc.SymFunc) -> list[dict]:
-    return [{"partition": partition_json(p), "mult": coeff} for p, coeff in f.items()]
+def layers_output(layers: list[Combination]) -> tuple[list[str], list[dict]]:
+    lines, payload = [], []
+    for k, terms in enumerate(layers):
+        text, items = terms_output(terms)
+        lines.append(f"layer {k}:")
+        lines.extend("  " + line for line in text)
+        payload.append({"k": k, "terms": items})
+    return lines, payload
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +96,7 @@ def run_verify() -> tuple[list[tuple[str, bool]], bool]:
     def check(name: str, ok: bool) -> None:
         checks.append((name, bool(ok)))
 
-    product = symfunc.schur_product(symfunc.SymFunc.schur([2, 1]), symfunc.SymFunc.schur([1, 1]))
+    product = symfunc.schur_product(symfunc.schur([2, 1]), symfunc.schur([1, 1]))
     brute = oracle.decompose_into_schur(
         oracle.expand_schur(Partition([2, 1]), 5) * oracle.expand_schur(Partition([1, 1]), 5)
     )
@@ -301,10 +288,9 @@ def build_parser() -> Parser:
 
 
 def _parse_osp_pair(text: str) -> ospcat.PairIndex:
-    tokens = text.strip().split(",")
-    if len(tokens) != 2 or not all(t.strip().isdigit() for t in tokens):
+    if text.count(",") != 1:
         raise ParseError(text, 0, "expected two comma-separated entries")
-    return ospcat.PairIndex(int(tokens[0]), int(tokens[1]))
+    return ospcat.PairIndex(*parse_naturals(text, text, 0, "entry"))
 
 
 def execute(args, cfg) -> tuple[list[str], object]:
@@ -320,39 +306,27 @@ def execute(args, cfg) -> tuple[list[str], object]:
         return [str(value)], value
 
     if cmd == "product":
-        result = symfunc.schur_term_product(
-            parse_partition(args.mu), parse_partition(args.nu), cap
+        return terms_output(
+            symfunc.schur_term_product(parse_partition(args.mu), parse_partition(args.nu), cap)
         )
-        return symfunc_lines(result), symfunc_json(result)
 
     if cmd == "plethysm":
         family = args.family
         if family in ("cauchy-sym", "cauchy-ext"):
             fn = plethysm.cauchy_sym if family == "cauchy-sym" else plethysm.cauchy_ext
-            terms = fn(args.k, cap)
-            return pair_terms_lines(terms), pair_terms_json(terms)
+            return terms_output(fn(args.k, cap))
         kind = plethysm.SYMMETRIC if family.startswith("sym-") else plethysm.EXTERIOR
         inner = plethysm.power_of_sym2 if family.endswith("sym2") else plethysm.power_of_ext2
-        terms = inner(args.k, kind, cap)
-        return partition_terms_lines(terms), partition_terms_json(terms)
+        return terms_output(inner(args.k, kind, cap))
 
     if cmd == "decompose":
-        dec = gr.decompose_j(parse_quad(args.quad), cap)
-        return decomposition_lines(dec), decomposition_json(dec)
+        return terms_output(gr.decompose_j(parse_quad(args.quad), cap))
 
     if cmd == "socle":
-        dec = gr.socle_of(parse_quad(args.quad), cap)
-        return decomposition_lines(dec), decomposition_json(dec)
+        return terms_output(gr.socle_of(parse_quad(args.quad), cap))
 
     if cmd == "layers":
-        layers = gr.layers_of_i(args.kmax, cap)
-        lines = []
-        payload = []
-        for k, dec in enumerate(layers):
-            lines.append(f"layer {k}:")
-            lines.extend("  " + line for line in decomposition_lines(dec))
-            payload.append({"k": k, "terms": decomposition_json(dec)})
-        return lines, payload
+        return layers_output(gr.layers_of_i(args.kmax, cap))
 
     if cmd == "defect":
         d = poset.defect(parse_quad(args.a), parse_quad(args.b))
@@ -387,13 +361,11 @@ def execute(args, cfg) -> tuple[list[str], object]:
 
     if cmd == "resolution":
         term = ext_mod.resolution_term(args.j, cap)
-        lines = [f"body: {term.body}"] + decomposition_lines(term.socle)
-        payload = {"j": term.j, "body": term.body, "socle": decomposition_json(term.socle)}
-        return lines, payload
+        lines, socle = terms_output(term.socle)
+        return [f"body: {term.body}"] + lines, {"j": term.j, "body": term.body, "socle": socle}
 
     if cmd == "kernel-layer":
-        dec = ext_mod.kernel_layer(args.j, args.k, cap)
-        return decomposition_lines(dec), decomposition_json(dec)
+        return terms_output(ext_mod.kernel_layer(args.j, args.k, cap))
 
     if cmd == "homdim":
         q = parse_quad(args.quad)
@@ -463,14 +435,7 @@ def execute_osp(args, cfg) -> tuple[list[str], object]:
         d = ospcat.osp_defect(_parse_osp_pair(args.a), _parse_osp_pair(args.b))
         return [str(d) if d is not None else "undefined"], d
     if sub == "layers":
-        layers = ospcat.osp_layers_of_i(kind, args.kmax, cap)
-        lines = []
-        payload = []
-        for k, terms in enumerate(layers):
-            lines.append(f"layer {k}:")
-            lines.extend("  " + line for line in partition_terms_lines(terms))
-            payload.append({"k": k, "terms": partition_terms_json(terms)})
-        return lines, payload
+        return layers_output(ospcat.osp_layers_of_i(kind, args.kmax, cap))
     if sub == "ext-trivial":
         x = ospcat.osp_index(kind, parse_partition(args.lam), parse_partition(args.mu))
         value = ospcat.osp_ext_to_trivial(kind, x, args.degree)

@@ -208,6 +208,24 @@ def standard_tableau_count(p: Partition) -> int:
     return result
 
 
+def parse_naturals(text: str, body: str, start: int, what: str) -> list[int]:
+    """Read body, a comma-separated list of ASCII decimal naturals in text.
+
+    start is where body begins in text; a bad token raises ParseError at the
+    token's own position.
+    """
+    values = []
+    pos = start
+    for token in body.split(","):
+        pos = text.find(token, pos)
+        cleaned = token.strip()
+        if not (cleaned.isascii() and cleaned.isdigit()):
+            raise ParseError(text, pos + len(token) - len(token.lstrip()), f"bad {what} {cleaned!r}")
+        values.append(int(cleaned))
+        pos += len(token)
+    return values
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the text syntax ``[4,2,1]``; the empty diagram is ``[]``."""
     stripped = text.strip()
@@ -218,14 +236,7 @@ def parse_partition(text: str) -> Partition:
     inner = stripped[1:-1].strip()
     if not inner:
         return EMPTY
-    parts = []
-    pos = 1
-    for token in inner.split(","):
-        cleaned = token.strip()
-        if not cleaned.isdigit():
-            raise ParseError(text, text.find(token, pos), f"bad part {token.strip()!r}")
-        parts.append(int(cleaned))
-        pos = text.find(token, pos) + len(token)
+    parts = parse_naturals(text, inner, text.index("[") + 1, "part")
     try:
         return Partition(parts)
     except ValueError as exc:

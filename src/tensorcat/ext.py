@@ -12,48 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .combination import Combination, CombinationBuilder
 from .config import effective_cap
-from .diagrams import EMPTY, Partition, partitions
+from .diagrams import Partition, partitions
 from .errors import DegreeCapExceeded
-from .grothendieck import Decomposition, SimpleIndex
-from .plethysm import PairDecomposition, cauchy_ext, cauchy_sym
+from .grothendieck import UNIT, SimpleIndex, thick_indices
+from .plethysm import cauchy_ext, cauchy_sym
 from .poset import QuadIndex, defect
-from .symfunc import lr_coefficient
+from .symfunc import lr_coefficient, slot_product
 
 UNKNOWN = "unknown"
 
 
-def _pair_product(a: PairDecomposition, b: PairDecomposition) -> PairDecomposition:
-    """LR product on both slots of two pair decompositions."""
-    out: dict[tuple[Partition, Partition], int] = {}
-    for (a1, a2), ma in a.items():
-        for (b1, b2), mb in b.items():
-            for lam in partitions(a1.degree + b1.degree):
-                cl = lr_coefficient(lam, a1, b1)
-                if not cl:
-                    continue
-                for pi in partitions(a2.degree + b2.degree):
-                    cp = lr_coefficient(pi, a2, b2)
-                    if not cp:
-                        continue
-                    key = (lam, pi)
-                    out[key] = out.get(key, 0) + ma * mb * cl * cp
-    return {k: v for k, v in out.items() if v}
-
-
-def _pair_sub(a: PairDecomposition, b: PairDecomposition) -> PairDecomposition:
-    out = dict(a)
-    for key, mult in b.items():
-        out[key] = out.get(key, 0) - mult
-        if out[key] < 0:
-            raise ArithmeticError(f"negative multiplicity for {key} in pair subtraction")
-        if not out[key]:
-            del out[key]
-    return out
-
-
 @cache
-def _hook_row_pairs(j: int, k: int) -> tuple[tuple[tuple[Partition, Partition], int], ...]:
+def _hook_row_pairs(j: int, k: int) -> Combination:
     """Pair expansion of the Schur functor S_{(k+1, 1^{j-1})} applied to F.
 
     Uses Lambda^j F (x) S^k F = S_{(k+1,1^{j-1})}F + S_{(k,1^j)}F, peeling the
@@ -62,23 +34,16 @@ def _hook_row_pairs(j: int, k: int) -> tuple[tuple[tuple[Partition, Partition], 
     if j < 1:
         raise ValueError("hook expansion needs j >= 1")
     if k == 0:
-        return tuple(sorted(cauchy_ext(j, cap=j).items()))
-    product = _pair_product(cauchy_ext(j, cap=j), cauchy_sym(k, cap=k))
-    lower = dict(_hook_row_pairs(j + 1, k - 1))
-    return tuple(sorted(_pair_sub(product, lower).items()))
-
-
-def _pairs_to_thick(pairs) -> Decomposition:
-    return Decomposition(
-        {SimpleIndex(lam, EMPTY, EMPTY, pi): mult for (lam, pi), mult in dict(pairs).items()}
-    )
+        return cauchy_ext(j, cap=j)
+    product = slot_product(cauchy_ext(j, cap=j), cauchy_sym(k, cap=k))
+    return (product - _hook_row_pairs(j + 1, k - 1)).require_nonnegative()
 
 
 @dataclass(frozen=True)
 class ResolutionTerm:
     j: int
     body: str
-    socle: Decomposition
+    socle: Combination
 
 
 def resolution_term(j: int, cap: int | None = None) -> ResolutionTerm:
@@ -87,13 +52,11 @@ def resolution_term(j: int, cap: int | None = None) -> ResolutionTerm:
         raise ValueError("resolution degree must be non-negative")
     if j > effective_cap(cap):
         raise DegreeCapExceeded(j, effective_cap(cap), what="resolution degree")
-    socle = Decomposition(
-        {SimpleIndex(gamma, EMPTY, EMPTY, gamma.conjugate()): 1 for gamma in partitions(j)}
-    )
+    socle = thick_indices(cauchy_ext(j, cap=j))
     return ResolutionTerm(j=j, body=f"Lambda^{j}(F) (x) I", socle=socle)
 
 
-def kernel_layer(j: int, k: int, cap: int | None = None) -> Decomposition:
+def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
     """Layer k of the kernel at resolution degree j.
 
     The kernel at degree 0 is the unit alone; for j >= 1 the layer is the
@@ -105,13 +68,11 @@ def kernel_layer(j: int, k: int, cap: int | None = None) -> Decomposition:
     if 2 * (j + k) > effective_cap(cap):
         raise DegreeCapExceeded(2 * (j + k), effective_cap(cap))
     if j == 0:
-        if k == 0:
-            return Decomposition({SimpleIndex(EMPTY, EMPTY, EMPTY, EMPTY): 1})
-        return Decomposition()
-    return _pairs_to_thick(_hook_row_pairs(j, k))
+        return Combination({UNIT: 1} if k == 0 else {})
+    return thick_indices(_hook_row_pairs(j, k))
 
 
-def image_layer(j: int, k: int, cap: int | None = None) -> Decomposition:
+def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
     """Layer k of the image of the resolution map landing in degree j.
 
     Exactness makes this coincide with the kernel layer at degree j; it is
@@ -124,11 +85,9 @@ def image_layer(j: int, k: int, cap: int | None = None) -> Decomposition:
         raise DegreeCapExceeded(2 * (j + k), effective_cap(cap))
     if j == 1:
         # the map out of degree 0 has trivial kernel in positive layers
-        product = cauchy_sym(k + 1, cap=k + 1)
-    else:
-        product = _pair_product(cauchy_ext(j - 1, cap=j), cauchy_sym(k + 1, cap=k + 1))
-    surviving = _pair_sub(product, dict(_hook_row_pairs(j - 1, k + 1)) if j >= 2 else {})
-    return _pairs_to_thick(surviving)
+        return thick_indices(cauchy_sym(k + 1, cap=k + 1))
+    product = slot_product(cauchy_ext(j - 1, cap=j), cauchy_sym(k + 1, cap=k + 1))
+    return thick_indices((product - _hook_row_pairs(j - 1, k + 1)).require_nonnegative())
 
 
 def ext_to_trivial(x: SimpleIndex, j: int) -> int:
@@ -169,25 +128,13 @@ def ext_to_thick(
     return total
 
 
-def thick_target_socle(q: int, alpha: Partition, beta: Partition) -> Decomposition:
+def thick_target_socle(q: int, alpha: Partition, beta: Partition) -> Combination:
     """Socle of resolution degree q after tensoring with the thick (alpha, beta).
 
     Independent route to the same dimensions as ext_to_thick, via the exterior
     Cauchy pairs multiplied into the target's two slots.
     """
-    out: dict[SimpleIndex, int] = {}
-    for (gamma, delta), _ in cauchy_ext(q, cap=q).items():
-        for lam in partitions(alpha.degree + gamma.degree):
-            cl = lr_coefficient(lam, alpha, gamma)
-            if not cl:
-                continue
-            for pi in partitions(beta.degree + delta.degree):
-                cp = lr_coefficient(pi, beta, delta)
-                if not cp:
-                    continue
-                idx = SimpleIndex(lam, EMPTY, EMPTY, pi)
-                out[idx] = out.get(idx, 0) + cl * cp
-    return Decomposition(out)
+    return thick_indices(slot_product(cauchy_ext(q, cap=q), Combination({(alpha, beta): 1})))
 
 
 def ext_vanishes(s: SimpleIndex, t: SimpleIndex, q: int) -> bool:
@@ -196,20 +143,14 @@ def ext_vanishes(s: SimpleIndex, t: SimpleIndex, q: int) -> bool:
     return d is None or d != q
 
 
-def euler_shadow(d: int) -> dict[SimpleIndex, int]:
+def euler_shadow(d: int) -> Combination:
     """Signed sum over i+j = d of (-1)^i [Lambda^i F (x) S^j F] on thick indices.
 
     The resolution being exact, the result is empty for every d >= 1.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    out: dict[SimpleIndex, int] = {}
+    out = CombinationBuilder()
     for i in range(d + 1):
-        pairs = _pair_product(cauchy_ext(i, cap=i), cauchy_sym(d - i, cap=d))
-        sign = -1 if i % 2 else 1
-        for (lam, pi), mult in pairs.items():
-            idx = SimpleIndex(lam, EMPTY, EMPTY, pi)
-            out[idx] = out.get(idx, 0) + sign * mult
-            if not out[idx]:
-                del out[idx]
-    return out
+        out.add_all(slot_product(cauchy_ext(i, cap=i), cauchy_sym(d - i, cap=d)), -1 if i % 2 else 1)
+    return thick_indices(out.build())

@@ -11,8 +11,8 @@ simple with one of the generating objects moves one box:
 
 and symmetric/exterior powers of F act through the Cauchy pair decompositions
 followed by Littlewood-Richardson products on the lam and pi slots.  All
-decompositions are at the level of the Grothendieck group: a finite multiset
-of simple indices with positive integer multiplicities.
+decompositions are at the level of the Grothendieck group: a Combination of
+simple indices with positive integer multiplicities.
 """
 
 from __future__ import annotations
@@ -21,12 +21,16 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, NamedTuple
 
+from .combination import Combination, CombinationBuilder
 from .config import effective_cap
-from .diagrams import EMPTY, Partition, add_box, partitions, remove_box, sort_key
+from .diagrams import EMPTY, Partition, add_box, partitions, remove_box
 from .errors import DegreeCapExceeded
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import QuadIndex
-from .symfunc import lr_coefficient
+from .symfunc import lr_coefficient, slot_product  # noqa: F401
+
+# lr_coefficient is re-exported unused: perfbench/test_tracer.py checks that the
+# tracer rebinds copies made by "from .symfunc import ..." through this name.
 
 
 class SimpleIndex(NamedTuple):
@@ -57,58 +61,9 @@ def simple(lam=(), mu=(), nu=(), pi=()) -> SimpleIndex:
     return SimpleIndex(Partition(lam), Partition(mu), Partition(nu), Partition(pi))
 
 
-def index_sort_key(s: SimpleIndex) -> tuple:
-    return (sort_key(s.lam), sort_key(s.mu), sort_key(s.nu), sort_key(s.pi))
-
-
-class Decomposition:
-    """Finite multiset of simple indices with positive multiplicities."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[SimpleIndex, int] = {}
-        if terms:
-            for idx, mult in dict(terms).items():
-                mult = int(mult)
-                if mult < 0:
-                    raise ValueError(f"negative multiplicity {mult} for {idx}")
-                if mult:
-                    self.terms[idx] = mult
-
-    def items(self) -> list[tuple[SimpleIndex, int]]:
-        return sorted(self.terms.items(), key=lambda kv: index_sort_key(kv[0]))
-
-    def multiplicity(self, idx: SimpleIndex) -> int:
-        return self.terms.get(idx, 0)
-
-    def total(self) -> int:
-        return sum(self.terms.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Decomposition) and self.terms == other.terms
-
-    def __add__(self, other: "Decomposition") -> "Decomposition":
-        merged = dict(self.terms)
-        for idx, mult in other.terms.items():
-            merged[idx] = merged.get(idx, 0) + mult
-        return Decomposition(merged)
-
-    def scale(self, factor: int) -> "Decomposition":
-        return Decomposition({idx: factor * mult for idx, mult in self.terms.items()})
-
-    def filter_quad(self, q: QuadIndex) -> "Decomposition":
-        return Decomposition({idx: mult for idx, mult in self.terms.items() if idx.quad == q})
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{idx}:{mult}" for idx, mult in self.items())
-        return "Decomposition{" + body + "}"
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.items())
+def thick_indices(pairs: Combination, mu: Partition = EMPTY, nu: Partition = EMPTY) -> Combination:
+    """Put each (lam, pi) pair into the thick slots of the index (lam, mu, nu, pi)."""
+    return Combination({SimpleIndex(lam, mu, nu, pi): mult for (lam, pi), mult in pairs.items()})
 
 
 @dataclass(frozen=True)
@@ -165,51 +120,26 @@ def _moves_remove(s: SimpleIndex, slot: int) -> list[SimpleIndex]:
     return [SimpleIndex(*s[:slot], q, *s[slot + 1 :]) for q in remove_box(s[slot])]
 
 
-def _pair_power_terms(tag: str, k: int) -> dict[tuple[Partition, Partition], int]:
-    if tag == "SkF":
-        return cauchy_sym(k, cap=k)
-    return cauchy_ext(k, cap=k)
-
-
-def _tensor_f_power(s: SimpleIndex, tag: str, k: int) -> Decomposition:
+def _tensor_f_power(s: SimpleIndex, tag: str, k: int) -> Combination:
     """LR products of the Cauchy pairs against the lam and pi slots."""
-    out: dict[SimpleIndex, int] = {}
-    for (gamma, delta), _ in _pair_power_terms(tag, k).items():
-        lam_terms = {
-            lam: lr_coefficient(lam, s.lam, gamma)
-            for lam in partitions(s.lam.degree + gamma.degree)
-            if lam.contains(s.lam)
-        }
-        pi_terms = {
-            pi: lr_coefficient(pi, s.pi, delta)
-            for pi in partitions(s.pi.degree + delta.degree)
-            if pi.contains(s.pi)
-        }
-        for lam, cl in lam_terms.items():
-            if not cl:
-                continue
-            for pi, cp in pi_terms.items():
-                if not cp:
-                    continue
-                idx = SimpleIndex(lam, s.mu, s.nu, pi)
-                out[idx] = out.get(idx, 0) + cl * cp
-    return Decomposition(out)
+    pairs = cauchy_sym(k, cap=k) if tag == "SkF" else cauchy_ext(k, cap=k)
+    return thick_indices(slot_product(Combination({(s.lam, s.pi): 1}), pairs), s.mu, s.nu)
 
 
-def tensor_simple(s: SimpleIndex, g: Generator, cap: int | None = None) -> Decomposition:
+def tensor_simple(s: SimpleIndex, g: Generator, cap: int | None = None) -> Combination:
     """Composition factors, with multiplicity, of g tensored with the simple s."""
     target = s.degree + g.degree
     if target > effective_cap(cap):
         raise DegreeCapExceeded(target, effective_cap(cap))
 
     if g.tag == "W_*":
-        return Decomposition({idx: 1 for idx in _moves_add(s, 0)})
+        return Combination({idx: 1 for idx in _moves_add(s, 0)})
     if g.tag == "W":
-        return Decomposition({idx: 1 for idx in _moves_add(s, 3)})
+        return Combination({idx: 1 for idx in _moves_add(s, 3)})
     if g.tag == "V_*":
-        return Decomposition({idx: 1 for idx in _moves_add(s, 1) + _moves_remove(s, 2)})
+        return Combination({idx: 1 for idx in _moves_add(s, 1) + _moves_remove(s, 2)})
     if g.tag == "V":
-        return Decomposition({idx: 1 for idx in _moves_add(s, 2) + _moves_remove(s, 1)})
+        return Combination({idx: 1 for idx in _moves_add(s, 2) + _moves_remove(s, 1)})
     if g.tag == "V*":
         return tensor_simple(s, V_LOWER, cap) + tensor_simple(s, W_STAR, cap)
     if g.tag == "V**":
@@ -217,22 +147,22 @@ def tensor_simple(s: SimpleIndex, g: Generator, cap: int | None = None) -> Decom
     if g.tag == "F":
         return _tensor_f_power(s, "SkF", 1)
     if g.tag == "Q":
-        return Decomposition({s: 1}) + _tensor_f_power(s, "SkF", 1)
+        return Combination({s: 1}) + _tensor_f_power(s, "SkF", 1)
     if g.tag in ("SkF", "LkF"):
         return _tensor_f_power(s, g.tag, g.k)
     if g.tag == "SkQ":
-        out = Decomposition()
+        out = CombinationBuilder()
         for j in range(g.k + 1):
-            out = out + _tensor_f_power(s, "SkF", j)
-        return out
+            out.add_all(_tensor_f_power(s, "SkF", j))
+        return out.build()
     raise AssertionError(g.tag)
 
 
-def tensor_decomposition(dec: Decomposition, g: Generator, cap: int | None = None) -> Decomposition:
-    out = Decomposition()
-    for idx, mult in dec.terms.items():
-        out = out + tensor_simple(idx, g, cap).scale(mult)
-    return out
+def tensor_decomposition(dec: Combination, g: Generator, cap: int | None = None) -> Combination:
+    out = CombinationBuilder()
+    for idx, mult in dec.items():
+        out.add_all(tensor_simple(idx, g, cap), mult)
+    return out.build()
 
 
 def generator_word(q: QuadIndex) -> list[Generator]:
@@ -242,19 +172,19 @@ def generator_word(q: QuadIndex) -> list[Generator]:
     )
 
 
-def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> Decomposition:
-    dec = Decomposition({UNIT: 1})
+def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> Combination:
+    dec = Combination({UNIT: 1})
     for g in generators:
         dec = tensor_decomposition(dec, g, cap)
     return dec
 
 
 @cache
-def _decompose_j_cached(q: QuadIndex) -> Decomposition:
+def _decompose_j_cached(q: QuadIndex) -> Combination:
     return decompose_word(generator_word(q), cap=sum(q))
 
 
-def decompose_j(q: QuadIndex, cap: int | None = None) -> Decomposition:
+def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
     """Full composition-factor multiset of the tensor word indexed by q."""
     total = sum(q)
     if total > effective_cap(cap):
@@ -262,18 +192,18 @@ def decompose_j(q: QuadIndex, cap: int | None = None) -> Decomposition:
     return _decompose_j_cached(q)
 
 
-def socle_of(q: QuadIndex, cap: int | None = None) -> Decomposition:
+def socle_of(q: QuadIndex, cap: int | None = None) -> Combination:
     """The semisimple socle: the factors whose quadruple degree is exactly q."""
-    return decompose_j(q, cap).filter_quad(q)
+    return Combination({idx: mult for idx, mult in decompose_j(q, cap).items() if idx.quad == q})
 
 
-def layers_of_i(kmax: int, cap: int | None = None) -> list[Decomposition]:
+def layers_of_i(kmax: int, cap: int | None = None) -> list[Combination]:
     """Filtration layers of the injective hull of the unit: layer k is S^k F."""
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     if 2 * kmax > effective_cap(cap):
         raise DegreeCapExceeded(2 * kmax, effective_cap(cap))
     return [
-        Decomposition({SimpleIndex(lam, EMPTY, EMPTY, lam): 1 for lam in partitions(k)})
+        Combination({SimpleIndex(lam, EMPTY, EMPTY, lam): 1 for lam in partitions(k)})
         for k in range(kmax + 1)
     ]

@@ -20,11 +20,11 @@ import itertools
 from functools import cache
 from math import comb, factorial
 
+from .combination import Combination
 from .diagrams import Partition, partitions
 from .errors import GuardExceeded
 from .linalg import rank_of_rows
 from .grothendieck import SimpleIndex
-from .symfunc import SymFunc
 
 EXPAND_MAX_BOXES = 8
 
@@ -151,7 +151,7 @@ def expand_schur(lam: Partition, nvars: int) -> MonomialPoly:
     return MonomialPoly(nvars, out)
 
 
-def decompose_into_schur(poly: MonomialPoly, expect_nonnegative: bool = False) -> SymFunc:
+def decompose_into_schur(poly: MonomialPoly, expect_nonnegative: bool = False) -> Combination:
     """Greedy graded-lex leading-term subtraction into the Schur basis.
 
     Negative coefficients are legitimate for virtual characters; pass
@@ -173,7 +173,7 @@ def decompose_into_schur(poly: MonomialPoly, expect_nonnegative: bool = False) -
             raise ArithmeticError(f"negative coefficient {coeff} at {lam} in a claimed decomposition")
         terms[lam] = terms.get(lam, 0) + coeff
         remaining = remaining - expand_schur(lam, poly.nvars).scale(coeff)
-    return SymFunc(terms)
+    return Combination(terms)
 
 
 def _split_alphabets(mono: Monomial, a: int) -> tuple[Monomial, Monomial]:
@@ -267,7 +267,7 @@ def _power_character(outer: str, k: int, weights: list[Monomial], nvars: int) ->
     return MonomialPoly(nvars, out)
 
 
-def brute_force_plethysm(outer: str, k: int, inner: str, nvars: int) -> SymFunc:
+def brute_force_plethysm(outer: str, k: int, inner: str, nvars: int) -> Combination:
     """Character of S^k or Lambda^k of a square, decomposed into Schur terms.
 
     inner is "sym2" or "ext2"; sizes are guarded to k <= 4, nvars <= 6.

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .combination import Combination
 from .config import effective_cap
 from .diagrams import Partition
 from .errors import DegreeCapExceeded
 from .plethysm import EXTERIOR, SYMMETRIC, power_of_ext2, power_of_sym2
+from .poset import saturated_chains
 
 ORTHOGONAL = "o"
 SYMPLECTIC = "sp"
@@ -73,24 +75,10 @@ def osp_up_moves(a: PairIndex) -> list[PairIndex]:
 
 def osp_chains(a: PairIndex, b: PairIndex) -> list[list[PairIndex]]:
     """All saturated chains from a up to b."""
-    a, b = PairIndex(*a), PairIndex(*b)
-    if not osp_leq(a, b):
-        return []
-
-    def extend(x: PairIndex) -> list[list[PairIndex]]:
-        if x == b:
-            return [[x]]
-        found = []
-        for c in osp_up_moves(x):
-            if osp_leq(c, b):
-                for tail in extend(c):
-                    found.append([x] + tail)
-        return found
-
-    return sorted(extend(a))
+    return saturated_chains(PairIndex(*a), PairIndex(*b), osp_up_moves, osp_leq)
 
 
-def osp_layers_of_i(kind: str, kmax: int, cap: int | None = None) -> list[dict[Partition, int]]:
+def osp_layers_of_i(kind: str, kmax: int, cap: int | None = None) -> list[Combination]:
     """Filtration layers of the injective hull of the unit, per variant.
 
     Layer k is the k-th symmetric power of the symmetric (orthogonal) or
@@ -130,7 +118,7 @@ def osp_conjugate(x: OspIndex) -> OspIndex:
     return OspIndex(other, x.lam.conjugate(), x.mu)
 
 
-def osp_resolution_socle(kind: str, j: int, cap: int | None = None) -> dict[Partition, int]:
+def osp_resolution_socle(kind: str, j: int, cap: int | None = None) -> Combination:
     """W-slot decomposition of the socle of the j-th resolution term."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")

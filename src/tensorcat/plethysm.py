@@ -14,11 +14,10 @@ partitions always have 2k boxes.
 
 from __future__ import annotations
 
+from .combination import Combination
 from .config import effective_cap
 from .diagrams import EMPTY, Partition, from_frobenius, partitions, sort_key, strict_partitions
 from .errors import DegreeCapExceeded
-
-PairDecomposition = dict[tuple[Partition, Partition], int]
 
 SYMMETRIC = "symmetric"
 EXTERIOR = "exterior"
@@ -31,16 +30,16 @@ def _check_power(k: int, cap: int | None) -> None:
         raise DegreeCapExceeded(k, effective_cap(cap), what="power index")
 
 
-def cauchy_sym(k: int, cap: int | None = None) -> PairDecomposition:
+def cauchy_sym(k: int, cap: int | None = None) -> Combination:
     """S^k(x (x) y) = sum of S_lam(x) (x) S_lam(y) over |lam| = k."""
     _check_power(k, cap)
-    return {(lam, lam): 1 for lam in partitions(k)}
+    return Combination({(lam, lam): 1 for lam in partitions(k)})
 
 
-def cauchy_ext(k: int, cap: int | None = None) -> PairDecomposition:
+def cauchy_ext(k: int, cap: int | None = None) -> Combination:
     """Lambda^k(x (x) y) = sum of S_lam(x) (x) S_{lam'}(y) over |lam| = k."""
     _check_power(k, cap)
-    return {(lam, lam.conjugate()): 1 for lam in partitions(k)}
+    return Combination({(lam, lam.conjugate()): 1 for lam in partitions(k)})
 
 
 def even_partitions(degree: int) -> tuple[Partition, ...]:
@@ -69,23 +68,21 @@ def special_partitions(degree: int) -> tuple[Partition, ...]:
     return tuple(sorted(found, key=sort_key))
 
 
-def power_of_sym2(k: int, kind: str, cap: int | None = None) -> dict[Partition, int]:
+def power_of_sym2(k: int, kind: str, cap: int | None = None) -> Combination:
     """Decompose S^k(S^2 x) or Lambda^k(S^2 x) into Schur functors of x."""
     _check_power(k, cap)
     if kind == SYMMETRIC:
-        return {lam: 1 for lam in even_partitions(2 * k)}
+        return Combination({lam: 1 for lam in even_partitions(2 * k)})
     if kind == EXTERIOR:
-        conjugates = [lam.conjugate() for lam in special_partitions(2 * k)]
-        return {lam: 1 for lam in sorted(conjugates, key=sort_key)}
+        return Combination({lam.conjugate(): 1 for lam in special_partitions(2 * k)})
     raise ValueError(f"unknown power kind {kind!r}")
 
 
-def power_of_ext2(k: int, kind: str, cap: int | None = None) -> dict[Partition, int]:
+def power_of_ext2(k: int, kind: str, cap: int | None = None) -> Combination:
     """Decompose S^k(Lambda^2 x) or Lambda^k(Lambda^2 x)."""
     _check_power(k, cap)
     if kind == SYMMETRIC:
-        conjugates = [lam.conjugate() for lam in even_partitions(2 * k)]
-        return {lam: 1 for lam in sorted(conjugates, key=sort_key)}
+        return Combination({lam.conjugate(): 1 for lam in even_partitions(2 * k)})
     if kind == EXTERIOR:
-        return {lam: 1 for lam in special_partitions(2 * k)}
+        return Combination({lam: 1 for lam in special_partitions(2 * k)})
     raise ValueError(f"unknown power kind {kind!r}")

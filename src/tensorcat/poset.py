@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
+from .diagrams import parse_naturals
 from .errors import ParseError
 
 
@@ -40,18 +41,9 @@ def quad(l: int, m: int, n: int, p: int) -> QuadIndex:
 
 
 def parse_quad(text: str) -> QuadIndex:
-    tokens = text.strip().split(",")
-    if len(tokens) != 4:
+    if text.count(",") != 3:
         raise ParseError(text, 0, "expected four comma-separated entries")
-    entries = []
-    pos = 0
-    for token in tokens:
-        cleaned = token.strip()
-        if not cleaned.isdigit():
-            raise ParseError(text, text.find(token, pos), f"bad entry {cleaned!r}")
-        pos = text.find(token, pos) + len(token)
-        entries.append(int(cleaned))
-    return quad(*entries)
+    return quad(*parse_naturals(text, text, 0, "entry"))
 
 
 def invariant(q: QuadIndex) -> int:
@@ -100,6 +92,27 @@ def covers(a: QuadIndex, bound: int) -> list[QuadIndex]:
     return sorted(c for c in _up_moves(a) if max(c) <= bound)
 
 
+def saturated_chains(a, b, up_moves, order) -> list[list]:
+    """All saturated chains from a up to b, sorted.
+
+    up_moves(x) lists the elements covering x and order(x, y) tests x below y;
+    only covers that still lie below b are followed.
+    """
+    if not order(a, b):
+        return []
+
+    @cache
+    def reachable(x) -> bool:
+        return order(x, b)
+
+    def extend(x) -> list[list]:
+        if x == b:
+            return [[x]]
+        return [[x] + tail for c in up_moves(x) if reachable(c) for tail in extend(c)]
+
+    return sorted(extend(a))
+
+
 def chains(a: QuadIndex, b: QuadIndex) -> list[list[QuadIndex]]:
     """All saturated chains from a up to b.
 
@@ -107,21 +120,4 @@ def chains(a: QuadIndex, b: QuadIndex) -> list[list[QuadIndex]]:
     and b (l, p only decrease upward; m, n only increase), so no external
     bound is needed.
     """
-    if not leq(a, b):
-        return []
-
-    @cache
-    def reachable(x: QuadIndex) -> bool:
-        return leq(x, b)
-
-    def extend(x: QuadIndex) -> list[list[QuadIndex]]:
-        if x == b:
-            return [[x]]
-        found = []
-        for c in _up_moves(x):
-            if reachable(c):
-                for tail in extend(c):
-                    found.append([x] + tail)
-        return found
-
-    return sorted(extend(a))
+    return saturated_chains(a, b, _up_moves, leq)

@@ -23,6 +23,7 @@ import threading
 import zlib
 from pathlib import Path
 
+from .combination import Combination, CombinationBuilder
 from .config import effective_cap
 from .diagrams import EMPTY, Partition, partitions, sort_key
 from .errors import DegreeCapExceeded
@@ -186,96 +187,61 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return value
 
 
-class SymFunc:
-    """Finitely supported integer combination of Schur basis elements."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[Partition, int] = {}
-        if terms:
-            for p, coeff in dict(terms).items():
-                if coeff:
-                    self.terms[Partition(p)] = int(coeff)
-
-    @classmethod
-    def schur(cls, p) -> "SymFunc":
-        return cls({Partition(p): 1})
-
-    @classmethod
-    def one(cls) -> "SymFunc":
-        return cls({EMPTY: 1})
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
-
-    def coefficient(self, p) -> int:
-        return self.terms.get(Partition(p), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_degree(self) -> int:
-        return max((p.degree for p in self.terms), default=0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymFunc) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        merged = dict(self.terms)
-        for p, coeff in other.terms.items():
-            merged[p] = merged.get(p, 0) + coeff
-        return SymFunc(merged)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int) -> "SymFunc":
-        return SymFunc({p: factor * coeff for p, coeff in self.terms.items()})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SymFunc(0)"
-        bits = [f"{coeff}*s{list(p)}" for p, coeff in self.items()]
-        return "SymFunc(" + " + ".join(bits) + ")"
+def schur(p) -> Combination:
+    """The single Schur function s_p."""
+    return Combination({Partition(p): 1})
 
 
-def _expansion_candidates(mu: Partition, nu: Partition) -> tuple[Partition, ...]:
-    return tuple(p for p in partitions(mu.degree + nu.degree) if p.contains(mu))
+def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """The non-zero coefficients of s_mu * s_nu; no degree cap."""
+    terms = {}
+    for lam in partitions(mu.degree + nu.degree):
+        if lam.contains(mu) and lam.contains(nu):
+            coeff = lr_coefficient(lam, mu, nu)
+            if coeff:
+                terms[lam] = coeff
+    return terms
 
 
-def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> SymFunc:
+def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> Combination:
     """Expand s_mu * s_nu in the Schur basis."""
     mu, nu = Partition(mu), Partition(nu)
     degree = mu.degree + nu.degree
     if degree > effective_cap(cap):
         raise DegreeCapExceeded(degree, effective_cap(cap))
-    terms = {}
-    for lam in _expansion_candidates(mu, nu):
-        coeff = lr_coefficient(lam, mu, nu)
-        if coeff:
-            terms[lam] = coeff
-    return SymFunc(terms)
+    return Combination(_lr_terms(mu, nu))
 
 
-def schur_product(a: SymFunc, b: SymFunc, cap: int | None = None) -> SymFunc:
+def schur_product(a: Combination, b: Combination, cap: int | None = None) -> Combination:
     """Bilinear extension of the Littlewood-Richardson product."""
-    result = SymFunc()
-    for mu, ca in a.terms.items():
-        for nu, cb in b.terms.items():
-            result = result + schur_term_product(mu, nu, cap).scale(ca * cb)
-    return result
+    out = CombinationBuilder()
+    for mu, ca in a.items():
+        for nu, cb in b.items():
+            out.add_all(schur_term_product(mu, nu, cap), ca * cb)
+    return out.build()
 
 
-def elementary_homogeneous(k: int, cap: int | None = None) -> tuple[SymFunc, SymFunc]:
+def slot_product(a: Combination, b: Combination) -> Combination:
+    """LR product, slot by slot, of two combinations of partition pairs.
+
+    (x1, x2) * (y1, y2) expands s_x1 * s_y1 in the first slot and
+    s_x2 * s_y2 in the second, once per pair, and takes the outer product.
+    No degree cap is applied: callers check their own.
+    """
+    out = CombinationBuilder()
+    for (x1, x2), cx in a.items():
+        for (y1, y2), cy in b.items():
+            second = _lr_terms(x2, y2)
+            for lam, cl in _lr_terms(x1, y1).items():
+                for pi, cp in second.items():
+                    out.add((lam, pi), cx * cy * cl * cp)
+    return out.build()
+
+
+def elementary_homogeneous(k: int, cap: int | None = None) -> tuple[Combination, Combination]:
     """The pair (e_k, h_k) = (s_[1^k], s_[k]) of exterior/symmetric characters."""
     if k < 0:
         raise ValueError(f"power index must be non-negative, got {k}")
     if k > effective_cap(cap):
         raise DegreeCapExceeded(k, effective_cap(cap))
-    if k == 0:
-        return SymFunc.one(), SymFunc.one()
-    return SymFunc.schur([1] * k), SymFunc.schur([k])
+    return schur([1] * k), schur([k])

@@ -134,6 +134,18 @@ def test_exit_codes(capsys):
     assert code == 1 and "m" in err
 
 
+def test_non_ascii_digits_exit_one_with_position(capsys):
+    for argv, pos in (
+        (["lr", "[²]", "[1]", "[1]"], 1),
+        (["decompose", "١,1,1,1"], 0),
+        (["osp", "--kind", "o", "leq", "1,١", "0,1"], 2),
+        (["osp", "--kind", "sp", "defect", "1,0", "x,1"], 0),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"at position {pos} in" in err, (argv, err)
+
+
 def test_argparse_usage_errors_exit_one():
     with pytest.raises(SystemExit) as err:
         main(["plethysm", "not-a-family", "2"])

@@ -123,6 +123,13 @@ def test_hook_lengths_and_tableau_count():
             assert standard_tableau_count(p) == standard_tableaux_brute(p)
 
 
+def test_parse_partition_takes_ascii_digits_only():
+    for text, pos in (("[²]", 1), ("[2, ١]", 4), ("[3,x]", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_partition(text)
+        assert err.value.pos == pos, text
+
+
 def test_parse_partition():
     assert parse_partition("[4,2,1]") == (4, 2, 1)
     assert parse_partition("[]") == ()

@@ -113,6 +113,13 @@ def test_covers_are_exactly_defect_one():
         assert covers(a, bound) == expected
 
 
+def test_parse_quad_takes_ascii_digits_only():
+    for text, pos in (("١,1,1,1", 0), ("1,1, ٣,1", 5), ("1,²,1,1", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_quad(text)
+        assert err.value.pos == pos, text
+
+
 def test_parse_quad():
     assert parse_quad("1,0,0,1") == QuadIndex(1, 0, 0, 1)
     assert parse_quad(" 2, 3 ,0,1 ") == QuadIndex(2, 3, 0, 1)
