@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcat.combination import Combination, CombinationBuilder
-from tensorcat.diagrams import Partition, partitions
+from tensorcat.diagrams import partitions
 from tensorcat.symfunc import _count_lr_tableaux, lr_coefficient, schur_term_product, slot_product
 
 SMALL = settings(derandomize=True, max_examples=60, deadline=None)
