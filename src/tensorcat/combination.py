@@ -18,8 +18,8 @@ from .diagrams import Partition
 def index_key(index) -> tuple:
     """Canonical order: a partition by (degree, parts), a tuple slot by slot."""
     if isinstance(index, Partition):
-        return index.key
-    return tuple(part.key for part in index)
+        return (index.degree, index)
+    return tuple([(part.degree, part) for part in index])
 
 
 def index_label(index) -> str:
