@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-from pathlib import Path
 
 from . import ext as ext_mod
 from . import grothendieck as gr
@@ -24,12 +23,13 @@ from .errors import DegreeCapExceeded, GuardExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
 from .poset import QuadIndex, parse_quad
 
-LR_CACHE_FILENAME = "lr.records"
-
 
 def parse_simple_index(text: str) -> SimpleIndex:
-    """Parse four partitions like ``[1],[],[],[1]`` (top-level commas split)."""
-    pieces = []
+    """Parse four partitions like ``[1],[],[],[1]`` (top-level commas split).
+
+    A bad partition raises ParseError at its position in the whole text.
+    """
+    pieces = []  # (offset in text, piece)
     depth = 0
     start = 0
     for pos, ch in enumerate(text):
@@ -40,22 +40,24 @@ def parse_simple_index(text: str) -> SimpleIndex:
             if depth < 0:
                 raise ParseError(text, pos, "unbalanced ']'")
         elif ch == "," and depth == 0:
-            pieces.append(text[start:pos])
+            pieces.append((start, text[start:pos]))
             start = pos + 1
-    pieces.append(text[start:])
+    pieces.append((start, text[start:]))
     if depth != 0:
         raise ParseError(text, len(text) - 1, "unbalanced '['")
     if len(pieces) != 4:
         raise ParseError(text, 0, f"expected four partitions, got {len(pieces)}")
-    return SimpleIndex(*(parse_partition(piece) for piece in pieces))
+    parts = []
+    for offset, piece in pieces:
+        try:
+            parts.append(parse_partition(piece))
+        except ParseError as exc:
+            raise ParseError(text, offset + exc.pos, exc.message) from exc
+    return SimpleIndex(*parts)
 
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def partition_json(p: Partition) -> list[int]:
-    return list(p)
 
 
 def terms_output(terms: Combination) -> tuple[list[str], list[dict]]:
@@ -67,10 +69,10 @@ def terms_output(terms: Combination) -> tuple[list[str], list[dict]]:
     payload = []
     for idx, mult in terms.items():
         if isinstance(idx, Partition):
-            payload.append({"partition": partition_json(idx), "mult": mult})
+            payload.append({"partition": list(idx), "mult": mult})
         else:
             field = "index" if isinstance(idx, SimpleIndex) else "pair"
-            payload.append({field: [partition_json(p) for p in idx], "mult": mult})
+            payload.append({field: [list(p) for p in idx], "mult": mult})
     return lines, payload
 
 
@@ -165,6 +167,153 @@ def run_verify() -> tuple[list[tuple[str, bool]], bool]:
 
 
 # ---------------------------------------------------------------------------
+# subcommand handlers: each takes (args, cfg) and returns (text lines, json payload)
+
+
+def scalar_output(value) -> tuple[list[str], object]:
+    """One-line result: a number, ``true``/``false``, or ``undefined`` for None."""
+    if isinstance(value, bool):
+        return ["true" if value else "false"], value
+    return [str(value) if value is not None else "undefined"], value
+
+
+def cmd_lr(args, cfg):
+    lam, mu, nu = parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
+    if lam.degree > cfg.degree_cap:
+        raise DegreeCapExceeded(lam.degree, cfg.degree_cap)
+    return scalar_output(symfunc.lr_coefficient(lam, mu, nu))
+
+
+def cmd_product(args, cfg):
+    mu, nu = parse_partition(args.mu), parse_partition(args.nu)
+    return terms_output(symfunc.schur_term_product(mu, nu, cfg.degree_cap))
+
+
+def cmd_plethysm(args, cfg):
+    family = args.family
+    if family in ("cauchy-sym", "cauchy-ext"):
+        fn = plethysm.cauchy_sym if family == "cauchy-sym" else plethysm.cauchy_ext
+        return terms_output(fn(args.k, cfg.degree_cap))
+    kind = plethysm.SYMMETRIC if family.startswith("sym-") else plethysm.EXTERIOR
+    inner = plethysm.power_of_sym2 if family.endswith("sym2") else plethysm.power_of_ext2
+    return terms_output(inner(args.k, kind, cfg.degree_cap))
+
+
+def cmd_decompose(args, cfg):
+    return terms_output(gr.decompose_j(parse_quad(args.quad), cfg.degree_cap))
+
+
+def cmd_socle(args, cfg):
+    return terms_output(gr.socle_of(parse_quad(args.quad), cfg.degree_cap))
+
+
+def cmd_layers(args, cfg):
+    return layers_output(gr.layers_of_i(args.kmax, cfg.degree_cap))
+
+
+def cmd_defect(args, cfg):
+    return scalar_output(poset.defect(parse_quad(args.a), parse_quad(args.b)))
+
+
+def cmd_chains(args, cfg):
+    found = poset.chains(parse_quad(args.a), parse_quad(args.b))
+    lines = [" -> ".join(str(q) for q in chain) for chain in found] or ["(none)"]
+    return lines, [[list(q) for q in chain] for chain in found]
+
+
+def cmd_covers(args, cfg):
+    found = poset.covers(parse_quad(args.a), args.bound)
+    return [str(q) for q in found] or ["(none)"], [list(q) for q in found]
+
+
+def cmd_ext_trivial(args, cfg):
+    return scalar_output(ext_mod.ext_to_trivial(parse_simple_index(args.index), args.degree))
+
+
+def cmd_ext_thick(args, cfg):
+    x = parse_simple_index(args.index)
+    target = (parse_partition(args.alpha), parse_partition(args.beta))
+    return scalar_output(ext_mod.ext_to_thick(x, target, args.degree))
+
+
+def cmd_ext_vanishes(args, cfg):
+    s, t = parse_simple_index(args.source), parse_simple_index(args.target)
+    return scalar_output(ext_mod.ext_vanishes(s, t, args.degree))
+
+
+def cmd_resolution(args, cfg):
+    term = ext_mod.resolution_term(args.j, cfg.degree_cap)
+    lines, socle = terms_output(term.socle)
+    return [f"body: {term.body}"] + lines, {"j": term.j, "body": term.body, "socle": socle}
+
+
+def cmd_kernel_layer(args, cfg):
+    return terms_output(ext_mod.kernel_layer(args.j, args.k, cfg.degree_cap))
+
+
+HOM_FLAVORS = {"contract": symalg.CONTRACT, "shift-left": symalg.SHIFT_LEFT, "shift-right": symalg.SHIFT_RIGHT}
+
+
+def cmd_homdim(args, cfg):
+    q = parse_quad(args.quad)
+    if args.flavor == "end":
+        return scalar_output(symalg.end_dimension(q))
+    return scalar_output(symalg.hom_dimension_deg1(q, HOM_FLAVORS[args.flavor]))
+
+
+def cmd_quadkernel(args, cfg):
+    q = parse_quad(args.quad)
+    dim = symalg.quadratic_kernel_dim(q)
+    if not args.check:
+        return scalar_output(dim)
+    verified = symalg.quadratic_kernel_check(q, cfg.group_guard)
+    return [str(dim), "check: ok" if verified else "check: FAIL"], {"dim": dim, "check": verified}
+
+
+def _parse_osp_pair(text: str) -> ospcat.PairIndex:
+    if text.count(",") != 1:
+        raise ParseError(text, 0, "expected two comma-separated entries")
+    return ospcat.PairIndex(*parse_naturals(text, text, 0, "entry"))
+
+
+def cmd_osp_leq(args, cfg):
+    return scalar_output(ospcat.osp_leq(_parse_osp_pair(args.a), _parse_osp_pair(args.b)))
+
+
+def cmd_osp_defect(args, cfg):
+    return scalar_output(ospcat.osp_defect(_parse_osp_pair(args.a), _parse_osp_pair(args.b)))
+
+
+def cmd_osp_layers(args, cfg):
+    return layers_output(ospcat.osp_layers_of_i(args.kind, args.kmax, cfg.degree_cap))
+
+
+def cmd_osp_ext_trivial(args, cfg):
+    x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
+    return scalar_output(ospcat.osp_ext_to_trivial(args.kind, x, args.degree))
+
+
+def cmd_osp_conjugate(args, cfg):
+    x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
+    image = ospcat.osp_conjugate(x)
+    payload = {"kind": image.kind, "lam": list(image.lam), "mu": list(image.mu)}
+    return [f"{image.kind} {image.lam},{image.mu}"], payload
+
+
+class VerifyFailure(Exception):
+    """A failed cross-check; its args are the report's (text lines, json payload)."""
+
+
+def cmd_verify(args, cfg):
+    checks, ok = run_verify()
+    lines = [f"check {name}: {'ok' if flag else 'FAIL'}" for name, flag in checks]
+    payload = {"checks": [{"name": n, "ok": f} for n, f in checks], "ok": ok}
+    if not ok:
+        raise VerifyFailure(lines, payload)
+    return lines, payload
+
+
+# ---------------------------------------------------------------------------
 # argument parsing
 
 
@@ -174,6 +323,13 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def add_command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Declare one subcommand and the handler that ``execute`` runs for it."""
+    command = subparsers.add_parser(name, **kwargs)
+    command.set_defaults(handler=handler)
+    return command
+
+
 def build_parser() -> Parser:
     parser = Parser(
         prog="tensorcat",
@@ -181,272 +337,111 @@ def build_parser() -> Parser:
         epilog=(
             "Configuration precedence: flag > environment > config file > default. "
             "Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD, "
-            "TENSORCAT_CACHE_DIR, TENSORCAT_CONFIG."
+            "TENSORCAT_CONFIG."
         ),
     )
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument("--degree-cap", type=int, default=None, help="refuse work above this degree (default 12)")
     parser.add_argument("--group-guard", type=int, default=None, help="explicit group-algebra size limit (default 8)")
-    parser.add_argument("--cache-dir", default=None, help="directory for the persistent coefficient cache")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--verify", action="store_true", help="re-run oracle cross-checks and exit")
 
     sub = parser.add_subparsers(dest="command")
 
-    lr = sub.add_parser("lr", help="Littlewood-Richardson coefficient")
+    lr = add_command(sub, "lr", cmd_lr, help="Littlewood-Richardson coefficient")
     lr.add_argument("lam")
     lr.add_argument("mu")
     lr.add_argument("nu")
 
-    product = sub.add_parser("product", help="Schur-basis product of two Schur functions")
+    product = add_command(sub, "product", cmd_product, help="Schur-basis product of two Schur functions")
     product.add_argument("mu")
     product.add_argument("nu")
 
-    plet = sub.add_parser("plethysm", help="closed-form power decompositions")
+    plet = add_command(sub, "plethysm", cmd_plethysm, help="closed-form power decompositions")
     plet.add_argument(
         "family",
         choices=("cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2"),
     )
     plet.add_argument("k", type=int)
 
-    decompose = sub.add_parser("decompose", help="composition factors of a tensor word")
+    decompose = add_command(sub, "decompose", cmd_decompose, help="composition factors of a tensor word")
     decompose.add_argument("quad")
 
-    socle = sub.add_parser("socle", help="socle of the tensor word at a quadruple")
+    socle = add_command(sub, "socle", cmd_socle, help="socle of the tensor word at a quadruple")
     socle.add_argument("quad")
 
-    layers = sub.add_parser("layers", help="filtration layers of the injective hull of the unit")
+    layers = add_command(sub, "layers", cmd_layers, help="filtration layers of the injective hull of the unit")
     layers.add_argument("kmax", type=int)
 
-    defect = sub.add_parser("defect", help="defect between two quadruples")
+    defect = add_command(sub, "defect", cmd_defect, help="defect between two quadruples")
     defect.add_argument("a")
     defect.add_argument("b")
 
-    chains = sub.add_parser("chains", help="all saturated chains between two quadruples")
+    chains = add_command(sub, "chains", cmd_chains, help="all saturated chains between two quadruples")
     chains.add_argument("a")
     chains.add_argument("b")
 
-    covers = sub.add_parser("covers", help="immediate successors within a bound")
+    covers = add_command(sub, "covers", cmd_covers, help="immediate successors within a bound")
     covers.add_argument("a")
     covers.add_argument("--bound", type=int, required=True)
 
-    ext_trivial = sub.add_parser("ext-trivial", help="Ext dimension into the unit object")
+    ext_trivial = add_command(sub, "ext-trivial", cmd_ext_trivial, help="Ext dimension into the unit object")
     ext_trivial.add_argument("index")
     ext_trivial.add_argument("--degree", type=int, required=True)
 
-    ext_thick = sub.add_parser("ext-thick", help="Ext dimension into a purely thick simple")
+    ext_thick = add_command(sub, "ext-thick", cmd_ext_thick, help="Ext dimension into a purely thick simple")
     ext_thick.add_argument("index")
     ext_thick.add_argument("alpha")
     ext_thick.add_argument("beta")
     ext_thick.add_argument("--degree", type=int, required=True)
 
-    ext_vanishes = sub.add_parser("ext-vanishes", help="guaranteed-vanishing test between simples")
+    ext_vanishes = add_command(sub, "ext-vanishes", cmd_ext_vanishes, help="guaranteed-vanishing test between simples")
     ext_vanishes.add_argument("source")
     ext_vanishes.add_argument("target")
     ext_vanishes.add_argument("--degree", type=int, required=True)
 
-    resolution = sub.add_parser("resolution", help="resolution term and its socle")
+    resolution = add_command(sub, "resolution", cmd_resolution, help="resolution term and its socle")
     resolution.add_argument("j", type=int)
 
-    kernel = sub.add_parser("kernel-layer", help="filtration layer of a resolution kernel")
+    kernel = add_command(sub, "kernel-layer", cmd_kernel_layer, help="filtration layer of a resolution kernel")
     kernel.add_argument("j", type=int)
     kernel.add_argument("k", type=int)
 
-    homdim = sub.add_parser("homdim", help="endomorphism / degree-one Hom dimensions")
+    homdim = add_command(sub, "homdim", cmd_homdim, help="endomorphism / degree-one Hom dimensions")
     homdim.add_argument("quad")
     homdim.add_argument("flavor", choices=("end", "contract", "shift-left", "shift-right"))
 
-    quadkernel = sub.add_parser("quadkernel", help="quadratic-relation kernel dimension")
+    quadkernel = add_command(sub, "quadkernel", cmd_quadkernel, help="quadratic-relation kernel dimension")
     quadkernel.add_argument("quad")
     quadkernel.add_argument("--check", action="store_true", help="also row-reduce the explicit right ideal")
 
     osp = sub.add_parser("osp", help="orthogonal/symplectic variant")
     osp.add_argument("--kind", choices=("o", "sp"), required=True)
     osp_sub = osp.add_subparsers(dest="osp_command", required=True)
-    osp_leq = osp_sub.add_parser("leq")
+    osp_leq = add_command(osp_sub, "leq", cmd_osp_leq)
     osp_leq.add_argument("a")
     osp_leq.add_argument("b")
-    osp_defect = osp_sub.add_parser("defect")
+    osp_defect = add_command(osp_sub, "defect", cmd_osp_defect)
     osp_defect.add_argument("a")
     osp_defect.add_argument("b")
-    osp_layers = osp_sub.add_parser("layers")
+    osp_layers = add_command(osp_sub, "layers", cmd_osp_layers)
     osp_layers.add_argument("kmax", type=int)
-    osp_ext = osp_sub.add_parser("ext-trivial")
+    osp_ext = add_command(osp_sub, "ext-trivial", cmd_osp_ext_trivial)
     osp_ext.add_argument("lam")
     osp_ext.add_argument("mu")
     osp_ext.add_argument("--degree", type=int, required=True)
-    osp_conj = osp_sub.add_parser("conjugate")
+    osp_conj = add_command(osp_sub, "conjugate", cmd_osp_conjugate)
     osp_conj.add_argument("lam")
     osp_conj.add_argument("mu")
 
-    cache = sub.add_parser("cache", help="persistent cache management")
-    cache.add_argument("action", choices=("info", "clear"))
-
-    sub.add_parser("verify", help="re-run oracle cross-checks")
+    add_command(sub, "verify", cmd_verify, help="re-run oracle cross-checks")
 
     return parser
 
 
-def _parse_osp_pair(text: str) -> ospcat.PairIndex:
-    if text.count(",") != 1:
-        raise ParseError(text, 0, "expected two comma-separated entries")
-    return ospcat.PairIndex(*parse_naturals(text, text, 0, "entry"))
-
-
 def execute(args, cfg) -> tuple[list[str], object]:
-    """Run one subcommand; returns (text lines, json payload)."""
-    cap = cfg.degree_cap
-    guard = cfg.group_guard
-    cmd = args.command
-
-    if cmd == "lr":
-        value = symfunc.lr_coefficient(
-            parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
-        )
-        return [str(value)], value
-
-    if cmd == "product":
-        return terms_output(
-            symfunc.schur_term_product(parse_partition(args.mu), parse_partition(args.nu), cap)
-        )
-
-    if cmd == "plethysm":
-        family = args.family
-        if family in ("cauchy-sym", "cauchy-ext"):
-            fn = plethysm.cauchy_sym if family == "cauchy-sym" else plethysm.cauchy_ext
-            return terms_output(fn(args.k, cap))
-        kind = plethysm.SYMMETRIC if family.startswith("sym-") else plethysm.EXTERIOR
-        inner = plethysm.power_of_sym2 if family.endswith("sym2") else plethysm.power_of_ext2
-        return terms_output(inner(args.k, kind, cap))
-
-    if cmd == "decompose":
-        return terms_output(gr.decompose_j(parse_quad(args.quad), cap))
-
-    if cmd == "socle":
-        return terms_output(gr.socle_of(parse_quad(args.quad), cap))
-
-    if cmd == "layers":
-        return layers_output(gr.layers_of_i(args.kmax, cap))
-
-    if cmd == "defect":
-        d = poset.defect(parse_quad(args.a), parse_quad(args.b))
-        return [str(d) if d is not None else "undefined"], d
-
-    if cmd == "chains":
-        found = poset.chains(parse_quad(args.a), parse_quad(args.b))
-        lines = [" -> ".join(str(q) for q in chain) for chain in found] or ["(none)"]
-        return lines, [[list(q) for q in chain] for chain in found]
-
-    if cmd == "covers":
-        found = poset.covers(parse_quad(args.a), args.bound)
-        return [str(q) for q in found] or ["(none)"], [list(q) for q in found]
-
-    if cmd == "ext-trivial":
-        value = ext_mod.ext_to_trivial(parse_simple_index(args.index), args.degree)
-        return [str(value)], value
-
-    if cmd == "ext-thick":
-        value = ext_mod.ext_to_thick(
-            parse_simple_index(args.index),
-            (parse_partition(args.alpha), parse_partition(args.beta)),
-            args.degree,
-        )
-        return [str(value)], value
-
-    if cmd == "ext-vanishes":
-        value = ext_mod.ext_vanishes(
-            parse_simple_index(args.source), parse_simple_index(args.target), args.degree
-        )
-        return ["true" if value else "false"], value
-
-    if cmd == "resolution":
-        term = ext_mod.resolution_term(args.j, cap)
-        lines, socle = terms_output(term.socle)
-        return [f"body: {term.body}"] + lines, {"j": term.j, "body": term.body, "socle": socle}
-
-    if cmd == "kernel-layer":
-        return terms_output(ext_mod.kernel_layer(args.j, args.k, cap))
-
-    if cmd == "homdim":
-        q = parse_quad(args.quad)
-        if args.flavor == "end":
-            value = symalg.end_dimension(q)
-        else:
-            flavor = {
-                "contract": symalg.CONTRACT,
-                "shift-left": symalg.SHIFT_LEFT,
-                "shift-right": symalg.SHIFT_RIGHT,
-            }[args.flavor]
-            value = symalg.hom_dimension_deg1(q, flavor)
-        return [str(value)], value
-
-    if cmd == "quadkernel":
-        q = parse_quad(args.quad)
-        dim = symalg.quadratic_kernel_dim(q)
-        if args.check:
-            verified = symalg.quadratic_kernel_check(q, guard)
-            lines = [str(dim), "check: ok" if verified else "check: FAIL"]
-            return lines, {"dim": dim, "check": verified}
-        return [str(dim)], dim
-
-    if cmd == "osp":
-        return execute_osp(args, cfg)
-
-    if cmd == "cache":
-        path = Path(cfg.cache_dir) / LR_CACHE_FILENAME if cfg.cache_dir else None
-        if args.action == "info":
-            if path is None:
-                return ["cache: disabled (no cache directory configured)"], {"path": None, "records": 0}
-            records = 0
-            if path.exists():
-                records = sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
-            return [f"cache: {path}", f"records: {records}"], {"path": str(path), "records": records}
-        if path is not None and path.exists():
-            path.unlink()
-        symfunc.clear_memo()
-        return ["cache cleared"], {"cleared": True}
-
-    if cmd == "verify":
-        checks, ok = run_verify()
-        lines = [f"check {name}: {'ok' if flag else 'FAIL'}" for name, flag in checks]
-        payload = {"checks": [{"name": n, "ok": f} for n, f in checks], "ok": ok}
-        if not ok:
-            raise VerifyFailure(lines, payload)
-        return lines, payload
-
-    raise ValueError("missing subcommand; try --help")
-
-
-class VerifyFailure(Exception):
-    def __init__(self, lines, payload):
-        self.lines = lines
-        self.payload = payload
-        super().__init__("verification failed")
-
-
-def execute_osp(args, cfg) -> tuple[list[str], object]:
-    cap = cfg.degree_cap
-    kind = args.kind
-    sub = args.osp_command
-    if sub == "leq":
-        value = ospcat.osp_leq(_parse_osp_pair(args.a), _parse_osp_pair(args.b))
-        return ["true" if value else "false"], value
-    if sub == "defect":
-        d = ospcat.osp_defect(_parse_osp_pair(args.a), _parse_osp_pair(args.b))
-        return [str(d) if d is not None else "undefined"], d
-    if sub == "layers":
-        return layers_output(ospcat.osp_layers_of_i(kind, args.kmax, cap))
-    if sub == "ext-trivial":
-        x = ospcat.osp_index(kind, parse_partition(args.lam), parse_partition(args.mu))
-        value = ospcat.osp_ext_to_trivial(kind, x, args.degree)
-        return [str(value)], value
-    if sub == "conjugate":
-        x = ospcat.osp_index(kind, parse_partition(args.lam), parse_partition(args.mu))
-        image = ospcat.osp_conjugate(x)
-        line = f"{image.kind} {image.lam},{image.mu}"
-        payload = {"kind": image.kind, "lam": partition_json(image.lam), "mu": partition_json(image.mu)}
-        return [line], payload
-    raise ValueError(f"unknown osp subcommand {sub!r}")
+    """Run one subcommand through the handler its parser declared."""
+    return args.handler(args, cfg)
 
 
 def main(argv=None) -> int:
@@ -457,33 +452,24 @@ def main(argv=None) -> int:
         cfg = resolve_config(
             degree_cap=args.degree_cap,
             group_guard=args.group_guard,
-            cache_dir=args.cache_dir,
             config_file=args.config,
         )
     except (OSError, ValueError) as exc:
         print(f"tensorcat: error: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.cache_dir:
-        symfunc.set_disk_cache(Path(cfg.cache_dir) / LR_CACHE_FILENAME)
-    else:
-        symfunc.set_disk_cache(None)
-
     if args.verify and not args.command:
-        args.command = "verify"
+        args.command, args.handler = "verify", cmd_verify
     if not args.command:
         parser.print_usage(sys.stderr)
         print("tensorcat: error: a subcommand is required", file=sys.stderr)
         return 1
 
+    code = 0
     try:
         lines, payload = execute(args, cfg)
     except VerifyFailure as failure:
-        if args.output == "json":
-            print(json.dumps({"command": "verify", "result": failure.payload}, sort_keys=True))
-        else:
-            print("\n".join(failure.lines))
-        return 1
+        (lines, payload), code = failure.args, 1
     except ParseError as exc:
         print(f"tensorcat: error: {exc}", file=sys.stderr)
         return 1
@@ -498,7 +484,7 @@ def main(argv=None) -> int:
         print(json.dumps({"command": args.command, "result": payload}, sort_keys=True))
     else:
         print("\n".join(lines))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 Settings are resolved as: explicit flag > environment variable > config file
 > built-in default.  The config file is plain ``key = value`` lines with ``#``
-comments; recognized keys are ``degree_cap``, ``group_guard`` and ``cache_dir``.
+comments; recognized keys are ``degree_cap`` and ``group_guard``, and other
+keys are ignored.
 
 Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD,
-TENSORCAT_CACHE_DIR, TENSORCAT_CONFIG (path of a config file).
+TENSORCAT_CONFIG (path of a config file).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ DEFAULT_GROUP_GUARD = 8
 ENV_PREFIX = "TENSORCAT_"
 ENV_DEGREE_CAP = ENV_PREFIX + "DEGREE_CAP"
 ENV_GROUP_GUARD = ENV_PREFIX + "GROUP_GUARD"
-ENV_CACHE_DIR = ENV_PREFIX + "CACHE_DIR"
 ENV_CONFIG = ENV_PREFIX + "CONFIG"
 
 
@@ -27,7 +27,6 @@ ENV_CONFIG = ENV_PREFIX + "CONFIG"
 class Config:
     degree_cap: int = DEFAULT_DEGREE_CAP
     group_guard: int = DEFAULT_GROUP_GUARD
-    cache_dir: str | None = None
 
 
 def effective_cap(cap: int | None) -> int:
@@ -57,7 +56,6 @@ def resolve_config(
     *,
     degree_cap: int | None = None,
     group_guard: int | None = None,
-    cache_dir: str | None = None,
     config_file: str | None = None,
     env: dict[str, str] | None = None,
 ) -> Config:
@@ -79,5 +77,4 @@ def resolve_config(
     return Config(
         degree_cap=pick(degree_cap, ENV_DEGREE_CAP, "degree_cap", DEFAULT_DEGREE_CAP, int),
         group_guard=pick(group_guard, ENV_GROUP_GUARD, "group_guard", DEFAULT_GROUP_GUARD, int),
-        cache_dir=pick(cache_dir, ENV_CACHE_DIR, "cache_dir", None, str),
     )

@@ -31,4 +31,5 @@ class ParseError(TensorcatError):
     def __init__(self, text: str, pos: int, message: str):
         self.text = text
         self.pos = pos
+        self.message = message
         super().__init__(f"{message} at position {pos} in {text!r}")

@@ -3,120 +3,30 @@
 The coefficient c^lam_{mu,nu} is computed by enumerating skew tableaux of
 shape lam/mu and content nu that are weakly increasing along rows, strictly
 increasing down columns, and whose reverse reading word is a lattice word.
-Results are memoized in memory and, when a cache file is configured, persisted
-to an append-only record file.
-
-Cache record format (one record per line, documented interface):
-
-    <lam>;<mu>;<nu>;<coeff>;<crc>
-
-where a partition is its comma-joined parts (empty string for the empty
-diagram) and <crc> is the zlib.crc32 checksum, in fixed-width hex, of the
-record text up to and including the coefficient field.  A record failing its
-checksum marks the whole file as corrupt; the cache is then discarded and
-rebuilt from scratch.
+Results are memoized in memory for the life of the process.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
-from pathlib import Path
 
 from .combination import Combination, CombinationBuilder
 from .config import effective_cap
-from .diagrams import EMPTY, Partition, partitions, sort_key
+from .diagrams import Partition, partitions, sort_key
 from .errors import DegreeCapExceeded
 
 _memo: dict[tuple[Partition, Partition, Partition], int] = {}
 _memo_lock = threading.Lock()
-_disk: "LrDiskCache | None" = None
-
-
-def _format_partition(p: Partition) -> str:
-    return ",".join(str(part) for part in p)
-
-
-def _parse_cached_partition(text: str) -> Partition:
-    return EMPTY if not text else Partition(int(t) for t in text.split(","))
-
-
-class LrDiskCache:
-    """Append-only persistent store of Littlewood-Richardson coefficients."""
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _checksum(body: str) -> str:
-        return f"{zlib.crc32(body.encode('utf-8')):08x}"
-
-    def load(self) -> dict[tuple[Partition, Partition, Partition], int]:
-        """Read all records; on any corrupt record discard and truncate."""
-        if not self.path.exists():
-            return {}
-        entries: dict[tuple[Partition, Partition, Partition], int] = {}
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-            for line in lines:
-                if not line.strip():
-                    continue
-                body, crc = line.rsplit(";", 1)
-                if self._checksum(body) != crc:
-                    raise ValueError("checksum mismatch")
-                lam_text, mu_text, nu_text, coeff_text = body.split(";")
-                key = (
-                    _parse_cached_partition(lam_text),
-                    _parse_cached_partition(mu_text),
-                    _parse_cached_partition(nu_text),
-                )
-                entries[key] = int(coeff_text)
-        except (ValueError, OSError):
-            # corrupt cache: rebuild from nothing
-            try:
-                self.path.write_text("", encoding="utf-8")
-            except OSError:
-                pass
-            return {}
-        return entries
-
-    def append(self, lam: Partition, mu: Partition, nu: Partition, coeff: int) -> None:
-        body = ";".join(
-            (_format_partition(lam), _format_partition(mu), _format_partition(nu), str(coeff))
-        )
-        line = f"{body};{self._checksum(body)}\n"
-        with self._lock:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
-            except OSError:
-                pass
-
-
-def set_disk_cache(path: str | Path | None) -> None:
-    """Attach (or detach, with None) the persistent coefficient cache.
-
-    Attaching merges both ways: records on disk feed the in-memory memo, and
-    memoized coefficients not yet on disk are appended.
-    """
-    global _disk
-    with _memo_lock:
-        if path is None:
-            _disk = None
-            return
-        _disk = LrDiskCache(path)
-        on_disk = _disk.load()
-        for key, value in _memo.items():
-            if key not in on_disk:
-                _disk.append(*key, value)
-        _memo.update(on_disk)
 
 
 def clear_memo() -> None:
     with _memo_lock:
         _memo.clear()
+
+
+def set_disk_cache(path=None) -> None:
+    """No-op; the on-disk coefficient cache is gone.  perfbench/test_tracer.py
+    requires every name the tracer wraps to exist, and it still wraps this one."""
 
 
 def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -182,8 +92,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     with _memo_lock:
         if key not in _memo:
             _memo[key] = value
-            if _disk is not None:
-                _disk.append(lam, mu, nu, value)
     return value
 
 

@@ -5,18 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from tensorcat import symfunc
 from tensorcat.cli import main, parse_simple_index
 from tensorcat.errors import ParseError
 from tensorcat.grothendieck import simple
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schema" / "output.json"
-
-
-@pytest.fixture(autouse=True)
-def _no_disk_cache():
-    yield
-    symfunc.set_disk_cache(None)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -32,6 +25,17 @@ def test_parse_simple_index():
         parse_simple_index("[1],[],[]")
     with pytest.raises(ParseError):
         parse_simple_index("[1],[],[],[1")
+
+
+def test_parse_simple_index_reports_position_in_whole_text():
+    pieces = ["[1]", "[2,1]", "[]", "[3]"]
+    for k in range(4):
+        bad = pieces[:k] + ["[1,x]"] + pieces[k + 1 :]
+        text = ",".join(bad)
+        with pytest.raises(ParseError) as err:
+            parse_simple_index(text)
+        assert err.value.pos == text.index("x"), text
+        assert err.value.text == text
 
 
 def test_spec_command_lines(capsys):
@@ -132,6 +136,10 @@ def test_exit_codes(capsys):
     assert code == 2 and "cap" in err
     code, out, err = run(capsys, "homdim", "0,0,1,0", "contract")
     assert code == 1 and "m" in err
+    code, out, err = run(capsys, "--degree-cap", "4", "lr", "[4,4,2]", "[3,2]", "[3,2]")
+    assert code == 2 and out == "" and "degree 10 exceeds the configured cap 4" in err
+    code, out, err = run(capsys, "--degree-cap", "10", "lr", "[4,4,2]", "[3,2]", "[3,2]")
+    assert (code, out) == (0, "1\n")
 
 
 def test_non_ascii_digits_exit_one_with_position(capsys):
@@ -140,6 +148,7 @@ def test_non_ascii_digits_exit_one_with_position(capsys):
         (["decompose", "١,1,1,1"], 0),
         (["osp", "--kind", "o", "leq", "1,١", "0,1"], 2),
         (["osp", "--kind", "sp", "defect", "1,0", "x,1"], 0),
+        (["ext-trivial", "[1],[x],[],[]", "--degree", "1"], 5),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -183,7 +192,6 @@ def test_json_outputs_validate_against_schema(capsys):
         ["osp", "--kind", "o", "leq", "1,0", "0,1"],
         ["osp", "--kind", "sp", "layers", "1"],
         ["osp", "--kind", "o", "conjugate", "[2]", "[]"],
-        ["cache", "info"],
     ]
     for argv in commands:
         code = main(["--output", "json"] + argv)
@@ -213,20 +221,19 @@ def test_config_precedence(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("TENSORCAT_CONFIG")
 
 
-def test_cache_cli(tmp_path, capsys):
+def test_removed_cache_interface_is_rejected_or_ignored(tmp_path, capsys, monkeypatch):
+    for argv in (["cache", "info"], ["--cache-dir", str(tmp_path), "lr", "[2,1]", "[1]", "[2]"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1, argv
+    capsys.readouterr()
     cache_dir = tmp_path / "cache"
-    code, out, _ = run(capsys, "--cache-dir", str(cache_dir), "lr", "[2,1]", "[1]", "[2]")
-    assert code == 0
-    records = cache_dir / "lr.records"
-    assert records.exists()
-    code, out, _ = run(capsys, "--cache-dir", str(cache_dir), "cache", "info")
-    assert "records:" in out
-    assert str(records) in out
-    code, out, _ = run(capsys, "--cache-dir", str(cache_dir), "cache", "clear")
-    assert out == "cache cleared\n"
-    assert not records.exists()
-    code, out, _ = run(capsys, "cache", "info")
-    assert "disabled" in out
+    config = tmp_path / "tensorcat.conf"
+    config.write_text(f"cache_dir = {cache_dir}\n", encoding="utf-8")
+    assert run(capsys, "--config", str(config), "lr", "[2,1]", "[1]", "[2]") == (0, "1\n", "")
+    monkeypatch.setenv("TENSORCAT_CACHE_DIR", str(cache_dir))
+    assert run(capsys, "lr", "[2,1]", "[1]", "[2]") == (0, "1\n", "")
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_missing_subcommand(capsys):

@@ -3,7 +3,7 @@
 Every command below is run in-process through ``cli.main``, in text and in
 ``--output json``, with every ``TENSORCAT_*`` variable cleared; its stdout and
 exit code must equal the recorded values in ``golden_cli.json``.  The string
-``{tmp}`` stands for a per-test scratch directory (config file, cache dir).
+``{tmp}`` stands for a per-test scratch directory (it holds the config file).
 
 Re-record (only when an output change is intended):
 
@@ -23,7 +23,6 @@ from pathlib import Path
 CORPUS_PATH = Path(__file__).with_name("golden_cli.json")
 CONFIG_TEXT = "degree_cap = 4\n# comment\n"
 CONF = "{tmp}/tensorcat.conf"
-CACHE = "{tmp}/cache"
 
 _README = [
     "lr [2,1] [1] [2]",
@@ -44,7 +43,6 @@ _README = [
     "quadkernel 0,2,2,0 --check",
     "osp --kind o layers 2",
     "osp --kind sp ext-trivial [2,1,1] [] --degree 2",
-    "cache info",
     "--verify",
 ]
 
@@ -87,17 +85,12 @@ _LARGER = [
     "ext-thick [1],[1],[],[1] [] [] --degree 2",
 ]
 
-# (argv, extra environment); order matters for the stateful cache commands
+# (argv, extra environment)
 _STATEFUL = [
     (f"--config {CONF} decompose 2,2,2,2", {}),
     (f"--config {CONF} decompose 2,2,2,2", {"TENSORCAT_DEGREE_CAP": "8"}),
     (f"--config {CONF} --degree-cap 5 decompose 2,2,2,2", {"TENSORCAT_DEGREE_CAP": "8"}),
     ("decompose 2,2,2,2", {"TENSORCAT_CONFIG": CONF}),
-    (f"--cache-dir {CACHE} cache clear", {}),
-    (f"--cache-dir {CACHE} lr [2,1] [1] [2]", {}),
-    (f"--cache-dir {CACHE} cache info", {}),
-    (f"--cache-dir {CACHE} cache clear", {}),
-    ("cache info", {}),
 ]
 
 
@@ -114,7 +107,6 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
 
 def run(argv: list[str], env: dict[str, str], tmp: str) -> dict:
     """Run one command in-process; returns its argv, env, exit code and stdout."""
-    from tensorcat import symfunc
     from tensorcat.cli import main
 
     saved = dict(os.environ)
@@ -131,7 +123,6 @@ def run(argv: list[str], env: dict[str, str], tmp: str) -> dict:
     finally:
         os.environ.clear()
         os.environ.update(saved)
-        symfunc.set_disk_cache(None)
     return {"argv": argv, "env": env, "exit": code, "stdout": out.getvalue().replace(tmp, "{tmp}")}
 
 

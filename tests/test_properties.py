@@ -1,18 +1,25 @@
-"""Property checks of the Z-combination type and the LR products on it.
+"""Property checks of the Z-combination type, the LR products on it, the
+input grammars and the poset defect.
 
 Hypothesis runs derandomized with bounded sizes, so every run draws the same
-examples: partitions of degree at most 5, and coefficients in [-2, 2].
+examples: partitions of degree at most 5, coefficients in [-2, 2], quadruple
+and pair entries at most 20, and chain endpoints with entries at most 2.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcat.combination import Combination, CombinationBuilder
-from tensorcat.diagrams import partitions
+from tensorcat import poset
+from tensorcat.cli import _parse_osp_pair, parse_simple_index
+from tensorcat.combination import Combination, CombinationBuilder, index_label
+from tensorcat.diagrams import parse_partition, partitions
+from tensorcat.grothendieck import SimpleIndex
+from tensorcat.ospcat import PairIndex
 from tensorcat.symfunc import _count_lr_tableaux, lr_coefficient, schur_term_product, slot_product
 
 SMALL = settings(derandomize=True, max_examples=60, deadline=None)
@@ -70,3 +77,33 @@ def test_lr_symmetry_and_conjugation(mu, nu):
         assert coeff == lr_coefficient(lam.conjugate(), mu.conjugate(), nu.conjugate())
         if lam.contains(mu) and lam.contains(nu):  # the raw count, before the memo's swap
             assert _count_lr_tableaux(lam, mu, nu) == _count_lr_tableaux(lam, nu, mu)
+
+
+@SMALL
+@given(upto(5), st.tuples(*[st.integers(0, 20)] * 4), st.tuples(st.integers(0, 20), st.integers(0, 20)))
+def test_partition_quad_and_pair_text_round_trip(p, entries, pair):
+    assert parse_partition(index_label(p)) == p
+    q = poset.QuadIndex(*entries)
+    assert index_label(q) == str(q)
+    assert poset.parse_quad(str(q)) == q
+    assert _parse_osp_pair(index_label(PairIndex(*pair))) == PairIndex(*pair)
+
+
+@SMALL
+@given(st.tuples(upto(5), upto(5), upto(5), upto(5)))
+def test_simple_index_text_round_trip(slots):
+    x = SimpleIndex(*slots)
+    assert parse_simple_index(index_label(x)) == x
+
+
+BOX = [poset.QuadIndex(*t) for t in itertools.product(range(3), repeat=4)]
+COMPARABLE = [(a, b) for a in BOX for b in BOX if poset.leq(a, b)]
+
+
+@SMALL
+@given(st.sampled_from(COMPARABLE))
+def test_defect_is_the_length_of_every_chain(pair):
+    a, b = pair
+    found = poset.chains(a, b)
+    assert found
+    assert {len(chain) - 1 for chain in found} == {poset.defect(a, b)}
