@@ -17,7 +17,7 @@ from . import ext as ext_mod
 from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symalg, symfunc
 from .combination import Combination, index_label
-from .config import resolve_config
+from .config import check_cap, resolve_config
 from .diagrams import Partition, gl_dimension, parse_naturals, parse_partition, partitions
 from .errors import DegreeCapExceeded, GuardExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
@@ -179,8 +179,7 @@ def scalar_output(value) -> tuple[list[str], object]:
 
 def cmd_lr(args, cfg):
     lam, mu, nu = parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
-    if lam.degree > cfg.degree_cap:
-        raise DegreeCapExceeded(lam.degree, cfg.degree_cap)
+    check_cap(lam.degree, cfg.degree_cap)
     return scalar_output(symfunc.lr_coefficient(lam, mu, nu))
 
 
@@ -233,6 +232,7 @@ def cmd_ext_trivial(args, cfg):
 def cmd_ext_thick(args, cfg):
     x = parse_simple_index(args.index)
     target = (parse_partition(args.alpha), parse_partition(args.beta))
+    check_cap(args.degree, cfg.degree_cap)
     return scalar_output(ext_mod.ext_to_thick(x, target, args.degree))
 
 
@@ -251,14 +251,11 @@ def cmd_kernel_layer(args, cfg):
     return terms_output(ext_mod.kernel_layer(args.j, args.k, cfg.degree_cap))
 
 
-HOM_FLAVORS = {"contract": symalg.CONTRACT, "shift-left": symalg.SHIFT_LEFT, "shift-right": symalg.SHIFT_RIGHT}
+HOM_MOVES = {"end": (), "contract": ("contract",), "shift-left": ("left",), "shift-right": ("right",)}
 
 
 def cmd_homdim(args, cfg):
-    q = parse_quad(args.quad)
-    if args.flavor == "end":
-        return scalar_output(symalg.end_dimension(q))
-    return scalar_output(symalg.hom_dimension_deg1(q, HOM_FLAVORS[args.flavor]))
+    return scalar_output(symalg.move_word_dimension(parse_quad(args.quad), HOM_MOVES[args.flavor]))
 
 
 def cmd_quadkernel(args, cfg):

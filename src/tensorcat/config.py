@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import DegreeCapExceeded, GuardExceeded
+
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_GROUP_GUARD = 8
 
@@ -29,12 +31,18 @@ class Config:
     group_guard: int = DEFAULT_GROUP_GUARD
 
 
-def effective_cap(cap: int | None) -> int:
-    return DEFAULT_DEGREE_CAP if cap is None else cap
+def check_cap(value: int, cap: int | None, what: str = "degree") -> None:
+    """Refuse ``value`` above the degree cap (the default cap when None)."""
+    limit = DEFAULT_DEGREE_CAP if cap is None else cap
+    if value > limit:
+        raise DegreeCapExceeded(value, limit, what)
 
 
-def effective_guard(guard: int | None) -> int:
-    return DEFAULT_GROUP_GUARD if guard is None else guard
+def check_guard(value: int, guard: int | None, what: str = "total boxes") -> None:
+    """Refuse ``value`` above the group-algebra guard (the default when None)."""
+    limit = DEFAULT_GROUP_GUARD if guard is None else guard
+    if value > limit:
+        raise GuardExceeded(value, limit, what)
 
 
 def read_config_file(path: str) -> dict[str, str]:

@@ -82,10 +82,6 @@ class Partition(tuple):
         arms, legs = self.frobenius()
         return all(leg == arm + 1 for arm, leg in zip(arms, legs))
 
-    @property
-    def key(self) -> tuple:
-        return (self.degree, tuple(self))
-
 
 EMPTY = Partition()
 
@@ -173,10 +169,6 @@ def hook_lengths(p: Partition) -> list[list[int]]:
         [(p[i] - j) + (conj[j] - i) - 1 for j in range(p[i])]
         for i in range(len(p))
     ]
-
-
-def contents(p: Partition) -> list[list[int]]:
-    return [[j - i for j in range(p[i])] for i in range(len(p))]
 
 
 def gl_dimension(p: Partition, n: int) -> int:

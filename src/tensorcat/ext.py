@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .combination import Combination, CombinationBuilder
-from .config import effective_cap
+from .config import check_cap
 from .diagrams import Partition, partitions
-from .errors import DegreeCapExceeded
 from .grothendieck import UNIT, SimpleIndex, thick_indices
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import QuadIndex, defect
@@ -50,8 +49,7 @@ def resolution_term(j: int, cap: int | None = None) -> ResolutionTerm:
     """Degree-j term of the resolution; its socle is the exterior Cauchy layer."""
     if j < 0:
         raise ValueError("resolution degree must be non-negative")
-    if j > effective_cap(cap):
-        raise DegreeCapExceeded(j, effective_cap(cap), what="resolution degree")
+    check_cap(j, cap, what="resolution degree")
     socle = thick_indices(cauchy_ext(j, cap=j))
     return ResolutionTerm(j=j, body=f"Lambda^{j}(F) (x) I", socle=socle)
 
@@ -65,8 +63,7 @@ def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
     """
     if j < 0 or k < 0:
         raise ValueError("kernel layer indices must be non-negative")
-    if 2 * (j + k) > effective_cap(cap):
-        raise DegreeCapExceeded(2 * (j + k), effective_cap(cap))
+    check_cap(2 * (j + k), cap)
     if j == 0:
         return Combination({UNIT: 1} if k == 0 else {})
     return thick_indices(_hook_row_pairs(j, k))
@@ -81,8 +78,7 @@ def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
     """
     if j < 1:
         raise ValueError("image layers exist for degree >= 1")
-    if 2 * (j + k) > effective_cap(cap):
-        raise DegreeCapExceeded(2 * (j + k), effective_cap(cap))
+    check_cap(2 * (j + k), cap)
     if j == 1:
         # the map out of degree 0 has trivial kernel in positive layers
         return thick_indices(cauchy_sym(k + 1, cap=k + 1))

@@ -22,9 +22,8 @@ from functools import cache
 from typing import Iterable, NamedTuple
 
 from .combination import Combination, CombinationBuilder
-from .config import effective_cap
+from .config import check_cap
 from .diagrams import EMPTY, Partition, add_box, partitions, remove_box
-from .errors import DegreeCapExceeded
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import QuadIndex
 from .symfunc import lr_coefficient, slot_product  # noqa: F401
@@ -108,10 +107,6 @@ def sym_q(k: int) -> Generator:
     return Generator("SkQ", k)
 
 
-def ext_f(k: int) -> Generator:
-    return Generator("LkF", k)
-
-
 def _moves_add(s: SimpleIndex, slot: int) -> list[SimpleIndex]:
     return [SimpleIndex(*s[:slot], q, *s[slot + 1 :]) for q in add_box(s[slot])]
 
@@ -129,8 +124,7 @@ def _tensor_f_power(s: SimpleIndex, tag: str, k: int) -> Combination:
 def tensor_simple(s: SimpleIndex, g: Generator, cap: int | None = None) -> Combination:
     """Composition factors, with multiplicity, of g tensored with the simple s."""
     target = s.degree + g.degree
-    if target > effective_cap(cap):
-        raise DegreeCapExceeded(target, effective_cap(cap))
+    check_cap(target, cap)
 
     if g.tag == "W_*":
         return Combination({idx: 1 for idx in _moves_add(s, 0)})
@@ -187,8 +181,7 @@ def _decompose_j_cached(q: QuadIndex) -> Combination:
 def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
     """Full composition-factor multiset of the tensor word indexed by q."""
     total = sum(q)
-    if total > effective_cap(cap):
-        raise DegreeCapExceeded(total, effective_cap(cap))
+    check_cap(total, cap)
     return _decompose_j_cached(q)
 
 
@@ -201,8 +194,7 @@ def layers_of_i(kmax: int, cap: int | None = None) -> list[Combination]:
     """Filtration layers of the injective hull of the unit: layer k is S^k F."""
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    if 2 * kmax > effective_cap(cap):
-        raise DegreeCapExceeded(2 * kmax, effective_cap(cap))
+    check_cap(2 * kmax, cap)
     return [
         Combination({SimpleIndex(lam, EMPTY, EMPTY, lam): 1 for lam in partitions(k)})
         for k in range(kmax + 1)

@@ -11,19 +11,22 @@ code path with the Littlewood-Richardson engine it is used to check:
 * stable decompositions of mixed tensor powers by rational character
   arithmetic with inverse variables and Weyl alternation;
 * standard-tableau counting by enumeration;
-* ranks of explicitly constructed contraction/projection operator families.
+* ranks of one explicitly constructed operator family per word of moves
+  (contract, left and right quotient projections), which realizes each
+  degree-one Hom space and each composite of two of them.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import comb, factorial
+from math import comb
 
 from .combination import Combination
 from .diagrams import Partition, partitions
 from .errors import GuardExceeded
 from .linalg import rank_of_rows
+from .symalg import perm_sign
 from .grothendieck import SimpleIndex
 
 EXPAND_MAX_BOXES = 8
@@ -47,10 +50,6 @@ class MonomialPoly:
     @classmethod
     def zero(cls, nvars: int) -> "MonomialPoly":
         return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "MonomialPoly":
-        return cls(nvars, {tuple([0] * nvars): 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -297,18 +296,6 @@ def brute_force_cauchy(
 # stable mixed tensors by rational character arithmetic
 
 
-def _laurent_power(base: list[Monomial], exponent: int, nvars: int) -> dict[Monomial, int]:
-    out = {tuple([0] * nvars): 1}
-    for _ in range(exponent):
-        nxt: dict[Monomial, int] = {}
-        for mono, c in out.items():
-            for w in base:
-                key = tuple(a + b for a, b in zip(mono, w))
-                nxt[key] = nxt.get(key, 0) + c
-        out = nxt
-    return out
-
-
 @cache
 def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> dict[tuple[Partition, Partition], int]:
     """Decompose (dual)^(x m) (x) (natural)^(x n) into rational irreducibles.
@@ -364,7 +351,7 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> dict[tuple[
                 continue
             # residue is a permutation of rho; its parity gives the sign
             perm = tuple(nvars - 1 - r for r in residue)
-            mult += c * _parity_sign(perm)
+            mult += c * perm_sign(perm)
         if mult:
             assert mult > 0, (w, mult)
             nu = Partition(e for e in w if e > 0)
@@ -372,23 +359,6 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> dict[tuple[
             key = (mu, nu)
             result[key] = result.get(key, 0) + mult
     return result
-
-
-def _parity_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        i = start
-        length = 0
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:
@@ -465,11 +435,7 @@ def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> dict[SimpleIndex,
 
 
 # ---------------------------------------------------------------------------
-# explicit operator families for the degree-one Hom spaces
-
-
-def _tensor_basis(dims: list[int]):
-    return itertools.product(*[range(d) for d in dims])
+# one explicit operator family for every word of degree-one moves
 
 
 def _apply_perm_blocks(index: tuple[int, ...], blocks: list[tuple[int, int]], perms) -> tuple[int, ...]:
@@ -481,68 +447,35 @@ def _apply_perm_blocks(index: tuple[int, ...], blocks: list[tuple[int, int]], pe
     return tuple(out)
 
 
-def _operator_family_rank(operators, domain_dims: list[int], expected: int, samples: int) -> int:
-    """Rank of the span of basis-to-basis operators, sampled column-wise."""
-    basis = list(_tensor_basis(domain_dims))
-    stride = max(1, len(basis) // samples)
-    sampled = basis[::stride]
-    rows = []
-    for op in operators:
-        row: dict[tuple, int] = {}
-        for idx, point in enumerate(sampled):
+def _operator_family_rank(operators, domain_dims: list[int]) -> int:
+    """Rank of the span of basis-to-basis operators, evaluated on the whole basis.
+
+    Each (basis point, image) pair is a 0/1 column listing the operators that
+    send the point there.  Equal columns leave the rank unchanged, so only the
+    distinct ones are reduced (as rows of the transpose).
+    """
+    basis = list(itertools.product(*[range(d) for d in domain_dims]))
+    columns: dict[tuple, list[int]] = {}
+    for r, op in enumerate(operators):
+        for idx, point in enumerate(basis):
             image = op(point)
             if image is not None:
-                row[(idx, image)] = row.get((idx, image), 0) + 1
-        rows.append(row)
-    columns = sorted({c for row in rows for c in row})
-    rank = rank_of_rows(rows, columns)
-    if rank < expected and len(sampled) < len(basis):
-        return _operator_family_rank(operators, domain_dims, expected, samples * 4)
-    return rank
-
-
-def contract_orbit_rank(l: int, m: int, n: int, p: int) -> int:
-    """Rank of all right translates of one fixed contraction operator.
-
-    Models the thick slots by spaces of dimensions l and p, the middle slots
-    by a common pairing space, contracts the last middle pair, and permutes by
-    every element of the four-fold symmetric group product.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("contraction needs m, n >= 1")
-    nat = m + n
-    dims = [max(l, 1)] * l + [nat] * m + [nat] * n + [max(p, 1)] * p
-    blocks = [(0, l), (l, m), (l + m, n), (l + m + n, p)]
-
-    def make_op(perms):
-        def op(point):
-            moved = _apply_perm_blocks(point, blocks, perms)
-            if moved[l + m - 1] != moved[l + m + n - 1]:
-                return None
-            return tuple(v for i, v in enumerate(moved) if i not in (l + m - 1, l + m + n - 1))
-
-        return op
-
-    group = itertools.product(
-        itertools.permutations(range(l)),
-        itertools.permutations(range(m)),
-        itertools.permutations(range(n)),
-        itertools.permutations(range(p)),
-    )
-    operators = [make_op(perms) for perms in group]
-    expected = factorial(l) * factorial(m) * factorial(n) * factorial(p)
-    return _operator_family_rank(operators, dims, expected, samples=64)
+                columns.setdefault((idx, image), []).append(r)
+    distinct = dict.fromkeys(tuple(ops) for ops in columns.values())
+    return rank_of_rows([dict.fromkeys(ops, 1) for ops in distinct], list(range(len(operators))))
 
 
 def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...]) -> int:
-    """Rank of the span of all modeled two-step (or longer) composites.
+    """Rank of the span of all modeled composites of a word of moves.
 
     Each move is "contract" (pair the last middle slots), "left" (project the
     first dual slot onto its quotient part) or "right" (the mirror).  The span
     ranges over every right permutation of the source slots, every ordering of
     distinct moves, and every placement of freshly created quotient slots
     inside the enlarged outer blocks; this realizes the image of the
-    corresponding composition of degree-one morphism spaces.
+    corresponding composition of degree-one morphism spaces.  A one-move word
+    spans the degree-one Hom space itself.  The closed form this rank checks,
+    symalg.move_word_dimension, is deliberately not used here.
     """
     k_c = moves.count("contract")
     k_l = moves.count("left")
@@ -579,11 +512,6 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
                 new_right.append(t - nat)
         return tuple(new_left), tuple(wstar), tuple(dual), tuple(natural), tuple(wside), tuple(new_right)
 
-    def placements(new_count, old_count):
-        total = new_count + old_count
-        for positions in itertools.permutations(range(total), new_count):
-            yield positions
-
     orderings = sorted(set(itertools.permutations(moves)))
     group = list(
         itertools.product(
@@ -593,8 +521,8 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
             itertools.permutations(range(p)),
         )
     )
-    left_placements = list(placements(k_l, l))
-    right_placements = list(placements(k_r, p))
+    left_placements = list(itertools.permutations(range(l + k_l), k_l))
+    right_placements = list(itertools.permutations(range(p + k_r), k_r))
 
     def weave(new_items, old_items, positions):
         total = len(new_items) + len(old_items)
@@ -627,64 +555,9 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
         for pr in right_placements
         for perms in group
     ]
-    basis_size = 1
-    for d in dims:
-        basis_size *= d
-    # exact rank: evaluate on the whole basis, not a sample
-    return _operator_family_rank(operators, dims, expected=0, samples=basis_size)
+    return _operator_family_rank(operators, dims)
 
 
-def shift_orbit_rank(l: int, m: int, n: int, p: int, side: str) -> int:
-    """Rank of the two-sided orbit of one projection-to-quotient operator.
-
-    side "left" projects a full dual onto the left quotient slot, side "right"
-    is the mirror.  Cosets of the enlarged outer group act on the left and the
-    full group on the right, exactly the induced-module picture.
-    """
-    if side == "left" and m < 1:
-        raise ValueError("left shift needs m >= 1")
-    if side == "right" and n < 1:
-        raise ValueError("right shift needs n >= 1")
-    if side == "right":
-        # mirror the data and reuse the left construction
-        return shift_orbit_rank(p, n, m, l, "left")
-
-    nat = m + n + 1
-    quot = l + 1
-    # middle dual slots carry the pairing part plus a quotient part
-    dims = [quot] * l + [nat + quot] * m + [nat] * n + [max(p, 1)] * p
-    blocks = [(0, l), (l, m), (l + m, n), (l + m + n, p)]
-
-    def project(point):
-        # first dual slot must be in its quotient range
-        v = point[l]
-        if v < nat:
-            return None
-        return (v - nat,) + point[:l] + point[l + 1 :]
-
-    def make_op(target, perms):
-        def op(point):
-            moved = _apply_perm_blocks(point, blocks, perms)
-            image = project(moved)
-            if image is None:
-                return None
-            # coset representative: slide the fresh quotient slot to `target`
-            head = image[: l + 1]
-            permuted = head[1 : target + 1] + (head[0],) + head[target + 1 :]
-            return permuted + image[l + 1 :]
-
-        return op
-
-    cosets = list(range(l + 1))
-
-    group = list(
-        itertools.product(
-            itertools.permutations(range(l)),
-            itertools.permutations(range(m)),
-            itertools.permutations(range(n)),
-            itertools.permutations(range(p)),
-        )
-    )
-    operators = [make_op(coset, perms) for coset in cosets for perms in group]
-    expected = factorial(l + 1) * factorial(m) * factorial(n) * factorial(p)
-    return _operator_family_rank(operators, dims, expected, samples=64)
+def contract_orbit_rank(l: int, m: int, n: int, p: int) -> int:
+    """Rank of the right translates of one contraction: the one-move word."""
+    return composite_orbit_rank(l, m, n, p, moves=("contract",))

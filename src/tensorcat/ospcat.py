@@ -23,9 +23,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .combination import Combination
-from .config import effective_cap
+from .config import check_cap
 from .diagrams import Partition
-from .errors import DegreeCapExceeded
 from .plethysm import EXTERIOR, SYMMETRIC, power_of_ext2, power_of_sym2
 from .poset import saturated_chains
 
@@ -88,8 +87,7 @@ def osp_layers_of_i(kind: str, kmax: int, cap: int | None = None) -> list[Combin
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    if kmax > effective_cap(cap):
-        raise DegreeCapExceeded(kmax, effective_cap(cap), what="layer index")
+    check_cap(kmax, cap, what="layer index")
     power = power_of_sym2 if kind == ORTHOGONAL else power_of_ext2
     return [power(k, SYMMETRIC, cap) for k in range(kmax + 1)]
 
@@ -124,7 +122,6 @@ def osp_resolution_socle(kind: str, j: int, cap: int | None = None) -> Combinati
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if j < 0:
         raise ValueError("resolution degree must be non-negative")
-    if j > effective_cap(cap):
-        raise DegreeCapExceeded(j, effective_cap(cap), what="resolution degree")
+    check_cap(j, cap, what="resolution degree")
     power = power_of_sym2 if kind == ORTHOGONAL else power_of_ext2
     return power(j, EXTERIOR, cap)

@@ -15,9 +15,8 @@ partitions always have 2k boxes.
 from __future__ import annotations
 
 from .combination import Combination
-from .config import effective_cap
+from .config import check_cap
 from .diagrams import EMPTY, Partition, from_frobenius, partitions, sort_key, strict_partitions
-from .errors import DegreeCapExceeded
 
 SYMMETRIC = "symmetric"
 EXTERIOR = "exterior"
@@ -26,8 +25,7 @@ EXTERIOR = "exterior"
 def _check_power(k: int, cap: int | None) -> None:
     if k < 0:
         raise ValueError(f"power index must be non-negative, got {k}")
-    if k > effective_cap(cap):
-        raise DegreeCapExceeded(k, effective_cap(cap), what="power index")
+    check_cap(k, cap, what="power index")
 
 
 def cauchy_sym(k: int, cap: int | None = None) -> Combination:

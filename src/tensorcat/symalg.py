@@ -2,9 +2,11 @@
 
 Group elements are tuples of one-line permutations (one per factor), with
 composition (s*t)(i) = s(t(i)); coefficients are exact rationals.  This covers
-Young symmetrizers and their quasi-idempotency, endomorphism and degree-one
-Hom dimensions of the injective generators, and the explicit right-ideal
-construction behind the quadratic-relation kernel.
+Young symmetrizers and their quasi-idempotency, the explicit right-ideal
+construction behind the quadratic-relation kernel, and one closed form,
+move_word_dimension, for the space spanned by a word of degree-one moves out
+of an injective generator: the endomorphism, degree-one Hom, two-step
+composition and quadratic-kernel dimensions are all read off it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .config import effective_guard
+from .config import check_guard
 from .diagrams import Partition, standard_tableau_count
 from .errors import GuardExceeded
 from .linalg import rank_of_rows
@@ -115,9 +117,6 @@ class GroupAlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support_size(self) -> int:
-        return len(self.coeffs)
-
     def __repr__(self) -> str:
         return f"GroupAlgebraElement(sizes={self.sizes}, support={len(self.coeffs)})"
 
@@ -170,30 +169,47 @@ def young_scalar(lam: Partition) -> int:
     return value
 
 
+MOVES = ("contract", "left", "right")
+
+
+def move_word_dimension(q: QuadIndex, moves: tuple[str, ...]) -> int:
+    """Dimension spanned by a word of degree-one moves leaving q.
+
+    Each move is "contract" (pair a dual slot with a natural slot), "left"
+    (project a dual slot onto the quotient, enlarging l) or "right" (the
+    mirror, enlarging p).  The word needs m >= #contract + #left and
+    n >= #contract + #right.  Every Hom space involved is a free module over
+    the group algebra of the enlarged outer blocks, so the dimension is the
+    number of distinct orderings of the word times
+    (l + #left)! m! n! (p + #right)!.  The empty word is the endomorphism
+    algebra of q.
+    """
+    for move in moves:
+        if move not in MOVES:
+            raise ValueError(f"unknown move {move!r}")
+    l, m, n, p = q
+    k_c, k_l, k_r = (moves.count(move) for move in MOVES)
+    for name, have, need in (("m", m, k_c + k_l), ("n", n, k_c + k_r)):
+        if have < need:
+            raise ValueError(f"{','.join(moves)} needs {name} >= {need}; index {name} is {have} in {tuple(q)}")
+    fac = math.factorial
+    orderings = fac(len(moves)) // (fac(k_c) * fac(k_l) * fac(k_r))
+    return orderings * fac(l + k_l) * fac(m) * fac(n) * fac(p + k_r)
+
+
 def end_dimension(q: QuadIndex) -> int:
     """Dimension of the endomorphism algebra of the injective generator at q."""
-    return (
-        math.factorial(q.l) * math.factorial(q.m) * math.factorial(q.n) * math.factorial(q.p)
-    )
+    return move_word_dimension(q, ())
+
+
+FLAVOR_MOVES = {CONTRACT: ("contract",), SHIFT_LEFT: ("left",), SHIFT_RIGHT: ("right",)}
 
 
 def hom_dimension_deg1(q: QuadIndex, flavor: str) -> int:
     """Dimension of the degree-one Hom space leaving q in the given flavor."""
-    l, m, n, p = q
-    if flavor == CONTRACT:
-        if m < 1 or n < 1:
-            lacking = "m" if m < 1 else "n"
-            raise ValueError(f"contract needs m,n >= 1; index {lacking} is zero in {tuple(q)}")
-        return math.factorial(l) * math.factorial(m) * math.factorial(n) * math.factorial(p)
-    if flavor == SHIFT_LEFT:
-        if m < 1:
-            raise ValueError(f"shiftLeft needs m >= 1; index m is zero in {tuple(q)}")
-        return math.factorial(l + 1) * math.factorial(m) * math.factorial(n) * math.factorial(p)
-    if flavor == SHIFT_RIGHT:
-        if n < 1:
-            raise ValueError(f"shiftRight needs n >= 1; index n is zero in {tuple(q)}")
-        return math.factorial(l) * math.factorial(m) * math.factorial(n) * math.factorial(p + 1)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in FLAVOR_MOVES:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return move_word_dimension(q, FLAVOR_MOVES[flavor])
 
 
 COMPOSITIONS = (
@@ -211,55 +227,17 @@ def composition_domain_dimension(kind: str, q: QuadIndex) -> int:
 
     The domain is the tensor product of two degree-one Hom spaces over the
     endomorphism algebra of the intermediate object; both factors are free
-    one-sided modules there, so the dimension is the product of the Hom
-    dimensions divided by the intermediate endomorphism dimension (summed over
-    the two branches for the mixed compositions).
+    one-sided modules there, so the dimension is that of the two-move word
+    (summed over the two orderings for the mixed compositions).
     """
-    l, m, n, p = q
-
-    def fac(*sizes: int) -> int:
-        out = 1
-        for s in sizes:
-            out *= math.factorial(s)
-        return out
-
-    if kind == "contract,contract":
-        if m < 2 or n < 2:
-            raise ValueError(f"needs m,n >= 2, got {tuple(q)}")
-        return fac(l, m, n, p)
-    if kind == "left,left":
-        if m < 2:
-            raise ValueError(f"needs m >= 2, got {tuple(q)}")
-        return fac(l + 2, m, n, p)
-    if kind == "right,right":
-        if n < 2:
-            raise ValueError(f"needs n >= 2, got {tuple(q)}")
-        return fac(l, m, n, p + 2)
-    if kind == "contract,left":
-        if m < 2 or n < 1:
-            raise ValueError(f"needs m >= 2 and n >= 1, got {tuple(q)}")
-        return 2 * fac(l + 1, m, n, p)
-    if kind == "contract,right":
-        if m < 1 or n < 2:
-            raise ValueError(f"needs m >= 1 and n >= 2, got {tuple(q)}")
-        return 2 * fac(l, m, n, p + 1)
-    if kind == "left,right":
-        if m < 1 or n < 1:
-            raise ValueError(f"needs m,n >= 1, got {tuple(q)}")
-        return 2 * fac(l + 1, m, n, p + 1)
-    raise ValueError(f"unknown composition {kind!r}")
+    if kind not in COMPOSITIONS:
+        raise ValueError(f"unknown composition {kind!r}")
+    return move_word_dimension(q, tuple(kind.split(",")))
 
 
 def quadratic_kernel_dim(q: QuadIndex) -> int:
     """Half the group-algebra dimension: the quadratic-relation kernel size."""
-    l, m, n, p = q
-    if m < 2 or n < 2:
-        raise ValueError(f"quadratic kernel needs m,n >= 2, got {tuple(q)}")
-    value, rem = divmod(
-        math.factorial(l) * math.factorial(m) * math.factorial(n) * math.factorial(p), 2
-    )
-    assert rem == 0
-    return value
+    return move_word_dimension(q, ("contract", "contract")) // 2
 
 
 def _group_elements(sizes) -> list[tuple[Perm, ...]]:
@@ -273,11 +251,9 @@ def quadratic_kernel_check(q: QuadIndex, guard: int | None = None) -> bool:
     algebra, row-reduces exactly, and tests the rank against the closed form.
     """
     l, m, n, p = q
-    if m < 2 or n < 2:
-        raise ValueError(f"quadratic kernel needs m,n >= 2, got {tuple(q)}")
+    dim = quadratic_kernel_dim(q)
     total = l + m + n + p
-    if total > effective_guard(guard):
-        raise GuardExceeded(total, effective_guard(guard))
+    check_guard(total, guard)
     sizes = (l, m, n, p)
     elements = _group_elements(sizes)
 
@@ -295,7 +271,7 @@ def quadratic_kernel_check(q: QuadIndex, guard: int | None = None) -> bool:
         translated = generator * GroupAlgebraElement.of(sizes, g)
         rows.append(dict(translated.coeffs))
     rank = rank_of_rows(rows, elements)
-    return rank == quadratic_kernel_dim(q)
+    return rank == dim
 
 
 def corner_algebra_dimension(lam: Partition, pi: Partition, guard: int | None = None) -> int:
@@ -305,8 +281,7 @@ def corner_algebra_dimension(lam: Partition, pi: Partition, guard: int | None = 
     """
     lam, pi = Partition(lam), Partition(pi)
     total = lam.degree + pi.degree
-    if total > effective_guard(guard):
-        raise GuardExceeded(total, effective_guard(guard))
+    check_guard(total, guard)
     sizes = (lam.degree, pi.degree)
     c_lam = young_symmetrizer(lam)
     c_pi = young_symmetrizer(pi)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import threading
 
 from .combination import Combination, CombinationBuilder
-from .config import effective_cap
+from .config import check_cap
 from .diagrams import Partition, partitions, sort_key
-from .errors import DegreeCapExceeded
 
 _memo: dict[tuple[Partition, Partition, Partition], int] = {}
 _memo_lock = threading.Lock()
@@ -115,8 +114,7 @@ def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> 
     """Expand s_mu * s_nu in the Schur basis."""
     mu, nu = Partition(mu), Partition(nu)
     degree = mu.degree + nu.degree
-    if degree > effective_cap(cap):
-        raise DegreeCapExceeded(degree, effective_cap(cap))
+    check_cap(degree, cap)
     return Combination(_lr_terms(mu, nu))
 
 
@@ -150,6 +148,5 @@ def elementary_homogeneous(k: int, cap: int | None = None) -> tuple[Combination,
     """The pair (e_k, h_k) = (s_[1^k], s_[k]) of exterior/symmetric characters."""
     if k < 0:
         raise ValueError(f"power index must be non-negative, got {k}")
-    if k > effective_cap(cap):
-        raise DegreeCapExceeded(k, effective_cap(cap))
+    check_cap(k, cap)
     return schur([1] * k), schur([k])

@@ -16,9 +16,9 @@ from tensorcat.ext import ext_to_thick, ext_to_trivial, euler_shadow, resolution
 from tensorcat.grothendieck import decompose_j, decompose_word, generator_word, simple
 from tensorcat.oracle import (
     brute_force_plethysm,
+    composite_orbit_rank,
     contract_orbit_rank,
     reconstruct_tensor_word,
-    shift_orbit_rank,
 )
 from tensorcat.ospcat import (
     ORTHOGONAL,
@@ -239,11 +239,11 @@ def test_criterion_07_hom_dimensions():
             q, CONTRACT
         ):
             failures.append(("contract rank", q))
-        if m >= 1 and shift_orbit_rank(l, m, n, p, "left") != hom_dimension_deg1(
+        if m >= 1 and composite_orbit_rank(l, m, n, p, moves=("left",)) != hom_dimension_deg1(
             q, SHIFT_LEFT
         ):
             failures.append(("left rank", q))
-        if n >= 1 and shift_orbit_rank(l, m, n, p, "right") != hom_dimension_deg1(
+        if n >= 1 and composite_orbit_rank(l, m, n, p, moves=("right",)) != hom_dimension_deg1(
             q, SHIFT_RIGHT
         ):
             failures.append(("right rank", q))

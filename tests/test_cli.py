@@ -140,6 +140,10 @@ def test_exit_codes(capsys):
     assert code == 2 and out == "" and "degree 10 exceeds the configured cap 4" in err
     code, out, err = run(capsys, "--degree-cap", "10", "lr", "[4,4,2]", "[3,2]", "[3,2]")
     assert (code, out) == (0, "1\n")
+    code, out, err = run(capsys, "--degree-cap", "4", "ext-thick", "[2],[],[],[1,1]", "[1]", "[1]", "--degree", "5")
+    assert code == 2 and out == "" and "degree 5 exceeds the configured cap 4" in err
+    code, out, err = run(capsys, "--degree-cap", "4", "ext-thick", "[2],[],[],[1,1]", "[1]", "[1]", "--degree", "1")
+    assert (code, out) == (0, "1\n")
 
 
 def test_non_ascii_digits_exit_one_with_position(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
 from tensorcat.errors import GuardExceeded
-from tensorcat.oracle import composite_orbit_rank, contract_orbit_rank, shift_orbit_rank
+from tensorcat.oracle import composite_orbit_rank, contract_orbit_rank
 from tensorcat.poset import QuadIndex
 from tensorcat.symalg import (
     CONTRACT,
@@ -149,9 +149,9 @@ def test_hom_dimension_matches_operator_orbit_ranks():
         if m >= 1 and n >= 1:
             assert contract_orbit_rank(l, m, n, p) == hom_dimension_deg1(q, CONTRACT), q
         if m >= 1:
-            assert shift_orbit_rank(l, m, n, p, "left") == hom_dimension_deg1(q, SHIFT_LEFT), q
+            assert composite_orbit_rank(l, m, n, p, moves=("left",)) == hom_dimension_deg1(q, SHIFT_LEFT), q
         if n >= 1:
-            assert shift_orbit_rank(l, m, n, p, "right") == hom_dimension_deg1(q, SHIFT_RIGHT), q
+            assert composite_orbit_rank(l, m, n, p, moves=("right",)) == hom_dimension_deg1(q, SHIFT_RIGHT), q
 
 
 def test_quadratic_kernel_dims():
