@@ -16,7 +16,7 @@ import sys
 from . import ext as ext_mod
 from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symalg, symfunc
-from .combination import Combination, index_label
+from .combination import Combination, index_key, index_label
 from .config import check_cap, resolve_config
 from .diagrams import Partition, gl_dimension, parse_naturals, parse_partition, partitions
 from .errors import DegreeCapExceeded, GuardExceeded, ParseError, TensorcatError
@@ -61,13 +61,14 @@ def parse_simple_index(text: str) -> SimpleIndex:
 
 
 def terms_output(terms: Combination) -> tuple[list[str], list[dict]]:
-    """Text lines and JSON objects of a combination, one per term.
+    """Text lines and JSON objects of a combination, one per term, in canonical order.
 
     A JSON term names its index kind: ``partition``, ``pair`` or ``index``.
     """
-    lines = [f"{mult} {index_label(idx)}" for idx, mult in terms.items()] or ["0"]
+    ordered = sorted(terms.items(), key=lambda kv: index_key(kv[0]))
+    lines = [f"{mult} {index_label(idx)}" for idx, mult in ordered] or ["0"]
     payload = []
-    for idx, mult in terms.items():
+    for idx, mult in ordered:
         if isinstance(idx, Partition):
             payload.append({"partition": list(idx), "mult": mult})
         else:
@@ -214,8 +215,14 @@ def cmd_defect(args, cfg):
     return scalar_output(poset.defect(parse_quad(args.a), parse_quad(args.b)))
 
 
+CHAIN_LIMIT = 100_000
+
+
 def cmd_chains(args, cfg):
-    found = poset.chains(parse_quad(args.a), parse_quad(args.b))
+    a, b = parse_quad(args.a), parse_quad(args.b)
+    check_cap(poset.defect(a, b) or 0, cfg.degree_cap, what="chain length")
+    check_cap(poset.chain_count(a, b), CHAIN_LIMIT, what="saturated chains")
+    found = poset.chains(a, b)
     lines = [" -> ".join(str(q) for q in chain) for chain in found] or ["(none)"]
     return lines, [[list(q) for q in chain] for chain in found]
 
@@ -255,11 +262,14 @@ HOM_MOVES = {"end": (), "contract": ("contract",), "shift-left": ("left",), "shi
 
 
 def cmd_homdim(args, cfg):
-    return scalar_output(symalg.move_word_dimension(parse_quad(args.quad), HOM_MOVES[args.flavor]))
+    q = parse_quad(args.quad)
+    check_cap(sum(q), cfg.degree_cap)
+    return scalar_output(symalg.move_word_dimension(q, HOM_MOVES[args.flavor]))
 
 
 def cmd_quadkernel(args, cfg):
     q = parse_quad(args.quad)
+    check_cap(sum(q), cfg.degree_cap)
     dim = symalg.quadratic_kernel_dim(q)
     if not args.check:
         return scalar_output(dim)

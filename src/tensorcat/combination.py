@@ -3,9 +3,11 @@
 An index is a Partition (a Schur function), a pair of partitions (a Schur
 functor on each of two objects), or a tuple of partitions such as a simple
 index (lam, mu, nu, pi).  A Combination is immutable, drops zero
-coefficients and keeps its terms in one canonical order (see
-:func:`index_key`); a CombinationBuilder accumulates terms in place and
-builds the Combination once, so sums of many pieces cost linear time.
+coefficients and keeps its terms in the order they were first added; a
+CombinationBuilder accumulates terms in place and builds the Combination
+once, so sums of many pieces cost linear time.  Canonical order
+(:func:`index_key`) is a rendering step: the CLI sorts terms when it prints
+them.
 """
 
 from __future__ import annotations
@@ -32,20 +34,16 @@ def index_label(index) -> str:
 class Combination(Mapping):
     """Immutable finite Z-combination; maps each index to a non-zero integer.
 
-    ``terms`` is a plain dict in canonical order.  Equality is that of
+    ``terms`` is a plain dict in insertion order.  Equality is that of
     mappings, so a Combination also compares equal to a dict with the same
-    non-zero terms.
+    non-zero terms, whatever their order.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms: dict = {
-            index: int(coeff)
-            for index, coeff in sorted(items, key=lambda kv: index_key(kv[0]))
-            if coeff
-        }
+        self.terms: dict = {index: int(coeff) for index, coeff in items if coeff}
 
     def __getitem__(self, index) -> int:
         return self.terms[index]

@@ -148,7 +148,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(sorted((Partition(p) for p in rec(n, n)), key=lambda q: tuple(q)))
 
 
-@cache
 def strict_partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n with strictly decreasing parts."""
 

@@ -18,7 +18,6 @@ simple indices with positive integer multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, NamedTuple
 
 from .combination import Combination, CombinationBuilder
@@ -173,16 +172,11 @@ def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> C
     return dec
 
 
-@cache
-def _decompose_j_cached(q: QuadIndex) -> Combination:
-    return decompose_word(generator_word(q), cap=sum(q))
-
-
 def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
     """Full composition-factor multiset of the tensor word indexed by q."""
     total = sum(q)
     check_cap(total, cap)
-    return _decompose_j_cached(q)
+    return decompose_word(generator_word(q), cap=total)
 
 
 def socle_of(q: QuadIndex, cap: int | None = None) -> Combination:

@@ -113,6 +113,20 @@ def saturated_chains(a, b, up_moves, order) -> list[list]:
     return sorted(extend(a))
 
 
+def chain_count(a: QuadIndex, b: QuadIndex) -> int:
+    """Number of saturated chains from a up to b, counted without listing them."""
+    if not leq(a, b):
+        return 0
+
+    @cache
+    def count(x: QuadIndex) -> int:
+        if x == b:
+            return 1
+        return sum(count(c) for c in _up_moves(x) if leq(c, b))
+
+    return count(a)
+
+
 def chains(a: QuadIndex, b: QuadIndex) -> list[list[QuadIndex]]:
     """All saturated chains from a up to b.
 

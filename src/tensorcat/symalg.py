@@ -23,10 +23,6 @@ from .poset import QuadIndex
 
 Perm = tuple[int, ...]
 
-CONTRACT = "contract"
-SHIFT_LEFT = "shiftLeft"
-SHIFT_RIGHT = "shiftRight"
-
 YOUNG_SYMMETRIZER_MAX_BOXES = 6
 
 
@@ -195,21 +191,6 @@ def move_word_dimension(q: QuadIndex, moves: tuple[str, ...]) -> int:
     fac = math.factorial
     orderings = fac(len(moves)) // (fac(k_c) * fac(k_l) * fac(k_r))
     return orderings * fac(l + k_l) * fac(m) * fac(n) * fac(p + k_r)
-
-
-def end_dimension(q: QuadIndex) -> int:
-    """Dimension of the endomorphism algebra of the injective generator at q."""
-    return move_word_dimension(q, ())
-
-
-FLAVOR_MOVES = {CONTRACT: ("contract",), SHIFT_LEFT: ("left",), SHIFT_RIGHT: ("right",)}
-
-
-def hom_dimension_deg1(q: QuadIndex, flavor: str) -> int:
-    """Dimension of the degree-one Hom space leaving q in the given flavor."""
-    if flavor not in FLAVOR_MOVES:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return move_word_dimension(q, FLAVOR_MOVES[flavor])
 
 
 COMPOSITIONS = (

@@ -34,12 +34,8 @@ from tensorcat.ospcat import (
 from tensorcat.plethysm import EXTERIOR, SYMMETRIC, power_of_ext2, power_of_sym2
 from tensorcat.poset import QuadIndex, covers, defect, defect_mirror, leq
 from tensorcat.symalg import (
-    CONTRACT,
-    SHIFT_LEFT,
-    SHIFT_RIGHT,
     corner_algebra_dimension,
-    end_dimension,
-    hom_dimension_deg1,
+    move_word_dimension,
     quadratic_kernel_check,
     quadratic_kernel_dim,
     young_scalar,
@@ -219,32 +215,32 @@ def test_criterion_07_hom_dimensions():
     failures = []
     for q in _quads(5):
         l, m, n, p = q
-        if end_dimension(q) != _enumerated_group_size((l, m, n, p)):
+        if move_word_dimension(q, ()) != _enumerated_group_size((l, m, n, p)):
             failures.append(("end", q))
-        if m >= 1 and n >= 1 and hom_dimension_deg1(q, CONTRACT) != _enumerated_group_size(
+        if m >= 1 and n >= 1 and move_word_dimension(q, ("contract",)) != _enumerated_group_size(
             (l, m, n, p)
         ):
             failures.append(("contract", q))
-        if m >= 1 and hom_dimension_deg1(q, SHIFT_LEFT) != _enumerated_group_size(
+        if m >= 1 and move_word_dimension(q, ("left",)) != _enumerated_group_size(
             (l + 1, m, n, p)
         ):
             failures.append(("shift-left", q))
-        if n >= 1 and hom_dimension_deg1(q, SHIFT_RIGHT) != _enumerated_group_size(
+        if n >= 1 and move_word_dimension(q, ("right",)) != _enumerated_group_size(
             (l, m, n, p + 1)
         ):
             failures.append(("shift-right", q))
     for q in _quads(4):
         l, m, n, p = q
-        if m >= 1 and n >= 1 and contract_orbit_rank(l, m, n, p) != hom_dimension_deg1(
-            q, CONTRACT
+        if m >= 1 and n >= 1 and contract_orbit_rank(l, m, n, p) != move_word_dimension(
+            q, ("contract",)
         ):
             failures.append(("contract rank", q))
-        if m >= 1 and composite_orbit_rank(l, m, n, p, moves=("left",)) != hom_dimension_deg1(
-            q, SHIFT_LEFT
+        if m >= 1 and composite_orbit_rank(l, m, n, p, moves=("left",)) != move_word_dimension(
+            q, ("left",)
         ):
             failures.append(("left rank", q))
-        if n >= 1 and composite_orbit_rank(l, m, n, p, moves=("right",)) != hom_dimension_deg1(
-            q, SHIFT_RIGHT
+        if n >= 1 and composite_orbit_rank(l, m, n, p, moves=("right",)) != move_word_dimension(
+            q, ("right",)
         ):
             failures.append(("right rank", q))
     ok = not failures

@@ -144,6 +144,18 @@ def test_exit_codes(capsys):
     assert code == 2 and out == "" and "degree 5 exceeds the configured cap 4" in err
     code, out, err = run(capsys, "--degree-cap", "4", "ext-thick", "[2],[],[],[1,1]", "[1]", "[1]", "--degree", "1")
     assert (code, out) == (0, "1\n")
+    code, out, err = run(capsys, "homdim", "13,0,0,0", "end")
+    assert code == 2 and out == "" and "degree 13 exceeds the configured cap 12" in err
+    code, out, err = run(capsys, "--degree-cap", "13", "homdim", "13,0,0,0", "end")
+    assert (code, out) == (0, "6227020800\n")
+    code, out, err = run(capsys, "quadkernel", "0,11,2,0")
+    assert code == 2 and out == "" and "degree 13 exceeds the configured cap 12" in err
+    code, out, err = run(capsys, "chains", "6,0,0,6", "0,6,6,0")
+    assert code == 2 and out == "" and "saturated chains 853776" in err
+    code, out, err = run(capsys, "chains", "7,0,0,7", "0,7,7,0")
+    assert code == 2 and out == "" and "chain length 14 exceeds the configured cap 12" in err
+    code, out, err = run(capsys, "chains", "4,0,0,4", "0,4,4,0")
+    assert code == 0 and len(out.splitlines()) == 4900
 
 
 def test_non_ascii_digits_exit_one_with_position(capsys):

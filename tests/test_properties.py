@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcat import poset
-from tensorcat.cli import _parse_osp_pair, parse_simple_index
-from tensorcat.combination import Combination, CombinationBuilder, index_label
-from tensorcat.diagrams import parse_partition, partitions
+from tensorcat.cli import _parse_osp_pair, parse_simple_index, terms_output
+from tensorcat.combination import Combination, CombinationBuilder, index_key, index_label
+from tensorcat.diagrams import Partition, parse_partition, partitions
 from tensorcat.grothendieck import SimpleIndex
 from tensorcat.ospcat import PairIndex
 from tensorcat.symfunc import _count_lr_tableaux, lr_coefficient, schur_term_product, slot_product
@@ -61,8 +61,15 @@ def test_builder_matches_repeated_addition(items):
         built.add(index, coeff)
     summed = reduce(lambda acc, kv: acc + Combination({kv[0]: kv[1]}), items, Combination())
     assert built.build() == summed
-    assert list(built.build().terms) == list(summed.terms)  # same canonical order
     assert 0 not in summed.terms.values()
+    backwards = CombinationBuilder()
+    for index, coeff in reversed(items):
+        backwards.add(index, coeff)
+    lines, payload = terms_output(summed)
+    assert terms_output(backwards.build()) == (lines, payload)  # insertion order never shows
+    indices = [tuple(Partition(part) for part in term["pair"]) for term in payload]
+    assert [index_key(idx) for idx in indices] == sorted(map(index_key, indices))
+    assert lines == ([f"{term['mult']} {index_label(idx)}" for term, idx in zip(payload, indices)] or ["0"])
 
 
 @SMALL
@@ -106,4 +113,5 @@ def test_defect_is_the_length_of_every_chain(pair):
     a, b = pair
     found = poset.chains(a, b)
     assert found
+    assert poset.chain_count(a, b) == len(found)
     assert {len(chain) - 1 for chain in found} == {poset.defect(a, b)}

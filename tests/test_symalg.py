@@ -11,15 +11,11 @@ from tensorcat.errors import GuardExceeded
 from tensorcat.oracle import composite_orbit_rank, contract_orbit_rank
 from tensorcat.poset import QuadIndex
 from tensorcat.symalg import (
-    CONTRACT,
-    SHIFT_LEFT,
-    SHIFT_RIGHT,
     GroupAlgebraElement,
     composition_domain_dimension,
     corner_algebra_dimension,
-    end_dimension,
-    hom_dimension_deg1,
     identity_perm,
+    move_word_dimension,
     perm_sign,
     quadratic_kernel_check,
     quadratic_kernel_dim,
@@ -96,10 +92,10 @@ def test_distinct_projectors_give_independent_corners():
 
 
 def test_end_dimension():
-    assert end_dimension(QuadIndex(0, 0, 0, 0)) == 1
-    assert end_dimension(QuadIndex(2, 1, 0, 0)) == 2
-    assert end_dimension(QuadIndex(2, 2, 1, 1)) == 4
-    assert end_dimension(QuadIndex(3, 2, 2, 1)) == 24
+    assert move_word_dimension(QuadIndex(0, 0, 0, 0), ()) == 1
+    assert move_word_dimension(QuadIndex(2, 1, 0, 0), ()) == 2
+    assert move_word_dimension(QuadIndex(2, 2, 1, 1), ()) == 4
+    assert move_word_dimension(QuadIndex(3, 2, 2, 1), ()) == 24
 
 
 def test_end_dimension_counts_group_elements():
@@ -107,24 +103,24 @@ def test_end_dimension_counts_group_elements():
         count = 1
         for size in q:
             count *= len(list(itertools.permutations(range(size))))
-        assert end_dimension(q) == count
+        assert move_word_dimension(q, ()) == count
 
 
 def test_hom_dimension_examples():
-    assert hom_dimension_deg1(QuadIndex(0, 1, 1, 0), CONTRACT) == 1
-    assert hom_dimension_deg1(QuadIndex(0, 1, 0, 0), SHIFT_LEFT) == 1
-    assert hom_dimension_deg1(QuadIndex(1, 2, 1, 0), SHIFT_LEFT) == 4
+    assert move_word_dimension(QuadIndex(0, 1, 1, 0), ("contract",)) == 1
+    assert move_word_dimension(QuadIndex(0, 1, 0, 0), ("left",)) == 1
+    assert move_word_dimension(QuadIndex(1, 2, 1, 0), ("left",)) == 4
 
 
 def test_hom_dimension_counts_induced_bases():
     for q in quads_with_sum_at_most(5):
         l, m, n, p = q
         if m >= 1 and n >= 1:
-            assert hom_dimension_deg1(q, CONTRACT) == _group_size((l, m, n, p))
+            assert move_word_dimension(q, ("contract",)) == _group_size((l, m, n, p))
         if m >= 1:
-            assert hom_dimension_deg1(q, SHIFT_LEFT) == _group_size((l + 1, m, n, p))
+            assert move_word_dimension(q, ("left",)) == _group_size((l + 1, m, n, p))
         if n >= 1:
-            assert hom_dimension_deg1(q, SHIFT_RIGHT) == _group_size((l, m, n, p + 1))
+            assert move_word_dimension(q, ("right",)) == _group_size((l, m, n, p + 1))
 
 
 def _group_size(sizes) -> int:
@@ -136,22 +132,22 @@ def _group_size(sizes) -> int:
 
 def test_hom_dimension_inapplicable_flavors():
     with pytest.raises(ValueError, match="n"):
-        hom_dimension_deg1(QuadIndex(0, 1, 0, 0), CONTRACT)
+        move_word_dimension(QuadIndex(0, 1, 0, 0), ("contract",))
     with pytest.raises(ValueError, match="m"):
-        hom_dimension_deg1(QuadIndex(1, 0, 1, 0), SHIFT_LEFT)
+        move_word_dimension(QuadIndex(1, 0, 1, 0), ("left",))
     with pytest.raises(ValueError, match="n"):
-        hom_dimension_deg1(QuadIndex(1, 1, 0, 1), SHIFT_RIGHT)
+        move_word_dimension(QuadIndex(1, 1, 0, 1), ("right",))
 
 
 def test_hom_dimension_matches_operator_orbit_ranks():
     for q in quads_with_sum_at_most(4):
         l, m, n, p = q
         if m >= 1 and n >= 1:
-            assert contract_orbit_rank(l, m, n, p) == hom_dimension_deg1(q, CONTRACT), q
+            assert contract_orbit_rank(l, m, n, p) == move_word_dimension(q, ("contract",)), q
         if m >= 1:
-            assert composite_orbit_rank(l, m, n, p, moves=("left",)) == hom_dimension_deg1(q, SHIFT_LEFT), q
+            assert composite_orbit_rank(l, m, n, p, moves=("left",)) == move_word_dimension(q, ("left",)), q
         if n >= 1:
-            assert composite_orbit_rank(l, m, n, p, moves=("right",)) == hom_dimension_deg1(q, SHIFT_RIGHT), q
+            assert composite_orbit_rank(l, m, n, p, moves=("right",)) == move_word_dimension(q, ("right",)), q
 
 
 def test_quadratic_kernel_dims():
