@@ -12,6 +12,7 @@ Submodules:
 * poset: the quadruple index order, chains and the defect
 * ext: injective-resolution terms, kernel layers, Ext dimensions
 * symalg: symmetric-group-algebra constructions
+* linalg: exact rank of sparse rational rows (fraction-free elimination)
 * ospcat: the orthogonal/symplectic variant
 * oracle: independent brute-force verifiers
 * cli: command-line front end

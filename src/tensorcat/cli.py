@@ -2,8 +2,9 @@
 
 Every engine operation is exposed as a subcommand with canonical, byte-stable
 output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 user error, 2 cap/guard refusal.  ``--output json`` emits one JSON document
-per invocation, validating against schema/output.json.
+1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
+``--output json`` emits one JSON document per invocation, validating against
+schema/output.json.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import ospcat, plethysm, poset, symalg, symfunc
 from .combination import Combination, index_key, index_label
 from .config import check_cap, resolve_config
 from .diagrams import Partition, gl_dimension, parse_naturals, parse_partition, partitions
-from .errors import DegreeCapExceeded, GuardExceeded, ParseError, TensorcatError
+from .errors import DegreeCapExceeded, GuardExceeded, LimitExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
 from .poset import QuadIndex, parse_quad
 
@@ -221,7 +222,9 @@ CHAIN_LIMIT = 100_000
 def cmd_chains(args, cfg):
     a, b = parse_quad(args.a), parse_quad(args.b)
     check_cap(poset.defect(a, b) or 0, cfg.degree_cap, what="chain length")
-    check_cap(poset.chain_count(a, b), CHAIN_LIMIT, what="saturated chains")
+    count = poset.chain_count(a, b)
+    if count > CHAIN_LIMIT:
+        raise LimitExceeded(count, CHAIN_LIMIT, "saturated chains")
     found = poset.chains(a, b)
     lines = [" -> ".join(str(q) for q in chain) for chain in found] or ["(none)"]
     return lines, [[list(q) for q in chain] for chain in found]
@@ -233,7 +236,9 @@ def cmd_covers(args, cfg):
 
 
 def cmd_ext_trivial(args, cfg):
-    return scalar_output(ext_mod.ext_to_trivial(parse_simple_index(args.index), args.degree))
+    x = parse_simple_index(args.index)
+    check_cap(x.degree, cfg.degree_cap)
+    return scalar_output(ext_mod.ext_to_trivial(x, args.degree))
 
 
 def cmd_ext_thick(args, cfg):
@@ -297,11 +302,13 @@ def cmd_osp_layers(args, cfg):
 
 def cmd_osp_ext_trivial(args, cfg):
     x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
+    check_cap(x.degree, cfg.degree_cap)
     return scalar_output(ospcat.osp_ext_to_trivial(args.kind, x, args.degree))
 
 
 def cmd_osp_conjugate(args, cfg):
     x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
+    check_cap(x.degree, cfg.degree_cap)
     image = ospcat.osp_conjugate(x)
     payload = {"kind": image.kind, "lam": list(image.lam), "mu": list(image.mu)}
     return [f"{image.kind} {image.lam},{image.mu}"], payload
@@ -480,7 +487,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"tensorcat: error: {exc}", file=sys.stderr)
         return 1
-    except (DegreeCapExceeded, GuardExceeded) as exc:
+    except (DegreeCapExceeded, GuardExceeded, LimitExceeded) as exc:
         print(f"tensorcat: refused: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TensorcatError) as exc:

@@ -9,7 +9,6 @@ lexicographic on parts), exposed as :func:`sort_key`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from .errors import ParseError
@@ -179,13 +178,10 @@ def gl_dimension(p: Partition, n: int) -> int:
         raise ValueError(f"space dimension must be positive, got {n}")
     if len(p) > n:
         return 0
-    value = Fraction(1)
-    hooks = hook_lengths(p)
-    for i in range(len(p)):
-        for j in range(p[i]):
-            value *= Fraction(n + j - i, hooks[i][j])
-    assert value.denominator == 1
-    return int(value)
+    contents = math.prod(n + j - i for i in range(len(p)) for j in range(p[i]))
+    result, rem = divmod(contents, math.prod(h for row in hook_lengths(p) for h in row))
+    assert rem == 0
+    return result
 
 
 def standard_tableau_count(p: Partition) -> int:

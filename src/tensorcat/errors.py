@@ -25,6 +25,15 @@ class GuardExceeded(TensorcatError):
         super().__init__(f"{what} {size} exceeds the group-algebra guard {guard}")
 
 
+class LimitExceeded(TensorcatError):
+    """A computation was refused by a limit fixed in the program, not a setting."""
+
+    def __init__(self, size: int, limit: int, what: str):
+        self.size = size
+        self.limit = limit
+        super().__init__(f"{what} {size} exceeds the fixed limit {limit}")
+
+
 class ParseError(TensorcatError):
     """Bad input text; carries the offending token and its position."""
 

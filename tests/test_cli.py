@@ -151,11 +151,23 @@ def test_exit_codes(capsys):
     code, out, err = run(capsys, "quadkernel", "0,11,2,0")
     assert code == 2 and out == "" and "degree 13 exceeds the configured cap 12" in err
     code, out, err = run(capsys, "chains", "6,0,0,6", "0,6,6,0")
-    assert code == 2 and out == "" and "saturated chains 853776" in err
+    assert code == 2 and out == "" and "saturated chains 853776 exceeds the fixed limit 100000" in err
     code, out, err = run(capsys, "chains", "7,0,0,7", "0,7,7,0")
     assert code == 2 and out == "" and "chain length 14 exceeds the configured cap 12" in err
     code, out, err = run(capsys, "chains", "4,0,0,4", "0,4,4,0")
     assert code == 0 and len(out.splitlines()) == 4900
+    for argv in (
+        ["ext-trivial", "[3],[],[],[1,1]", "--degree", "3"],
+        ["osp", "--kind", "sp", "ext-trivial", "[5]", "[]", "--degree", "2"],
+        ["osp", "--kind", "o", "conjugate", "[5]", "[]"],
+        ["osp", "--kind", "o", "conjugate", "[3]", "[1,1]"],
+    ):
+        code, out, err = run(capsys, "--degree-cap", "4", *argv)
+        assert code == 2 and out == "" and "degree 5 exceeds the configured cap 4" in err, argv
+    code, out, err = run(capsys, "--degree-cap", "4", "osp", "--kind", "o", "conjugate", "[2,1]", "[1]")
+    assert (code, out) == (0, "sp [2,1],[1]\n")
+    code, out, err = run(capsys, "--degree-cap", "4", "ext-trivial", "[2],[],[],[1,1]", "--degree", "2")
+    assert (code, out) == (0, "1\n")
 
 
 def test_non_ascii_digits_exit_one_with_position(capsys):
