@@ -1,13 +1,14 @@
 """Finite Z-combinations of indices: the one container for Grothendieck-group data.
 
 An index is a Partition (a Schur function), a pair of partitions (a Schur
-functor on each of two objects), or a tuple of partitions such as a simple
-index (lam, mu, nu, pi).  A Combination is immutable, drops zero
-coefficients and keeps its terms in the order they were first added; a
-CombinationBuilder accumulates terms in place and builds the Combination
-once, so sums of many pieces cost linear time.  Canonical order
-(:func:`index_key`) is a rendering step: the CLI sorts terms when it prints
-them.
+functor on each of two objects), a tuple of partitions such as a simple
+index (lam, mu, nu, pi), or a tuple of integer exponents (a monomial: the
+oracle's polynomials are Combinations of exponent tuples).  A Combination is
+immutable, drops zero coefficients and keeps its terms in the order they
+were first added; a CombinationBuilder accumulates terms in place and
+builds the Combination once, so sums of many pieces cost linear time.
+Canonical order (:func:`index_key`, defined for partition indices) is a
+rendering step: the CLI sorts terms when it prints them.
 """
 
 from __future__ import annotations

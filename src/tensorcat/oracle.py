@@ -14,17 +14,22 @@ code path with the Littlewood-Richardson engine it is used to check:
 * ranks of one explicitly constructed operator family per word of moves
   (contract, left and right quotient projections), which realizes each
   degree-one Hom space and each composite of two of them.
+
+A polynomial (Laurent polynomials included) is a Combination whose indices
+are exponent tuples, one entry per variable: ``{(2, 0): 1, (1, 1): 1}`` is
+x1^2 + x1*x2.  Sums and scalings are the Combination ones; products are
+:func:`poly_product`.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, reduce
 from math import comb
 
-from .combination import Combination
-from .diagrams import Partition, partitions
-from .errors import GuardExceeded
+from .combination import Combination, CombinationBuilder, index_label
+from .diagrams import Partition, gl_dimension, partitions
+from .errors import LimitExceeded
 from .linalg import rank_of_rows
 from .symalg import perm_sign
 from .grothendieck import SimpleIndex
@@ -34,71 +39,29 @@ EXPAND_MAX_BOXES = 8
 Monomial = tuple[int, ...]
 
 
-class MonomialPoly:
-    """Integer polynomial (possibly Laurent) in a fixed number of variables."""
+def _within_limit(size: int, limit: int, what: str) -> None:
+    if size > limit:
+        raise LimitExceeded(size, limit, what)
 
-    __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, nvars: int, coeffs=None):
-        self.nvars = nvars
-        self.coeffs: dict[Monomial, int] = {}
-        if coeffs:
-            for mono, c in dict(coeffs).items():
-                if c:
-                    self.coeffs[tuple(mono)] = int(c)
+def poly_product(a: Combination, b: Combination) -> Combination:
+    """Product of two polynomials in the same variables."""
+    out: dict[Monomial, int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return Combination(out)
 
-    @classmethod
-    def zero(cls, nvars: int) -> "MonomialPoly":
-        return cls(nvars)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+def is_symmetric(poly: Combination) -> bool:
+    """True when every monomial has the coefficient of its sorted rearrangement."""
+    return all(poly.coefficient(tuple(sorted(mono, reverse=True))) == c for mono, c in poly.items())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialPoly)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
 
-    def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
-        assert self.nvars == other.nvars
-        merged = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            merged[mono] = merged.get(mono, 0) + c
-        return MonomialPoly(self.nvars, merged)
-
-    def __sub__(self, other: "MonomialPoly") -> "MonomialPoly":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int) -> "MonomialPoly":
-        return MonomialPoly(self.nvars, {m: factor * c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
-        assert self.nvars == other.nvars
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MonomialPoly(self.nvars, out)
-
-    def coefficient_sum(self) -> int:
-        return sum(self.coeffs.values())
-
-    def is_symmetric(self) -> bool:
-        for mono, c in self.coeffs.items():
-            canon = tuple(sorted(mono, reverse=True))
-            if self.coeffs.get(canon, 0) != c:
-                return False
-        return True
-
-    def leading_monomial(self) -> Monomial:
-        """Graded-lexicographic maximum of the support."""
-        return max(self.coeffs, key=lambda m: (sum(m), m))
-
-    def __repr__(self) -> str:
-        return f"MonomialPoly(nvars={self.nvars}, terms={len(self.coeffs)})"
+def _embed(poly: Combination, before: int, after: int) -> Combination:
+    """The same polynomial among more variables: zero exponents before and after its own."""
+    return Combination({(0,) * before + mono + (0,) * after: c for mono, c in poly.items()})
 
 
 def _ssyt_rows(shape: Partition, nvars: int):
@@ -130,165 +93,137 @@ def _ssyt_rows(shape: Partition, nvars: int):
     yield from rec_rows(0, ())
 
 
-def expand_schur(lam: Partition, nvars: int) -> MonomialPoly:
+def expand_schur(lam: Partition, nvars: int) -> Combination:
     """Schur polynomial s_lam(x_1..x_nvars) as a sum over semistandard tableaux."""
     lam = Partition(lam)
-    if lam.degree > EXPAND_MAX_BOXES:
-        raise GuardExceeded(lam.degree, EXPAND_MAX_BOXES, what="schur expansion boxes")
+    _within_limit(lam.degree, EXPAND_MAX_BOXES, "schur expansion boxes")
     if nvars < 1:
         raise ValueError("need at least one variable")
     if len(lam) > nvars:
-        return MonomialPoly.zero(nvars)
-    out: dict[Monomial, int] = {}
+        return Combination()
+    out = CombinationBuilder()
     for tableau in _ssyt_rows(lam, nvars):
         weight = [0] * nvars
         for row in tableau:
             for v in row:
                 weight[v - 1] += 1
-        key = tuple(weight)
-        out[key] = out.get(key, 0) + 1
-    return MonomialPoly(nvars, out)
+        out.add(tuple(weight))
+    return out.build()
 
 
-def decompose_into_schur(poly: MonomialPoly, expect_nonnegative: bool = False) -> Combination:
+def _peel_schur(poly: Combination, sizes: tuple[int, ...], expect_nonnegative: bool = False) -> Combination:
+    """Greedy leading-term subtraction of products of Schur polynomials.
+
+    The variables split into consecutive alphabets of the given sizes.  The
+    leading monomial is the graded-lexicographic maximum taken alphabet by
+    alphabet; its coefficient times the product of one Schur polynomial per
+    alphabet is subtracted until nothing is left.  The result is indexed by
+    tuples of partitions, one per alphabet.
+    """
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    nvars = cuts[-1]
+    if any(len(mono) != nvars for mono in poly):
+        raise ValueError(f"exponent tuples do not have {nvars} entries")
+    slices = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    remaining = poly
+    out = CombinationBuilder()
+    while remaining:
+        lead = max(remaining, key=lambda m: tuple(k for s in slices for k in (sum(m[s]), m[s])))
+        blocks = [lead[s] for s in slices]
+        if any(block != tuple(sorted(block, reverse=True)) or min(block, default=0) < 0 for block in blocks):
+            raise ValueError(f"leading monomial {lead} is not a partition weight in each alphabet")
+        shape = tuple(Partition(block) for block in blocks)
+        coeff = remaining[lead]
+        if expect_nonnegative and coeff < 0:
+            raise ArithmeticError(
+                f"negative coefficient {coeff} at {index_label(shape)} in a claimed decomposition"
+            )
+        out.add(shape, coeff)
+        factors = [
+            _embed(expand_schur(lam, s.stop - s.start), s.start, nvars - s.stop)
+            for lam, s in zip(shape, slices)
+        ]
+        remaining = remaining - reduce(poly_product, factors).scale(coeff)
+    return out.build()
+
+
+def decompose_into_schur(poly: Combination, expect_nonnegative: bool = False) -> Combination:
     """Greedy graded-lex leading-term subtraction into the Schur basis.
 
     Negative coefficients are legitimate for virtual characters; pass
     expect_nonnegative=True to flag them instead, for inputs that are claimed
     to be honest decompositions.
     """
-    if not poly.is_symmetric():
+    if not is_symmetric(poly):
         raise ValueError("polynomial is not symmetric")
-    remaining = MonomialPoly(poly.nvars, poly.coeffs)
-    terms: dict[Partition, int] = {}
-    while not remaining.is_zero():
-        lead = remaining.leading_monomial()
-        exponents = tuple(sorted(lead, reverse=True))
-        if any(e < 0 for e in exponents) or exponents != lead:
-            raise ValueError(f"leading monomial {lead} is not a partition weight")
-        lam = Partition(e for e in exponents if e)
-        coeff = remaining.coeffs[lead]
-        if expect_nonnegative and coeff < 0:
-            raise ArithmeticError(f"negative coefficient {coeff} at {lam} in a claimed decomposition")
-        terms[lam] = terms.get(lam, 0) + coeff
-        remaining = remaining - expand_schur(lam, poly.nvars).scale(coeff)
-    return Combination(terms)
+    nvars = len(next(iter(poly), ()))
+    peeled = _peel_schur(poly, (nvars,), expect_nonnegative)
+    return Combination((lam, c) for (lam,), c in peeled.items())
 
 
-def _split_alphabets(mono: Monomial, a: int) -> tuple[Monomial, Monomial]:
-    return mono[:a], mono[a:]
-
-
-def decompose_pair_into_schur(
-    poly: MonomialPoly, a: int, b: int
-) -> dict[tuple[Partition, Partition], int]:
+def decompose_pair_into_schur(poly: Combination, a: int, b: int) -> Combination:
     """Decompose a polynomial symmetric in each of two alphabets separately."""
-    assert poly.nvars == a + b
-    remaining = MonomialPoly(poly.nvars, poly.coeffs)
-    out: dict[tuple[Partition, Partition], int] = {}
-    while not remaining.is_zero():
-        lead = max(
-            remaining.coeffs,
-            key=lambda m: (sum(m[:a]), m[:a], sum(m[a:]), m[a:]),
-        )
-        xpart, ypart = _split_alphabets(lead, a)
-        lam = Partition(e for e in xpart if e)
-        mu = Partition(e for e in ypart if e)
-        if tuple(sorted(xpart, reverse=True)) != xpart or tuple(sorted(ypart, reverse=True)) != ypart:
-            raise ValueError(f"leading monomial {lead} is not dominant in both alphabets")
-        coeff = remaining.coeffs[lead]
-        sx = expand_schur(lam, a)
-        sy = expand_schur(mu, b)
-        product: dict[Monomial, int] = {}
-        for mx, cx in sx.coeffs.items():
-            for my, cy in sy.coeffs.items():
-                product[mx + my] = product.get(mx + my, 0) + cx * cy
-        remaining = remaining - MonomialPoly(poly.nvars, product).scale(coeff)
-        key = (lam, mu)
-        out[key] = out.get(key, 0) + coeff
-        if not out[key]:
-            del out[key]
-    return out
+    return _peel_schur(poly, (a, b))
 
 
 # ---------------------------------------------------------------------------
 # brute-force powers of squares and tensor products
 
 
-def _sym2_weights(nvars: int) -> list[Monomial]:
+def _pair_weights(pairs, nvars: int) -> list[Monomial]:
+    """The weight x_i * x_j of each variable pair (i, j), as an exponent tuple."""
     out = []
-    for i in range(nvars):
-        for j in range(i, nvars):
-            w = [0] * nvars
-            w[i] += 1
-            w[j] += 1
-            out.append(tuple(w))
+    for i, j in pairs:
+        w = [0] * nvars
+        w[i] += 1
+        w[j] += 1
+        out.append(tuple(w))
     return out
 
 
-def _ext2_weights(nvars: int) -> list[Monomial]:
-    out = []
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            w = [0] * nvars
-            w[i] += 1
-            w[j] += 1
-            out.append(tuple(w))
-    return out
-
-
-def _product_weights(a: int, b: int) -> list[Monomial]:
-    out = []
-    for i in range(a):
-        for j in range(b):
-            w = [0] * (a + b)
-            w[i] += 1
-            w[a + j] += 1
-            out.append(tuple(w))
-    return out
-
-
-def _power_character(outer: str, k: int, weights: list[Monomial], nvars: int) -> MonomialPoly:
+def _power_character(outer: str, k: int, weights: list[Monomial], nvars: int) -> Combination:
     if outer == "sym":
         chooser = itertools.combinations_with_replacement
     elif outer == "ext":
         chooser = itertools.combinations
     else:
         raise ValueError(f"unknown outer power {outer!r}")
-    out: dict[Monomial, int] = {}
+    out = CombinationBuilder()
     for multiset in chooser(range(len(weights)), k):
         total = [0] * nvars
         for idx in multiset:
             for pos, e in enumerate(weights[idx]):
                 total[pos] += e
-        key = tuple(total)
-        out[key] = out.get(key, 0) + 1
-    return MonomialPoly(nvars, out)
+        out.add(tuple(total))
+    return out.build()
 
 
 def brute_force_plethysm(outer: str, k: int, inner: str, nvars: int) -> Combination:
     """Character of S^k or Lambda^k of a square, decomposed into Schur terms.
 
-    inner is "sym2" or "ext2"; sizes are guarded to k <= 4, nvars <= 6.
+    inner is "sym2" or "ext2"; sizes are limited to k <= 4, nvars <= 6.
     """
-    if k > 4 or nvars > 6:
-        raise GuardExceeded(max(k, nvars), 4 if k > 4 else 6, what="plethysm size")
+    _within_limit(k, 4, "plethysm power")
+    _within_limit(nvars, 6, "plethysm variables")
     if inner == "sym2":
-        weights = _sym2_weights(nvars)
+        pairs = itertools.combinations_with_replacement(range(nvars), 2)
     elif inner == "ext2":
-        weights = _ext2_weights(nvars)
+        pairs = itertools.combinations(range(nvars), 2)
     else:
         raise ValueError(f"unknown inner square {inner!r}")
-    return decompose_into_schur(_power_character(outer, k, weights, nvars))
+    return decompose_into_schur(_power_character(outer, k, _pair_weights(pairs, nvars), nvars))
 
 
-def brute_force_cauchy(
-    outer: str, k: int, a: int, b: int
-) -> dict[tuple[Partition, Partition], int]:
-    """S^k or Lambda^k of a tensor product of an a-space and a b-space."""
-    if k > 4 or a > 5 or b > 5:
-        raise GuardExceeded(max(k, a, b), 5, what="cauchy oracle size")
-    character = _power_character(outer, k, _product_weights(a, b), a + b)
+def brute_force_cauchy(outer: str, k: int, a: int, b: int) -> Combination:
+    """S^k or Lambda^k of a tensor product of an a-space and a b-space.
+
+    Sizes are limited to k <= 4 and a, b <= 5.
+    """
+    _within_limit(k, 4, "cauchy power")
+    _within_limit(a, 5, "cauchy a-space variables")
+    _within_limit(b, 5, "cauchy b-space variables")
+    pairs = ((i, a + j) for i, j in itertools.product(range(a), range(b)))
+    character = _power_character(outer, k, _pair_weights(pairs, a + b), a + b)
     return decompose_pair_into_schur(character, a, b)
 
 
@@ -297,43 +232,23 @@ def brute_force_cauchy(
 
 
 @cache
-def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> dict[tuple[Partition, Partition], int]:
+def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination:
     """Decompose (dual)^(x m) (x) (natural)^(x n) into rational irreducibles.
 
     Works inside GL(nvars) with genuine inverse variables; the multiplicity of
     the highest weight w is extracted by Weyl alternation over the symmetric
     group. Multiplicities are stable once nvars >= 2(m+n), which is required.
     """
-    if m + n > 4:
-        raise GuardExceeded(m + n, 4, what="mixed tensor factors")
+    _within_limit(m + n, 4, "mixed tensor factors")
     if nvars is None:
         nvars = max(1, 2 * (m + n))
     if nvars < 2 * (m + n) or nvars < 1:
         raise ValueError(f"need nvars >= 2(m+n) = {2 * (m + n)} for stability, got {nvars}")
 
-    plus = []
-    minus = []
-    for i in range(nvars):
-        w = [0] * nvars
-        w[i] = 1
-        plus.append(tuple(w))
-        w2 = [0] * nvars
-        w2[i] = -1
-        minus.append(tuple(w2))
-    character: dict[Monomial, int] = {tuple([0] * nvars): 1}
-
-    def convolve(base, times):
-        nonlocal character
-        for _ in range(times):
-            nxt: dict[Monomial, int] = {}
-            for mono, c in character.items():
-                for w in base:
-                    key = tuple(x + y for x, y in zip(mono, w))
-                    nxt[key] = nxt.get(key, 0) + c
-            character = nxt
-
-    convolve(minus, m)
-    convolve(plus, n)
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    natural = Combination(dict.fromkeys(units, 1))
+    dual = Combination({tuple(-e for e in w): 1 for w in units})
+    character = reduce(poly_product, [dual] * m + [natural] * n, Combination({(0,) * nvars: 1}))
 
     rho = tuple(range(nvars - 1, -1, -1))
     candidates = sorted(
@@ -341,7 +256,7 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> dict[tuple[
         key=lambda w: (sum(abs(e) for e in w), w),
         reverse=True,
     )
-    result: dict[tuple[Partition, Partition], int] = {}
+    result = CombinationBuilder()
     for w in candidates:
         target = tuple(a + b for a, b in zip(w, rho))
         mult = 0
@@ -356,9 +271,8 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> dict[tuple[
             assert mult > 0, (w, mult)
             nu = Partition(e for e in w if e > 0)
             mu = Partition(-e for e in reversed(w) if e < 0)
-            key = (mu, nu)
-            result[key] = result.get(key, 0) + mult
-    return result
+            result.add((mu, nu), mult)
+    return result.build()
 
 
 def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:
@@ -367,8 +281,6 @@ def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:
     Shift the highest weight by a power of the determinant to land in a
     polynomial weight, then apply the hook-content formula.
     """
-    from .diagrams import gl_dimension
-
     mu, nu = Partition(mu), Partition(nu)
     if len(mu) + len(nu) > nvars:
         raise ValueError("label does not fit in the chosen rank")
@@ -384,38 +296,29 @@ def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:
 # standard tableaux and tensor-word reconstruction
 
 
+@cache
 def standard_tableaux_brute(lam: Partition) -> int:
-    """Count standard Young tableaux by direct growth enumeration."""
-    lam = Partition(lam)
+    """Count standard Young tableaux by direct growth enumeration.
 
-    def rec(shape: tuple[int, ...]) -> int:
-        if sum(shape) == 0:
-            return 1
-        total = 0
-        for i in range(len(shape)):
-            below = shape[i + 1] if i + 1 < len(shape) else 0
-            if shape[i] - 1 >= below:
-                smaller = tuple(
-                    s - 1 if r == i else s for r, s in enumerate(shape) if s - (1 if r == i else 0) > 0
-                )
-                total += rec_cached(smaller)
-        return total
-
-    @cache
-    def rec_cached(shape: tuple[int, ...]) -> int:
-        return rec(shape)
-
-    return rec_cached(tuple(lam))
+    The largest entry sits in a corner; remove each corner box in turn.
+    """
+    if not lam:
+        return 1
+    return sum(
+        standard_tableaux_brute(Partition(lam[:i] + (lam[i] - 1,) + lam[i + 1 :]))
+        for i in range(len(lam))
+        if lam[i] > (lam[i + 1] if i + 1 < len(lam) else 0)
+    )
 
 
-def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> dict[SimpleIndex, int]:
+def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> Combination:
     """Composition factors of the (l, m, n, p) tensor word, oracle route.
 
     Splits each full dual into its submodule and quotient at the additive
     level, decomposes the thin core by stable character arithmetic, and the
     thick slots by brute standard-tableau counting.
     """
-    out: dict[SimpleIndex, int] = {}
+    out = CombinationBuilder()
     for a in range(m + 1):
         for b in range(n + 1):
             split_ways = comb(m, a) * comb(n, b)
@@ -429,9 +332,8 @@ def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> dict[SimpleIndex,
             for lam, fl in left.items():
                 for (mu, nu), ft in thin.items():
                     for pi, fr in right.items():
-                        idx = SimpleIndex(lam, mu, nu, pi)
-                        out[idx] = out.get(idx, 0) + split_ways * fl * ft * fr
-    return {k: v for k, v in out.items() if v}
+                        out.add(SimpleIndex(lam, mu, nu, pi), split_ways * fl * ft * fr)
+    return out.build()
 
 
 # ---------------------------------------------------------------------------

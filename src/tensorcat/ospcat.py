@@ -92,20 +92,20 @@ def osp_layers_of_i(kind: str, kmax: int, cap: int | None = None) -> list[Combin
     return [power(k, SYMMETRIC, cap) for k in range(kmax + 1)]
 
 
-def osp_ext_to_trivial(kind: str, x: OspIndex, j: int) -> int:
-    """dim Ext^j(X, unit) for the chosen variant.
+def osp_ext_to_trivial(x: OspIndex, j: int) -> int:
+    """dim Ext^j(X, unit) in the variant ``x.kind``.
 
     Exactly one on the W-slot diagrams appearing in the j-th exterior power of
     the square: special partitions of degree 2j for the symplectic variant,
     their conjugates for the orthogonal one.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if x.kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {x.kind!r}")
     if j < 0 or x.mu:
         return 0
     if x.lam.degree != 2 * j:
         return 0
-    if kind == SYMPLECTIC:
+    if x.kind == SYMPLECTIC:
         return 1 if x.lam.is_special() else 0
     return 1 if x.lam.conjugate().is_special() else 0
 

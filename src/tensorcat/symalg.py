@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .config import check_guard
 from .diagrams import Partition, standard_tableau_count
-from .errors import GuardExceeded
+from .errors import LimitExceeded
 from .linalg import rank_of_rows
 from .poset import QuadIndex
 
@@ -141,7 +141,7 @@ def young_symmetrizer(lam: Partition) -> GroupAlgebraElement:
     lam = Partition(lam)
     n = lam.degree
     if n > YOUNG_SYMMETRIZER_MAX_BOXES:
-        raise GuardExceeded(n, YOUNG_SYMMETRIZER_MAX_BOXES, what="symmetrizer boxes")
+        raise LimitExceeded(n, YOUNG_SYMMETRIZER_MAX_BOXES, "symmetrizer boxes")
     filling = _canonical_filling(lam)
     conj = lam.conjugate()
     columns = [

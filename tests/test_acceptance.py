@@ -307,8 +307,8 @@ def test_criterion_10_orthosymplectic_variant():
                 for mu in partitions(d_mu):
                     for j in range(4):
                         x = osp_index(ORTHOGONAL, lam, mu)
-                        lhs = osp_ext_to_trivial(ORTHOGONAL, x, j)
-                        rhs = osp_ext_to_trivial(SYMPLECTIC, osp_conjugate(x), j)
+                        lhs = osp_ext_to_trivial(x, j)
+                        rhs = osp_ext_to_trivial(osp_conjugate(x), j)
                         if lhs != rhs:
                             failures.append(("intertwine", lam, mu, j))
     for dim_w in range(2, 6):

@@ -168,6 +168,12 @@ def test_exit_codes(capsys):
     assert (code, out) == (0, "sp [2,1],[1]\n")
     code, out, err = run(capsys, "--degree-cap", "4", "ext-trivial", "[2],[],[],[1,1]", "--degree", "2")
     assert (code, out) == (0, "1\n")
+    for argv in (
+        ["--verify", "lr", "[2,1]", "[1]", "[2]"],
+        ["--output", "json", "--verify", "defect", "0,0,0,0", "0,0,0,0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "--verify takes no subcommand" in err, argv
 
 
 def test_non_ascii_digits_exit_one_with_position(capsys):

@@ -91,7 +91,7 @@ def _schur_functor_of_product_pairs(delta: Partition, a: int, b: int):
     # evaluate the Schur polynomial of shape delta at the ab product weights
     # x_i * y_j, then decompose the two-alphabet result; this route never
     # touches the hook-row recursion it is checking
-    from tensorcat.oracle import MonomialPoly, decompose_pair_into_schur, expand_schur
+    from tensorcat.oracle import decompose_pair_into_schur, expand_schur
 
     weights = []
     for i in range(a):
@@ -102,14 +102,14 @@ def _schur_functor_of_product_pairs(delta: Partition, a: int, b: int):
             weights.append(tuple(w))
     abstract = expand_schur(delta, a * b)
     out: dict[tuple[int, ...], int] = {}
-    for mono, coeff in abstract.coeffs.items():
+    for mono, coeff in abstract.items():
         total = [0] * (a + b)
         for var, e in enumerate(mono):
             for pos, v in enumerate(weights[var]):
                 total[pos] += e * v
         key = tuple(total)
         out[key] = out.get(key, 0) + coeff
-    return decompose_pair_into_schur(MonomialPoly(a + b, out), a, b)
+    return decompose_pair_into_schur(Combination(out), a, b)
 
 
 def test_kernel_layers_match_direct_schur_functor_expansion():

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from tensorcat import oracle
 from tensorcat.combination import Combination
 from tensorcat.diagrams import EMPTY, Partition, partitions
-from tensorcat.errors import GuardExceeded
+from tensorcat.errors import LimitExceeded
 from tensorcat.oracle import (
-    MonomialPoly,
     brute_force_cauchy,
     brute_force_plethysm,
     decompose_into_schur,
     decompose_pair_into_schur,
     expand_schur,
+    is_symmetric,
+    poly_product,
     rational_dimension,
     stable_mixed_tensor,
     standard_tableaux_brute,
@@ -22,15 +27,15 @@ P = Partition
 
 
 def test_expand_schur_examples():
-    assert expand_schur(P([1]), 2).coeffs == {(1, 0): 1, (0, 1): 1}
-    assert expand_schur(P([2]), 2).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+    assert expand_schur(P([1]), 2) == {(1, 0): 1, (0, 1): 1}
+    assert expand_schur(P([2]), 2) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     assert expand_schur(P([1, 1, 1]), 2).is_zero()
 
 
 def test_expanded_polynomials_are_symmetric():
     for n in range(6):
         for lam in partitions(n):
-            assert expand_schur(lam, 4).is_symmetric()
+            assert is_symmetric(expand_schur(lam, 4))
 
 
 def test_roundtrip_decomposition():
@@ -47,17 +52,19 @@ def test_roundtrip_decomposition():
 
 def test_decompose_handles_hand_expansions():
     # (x1+x2)^2 = s_2 + s_11
-    square = MonomialPoly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    square = Combination({(2, 0): 1, (1, 1): 2, (0, 2): 1})
     assert decompose_into_schur(square) == Combination({P([2]): 1, P([1, 1]): 1})
     # e2 * e1 in three variables
     e2 = expand_schur(P([1, 1]), 3)
     e1 = expand_schur(P([1]), 3)
-    assert decompose_into_schur(e2 * e1) == Combination({P([2, 1]): 1, P([1, 1, 1]): 1})
+    assert decompose_into_schur(poly_product(e2, e1)) == Combination({P([2, 1]): 1, P([1, 1, 1]): 1})
 
 
 def test_decompose_rejects_asymmetric_input():
     with pytest.raises(ValueError):
-        decompose_into_schur(MonomialPoly(2, {(1, 0): 1}))
+        decompose_into_schur(Combination({(1, 0): 1}))
+    with pytest.raises(ValueError):  # three variables are not two alphabets of one
+        decompose_pair_into_schur(expand_schur(P([1]), 3), 1, 1)
 
 
 def test_decompose_virtual_characters():
@@ -78,10 +85,10 @@ def test_pair_decomposition_roundtrip():
                     sx = expand_schur(lam, 2)
                     sy = expand_schur(mu, 2)
                     product = {}
-                    for mx, cx in sx.coeffs.items():
-                        for my, cy in sy.coeffs.items():
+                    for mx, cx in sx.items():
+                        for my, cy in sy.items():
                             product[mx + my] = product.get(mx + my, 0) + cx * cy
-                    poly = MonomialPoly(4, product)
+                    poly = Combination(product)
                     assert decompose_pair_into_schur(poly, 2, 2) == {(lam, mu): 1}
 
 
@@ -90,7 +97,7 @@ def test_plethysm_identity_cases():
         natural = {(tuple(1 if i == j else 0 for i in range(nv))): 1 for j in range(nv)}
         sym1 = brute_force_plethysm("sym", 1, "sym2", nv)
         expected = decompose_into_schur(
-            MonomialPoly(nv, _sym2_character(nv))
+            Combination(_sym2_character(nv))
         )
         assert sym1 == expected
 
@@ -107,10 +114,17 @@ def _sym2_character(nv: int) -> dict:
 
 
 def test_plethysm_guard():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(LimitExceeded, match="plethysm power 5 exceeds the fixed limit 4"):
         brute_force_plethysm("sym", 5, "sym2", 3)
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(LimitExceeded, match="cauchy a-space variables 6 exceeds the fixed limit 5"):
         brute_force_cauchy("sym", 2, 6, 2)
+    # each message names the quantity that is over and that quantity's own limit
+    with pytest.raises(LimitExceeded, match="cauchy power 5 exceeds the fixed limit 4"):
+        brute_force_cauchy("sym", 5, 1, 1)
+    with pytest.raises(LimitExceeded, match="plethysm power 5 exceeds the fixed limit 4"):
+        brute_force_plethysm("sym", 5, "sym2", 7)
+    with pytest.raises(LimitExceeded, match="plethysm variables 7 exceeds the fixed limit 6"):
+        brute_force_plethysm("sym", 2, "sym2", 7)
 
 
 def test_stable_mixed_tensor_examples():
@@ -158,3 +172,42 @@ def test_rational_dimension():
     assert rational_dimension(P([1]), P([1]), 3) == 8  # adjoint of GL(3)
     assert rational_dimension(EMPTY, P([2]), 3) == 6
     assert rational_dimension(P([1]), EMPTY, 3) == 3
+
+
+# the oracle may share data types and primitives with the engine, never a route
+ORACLE_MAY_IMPORT = {
+    "combination": None,  # None: any name
+    "diagrams": None,
+    "errors": None,
+    "linalg": {"rank_of_rows"},
+    "symalg": {"perm_sign"},
+    "grothendieck": {"SimpleIndex"},
+}
+ENGINE_ROUTES = {"symfunc", "plethysm", "ext", "ospcat", "poset", "cli"}
+
+
+def _package_imports(tree: ast.AST):
+    """(module, name) for each import from tensorcat; name is None for a whole module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "tensorcat":
+                    yield alias.name.removeprefix("tensorcat").lstrip("."), None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "tensorcat":
+                continue
+            base = module.removeprefix("tensorcat").lstrip(".") if node.level == 0 else module
+            for alias in node.names:
+                yield (base, alias.name) if base else (alias.name, None)
+
+
+def test_oracle_imports_no_engine_route():
+    imports = list(_package_imports(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))))
+    assert imports
+    for module, name in imports:
+        top = module.split(".")[0]
+        assert top not in ENGINE_ROUTES, (module, name)
+        assert top in ORACLE_MAY_IMPORT, (module, name)
+        allowed = ORACLE_MAY_IMPORT[top]
+        assert allowed is None or name in allowed, (module, name)

@@ -106,13 +106,13 @@ def test_resolution_socles_match_brute_force_exterior_powers():
 def test_ext_to_trivial_values():
     # degree 4, slot 2: the alternating square route keeps the special diagram,
     # the symmetric square route keeps its conjugate
-    assert osp_ext_to_trivial(SYMPLECTIC, osp_index(SYMPLECTIC, [2, 1, 1]), 2) == 1
-    assert osp_ext_to_trivial(ORTHOGONAL, osp_index(ORTHOGONAL, [3, 1]), 2) == 1
-    assert osp_ext_to_trivial(ORTHOGONAL, osp_index(ORTHOGONAL, [2, 1, 1]), 2) == 0
-    assert osp_ext_to_trivial(SYMPLECTIC, osp_index(SYMPLECTIC, [3, 1]), 2) == 0
+    assert osp_ext_to_trivial(osp_index(SYMPLECTIC, [2, 1, 1]), 2) == 1
+    assert osp_ext_to_trivial(osp_index(ORTHOGONAL, [3, 1]), 2) == 1
+    assert osp_ext_to_trivial(osp_index(ORTHOGONAL, [2, 1, 1]), 2) == 0
+    assert osp_ext_to_trivial(osp_index(SYMPLECTIC, [3, 1]), 2) == 0
     for kind in (ORTHOGONAL, SYMPLECTIC):
-        assert osp_ext_to_trivial(kind, osp_index(kind, [], [1]), 0) == 0
-        assert osp_ext_to_trivial(kind, osp_index(kind), 0) == 1
+        assert osp_ext_to_trivial(osp_index(kind, [], [1]), 0) == 0
+        assert osp_ext_to_trivial(osp_index(kind), 0) == 1
 
 
 def test_ext_to_trivial_matches_resolution_socle():
@@ -121,7 +121,7 @@ def test_ext_to_trivial_matches_resolution_socle():
             socle = osp_resolution_socle(kind, j)
             for d in range(9):
                 for lam in partitions(d):
-                    value = osp_ext_to_trivial(kind, osp_index(kind, lam), j)
+                    value = osp_ext_to_trivial(osp_index(kind, lam), j)
                     assert value == socle.get(lam, 0), (kind, j, lam)
 
 
@@ -144,8 +144,8 @@ def test_conjugation_intertwines_ext():
                 for mu in partitions(mu_deg):
                     for j in range(4):
                         x = osp_index(ORTHOGONAL, lam, mu)
-                        lhs = osp_ext_to_trivial(ORTHOGONAL, x, j)
-                        rhs = osp_ext_to_trivial(SYMPLECTIC, osp_conjugate(x), j)
+                        lhs = osp_ext_to_trivial(x, j)
+                        rhs = osp_ext_to_trivial(osp_conjugate(x), j)
                         assert lhs == rhs, (lam, mu, j)
 
 

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
-from tensorcat.errors import GuardExceeded
+from tensorcat.errors import GuardExceeded, LimitExceeded
 from tensorcat.oracle import composite_orbit_rank, contract_orbit_rank
 from tensorcat.poset import QuadIndex
 from tensorcat.symalg import (
@@ -65,7 +65,7 @@ def test_quasi_idempotency_up_to_five_boxes():
 
 
 def test_symmetrizer_guard():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(LimitExceeded, match="symmetrizer boxes 7 exceeds the fixed limit 6"):
         young_symmetrizer(P([4, 3]))
 
 
