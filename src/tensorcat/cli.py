@@ -19,7 +19,7 @@ from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symalg, symfunc
 from .combination import Combination, index_key, index_label
 from .config import check_cap, resolve_config
-from .diagrams import Partition, gl_dimension, parse_naturals, parse_partition, partitions
+from .diagrams import Partition, ascii_int, gl_dimension, parse_naturals, parse_partition, partitions
 from .errors import DegreeCapExceeded, GuardExceeded, LimitExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
 from .poset import QuadIndex, parse_quad
@@ -244,6 +244,7 @@ def cmd_ext_trivial(args, cfg):
 def cmd_ext_thick(args, cfg):
     x = parse_simple_index(args.index)
     target = (parse_partition(args.alpha), parse_partition(args.beta))
+    check_cap(x.degree, cfg.degree_cap)
     check_cap(args.degree, cfg.degree_cap)
     return scalar_output(ext_mod.ext_to_thick(x, target, args.degree))
 
@@ -355,8 +356,8 @@ def build_parser() -> Parser:
         ),
     )
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--degree-cap", type=int, default=None, help="refuse work above this degree (default 12)")
-    parser.add_argument("--group-guard", type=int, default=None, help="explicit group-algebra size limit (default 8)")
+    parser.add_argument("--degree-cap", type=ascii_int, default=None, help="refuse work above this degree (default 12)")
+    parser.add_argument("--group-guard", type=ascii_int, default=None, help="explicit group-algebra size limit (default 8)")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--verify", action="store_true", help="re-run oracle cross-checks and exit")
 
@@ -376,7 +377,7 @@ def build_parser() -> Parser:
         "family",
         choices=("cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2"),
     )
-    plet.add_argument("k", type=int)
+    plet.add_argument("k", type=ascii_int)
 
     decompose = add_command(sub, "decompose", cmd_decompose, help="composition factors of a tensor word")
     decompose.add_argument("quad")
@@ -385,7 +386,7 @@ def build_parser() -> Parser:
     socle.add_argument("quad")
 
     layers = add_command(sub, "layers", cmd_layers, help="filtration layers of the injective hull of the unit")
-    layers.add_argument("kmax", type=int)
+    layers.add_argument("kmax", type=ascii_int)
 
     defect = add_command(sub, "defect", cmd_defect, help="defect between two quadruples")
     defect.add_argument("a")
@@ -397,29 +398,29 @@ def build_parser() -> Parser:
 
     covers = add_command(sub, "covers", cmd_covers, help="immediate successors within a bound")
     covers.add_argument("a")
-    covers.add_argument("--bound", type=int, required=True)
+    covers.add_argument("--bound", type=ascii_int, required=True)
 
     ext_trivial = add_command(sub, "ext-trivial", cmd_ext_trivial, help="Ext dimension into the unit object")
     ext_trivial.add_argument("index")
-    ext_trivial.add_argument("--degree", type=int, required=True)
+    ext_trivial.add_argument("--degree", type=ascii_int, required=True)
 
     ext_thick = add_command(sub, "ext-thick", cmd_ext_thick, help="Ext dimension into a purely thick simple")
     ext_thick.add_argument("index")
     ext_thick.add_argument("alpha")
     ext_thick.add_argument("beta")
-    ext_thick.add_argument("--degree", type=int, required=True)
+    ext_thick.add_argument("--degree", type=ascii_int, required=True)
 
     ext_vanishes = add_command(sub, "ext-vanishes", cmd_ext_vanishes, help="guaranteed-vanishing test between simples")
     ext_vanishes.add_argument("source")
     ext_vanishes.add_argument("target")
-    ext_vanishes.add_argument("--degree", type=int, required=True)
+    ext_vanishes.add_argument("--degree", type=ascii_int, required=True)
 
     resolution = add_command(sub, "resolution", cmd_resolution, help="resolution term and its socle")
-    resolution.add_argument("j", type=int)
+    resolution.add_argument("j", type=ascii_int)
 
     kernel = add_command(sub, "kernel-layer", cmd_kernel_layer, help="filtration layer of a resolution kernel")
-    kernel.add_argument("j", type=int)
-    kernel.add_argument("k", type=int)
+    kernel.add_argument("j", type=ascii_int)
+    kernel.add_argument("k", type=ascii_int)
 
     homdim = add_command(sub, "homdim", cmd_homdim, help="endomorphism / degree-one Hom dimensions")
     homdim.add_argument("quad")
@@ -439,11 +440,11 @@ def build_parser() -> Parser:
     osp_defect.add_argument("a")
     osp_defect.add_argument("b")
     osp_layers = add_command(osp_sub, "layers", cmd_osp_layers)
-    osp_layers.add_argument("kmax", type=int)
+    osp_layers.add_argument("kmax", type=ascii_int)
     osp_ext = add_command(osp_sub, "ext-trivial", cmd_osp_ext_trivial)
     osp_ext.add_argument("lam")
     osp_ext.add_argument("mu")
-    osp_ext.add_argument("--degree", type=int, required=True)
+    osp_ext.add_argument("--degree", type=ascii_int, required=True)
     osp_conj = add_command(osp_sub, "conjugate", cmd_osp_conjugate)
     osp_conj.add_argument("lam")
     osp_conj.add_argument("mu")

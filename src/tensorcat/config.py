@@ -3,7 +3,8 @@
 Settings are resolved as: explicit flag > environment variable > config file
 > built-in default.  The config file is plain ``key = value`` lines with ``#``
 comments; recognized keys are ``degree_cap`` and ``group_guard``, and other
-keys are ignored.
+keys are ignored.  Values, from the environment or the file, are ASCII
+integers: an optional ``-`` then digits (``diagrams.ascii_int``).
 
 Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD,
 TENSORCAT_CONFIG (path of a config file).
@@ -14,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .diagrams import ascii_int
 from .errors import DegreeCapExceeded, GuardExceeded
 
 DEFAULT_DEGREE_CAP = 12
@@ -73,16 +75,16 @@ def resolve_config(
     file_path = config_file or env.get(ENV_CONFIG)
     file_values = read_config_file(file_path) if file_path else {}
 
-    def pick(flag, env_name, file_key, default, convert):
+    def pick(flag, env_name, file_key, default):
         if flag is not None:
             return flag
         if env_name in env:
-            return convert(env[env_name])
+            return ascii_int(env[env_name], env_name)
         if file_key in file_values:
-            return convert(file_values[file_key])
+            return ascii_int(file_values[file_key], file_key)
         return default
 
     return Config(
-        degree_cap=pick(degree_cap, ENV_DEGREE_CAP, "degree_cap", DEFAULT_DEGREE_CAP, int),
-        group_guard=pick(group_guard, ENV_GROUP_GUARD, "group_guard", DEFAULT_GROUP_GUARD, int),
+        degree_cap=pick(degree_cap, ENV_DEGREE_CAP, "degree_cap", DEFAULT_DEGREE_CAP),
+        group_guard=pick(group_guard, ENV_GROUP_GUARD, "group_guard", DEFAULT_GROUP_GUARD),
     )

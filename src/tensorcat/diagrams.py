@@ -213,6 +213,18 @@ def parse_naturals(text: str, body: str, start: int, what: str) -> list[int]:
     return values
 
 
+def ascii_int(text: str, what: str = "integer") -> int:
+    """Read an optional '-' then ASCII decimal digits, and nothing else.
+
+    Unlike int(), this refuses '+', spaces, '_' separators and non-ASCII
+    digits; the ValueError names what was being read.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad {what} {text!r}")
+    return int(text)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the text syntax ``[4,2,1]``; the empty diagram is ``[]``."""
     stripped = text.strip()

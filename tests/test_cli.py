@@ -144,6 +144,9 @@ def test_exit_codes(capsys):
     assert code == 2 and out == "" and "degree 5 exceeds the configured cap 4" in err
     code, out, err = run(capsys, "--degree-cap", "4", "ext-thick", "[2],[],[],[1,1]", "[1]", "[1]", "--degree", "1")
     assert (code, out) == (0, "1\n")
+    index_79 = "[12,11,10,9,8,7,6,5,4,3,2,1],[],[],[1]"
+    code, out, err = run(capsys, "ext-thick", index_79, "[11,10,9,8,7,6,5,4,3,2,1]", "[]", "--degree", "12")
+    assert code == 2 and out == "" and "degree 79 exceeds the configured cap 12" in err
     code, out, err = run(capsys, "homdim", "13,0,0,0", "end")
     assert code == 2 and out == "" and "degree 13 exceeds the configured cap 12" in err
     code, out, err = run(capsys, "--degree-cap", "13", "homdim", "13,0,0,0", "end")
@@ -193,6 +196,27 @@ def test_argparse_usage_errors_exit_one():
     with pytest.raises(SystemExit) as err:
         main(["plethysm", "not-a-family", "2"])
     assert err.value.code == 1
+
+
+def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
+    for argv in (
+        ["layers", "١"],
+        ["kernel-layer", "1", "1_0"],
+        ["layers", "+2"],
+        ["layers", " 1"],
+        ["--degree-cap", "١٢", "lr", "[2,1]", "[1]", "[2]"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid ascii_int value" in captured.err, argv
+    monkeypatch.setenv("TENSORCAT_DEGREE_CAP", "1_2")
+    code, out, err = run(capsys, "lr", "[2,1]", "[1]", "[2]")
+    assert code == 1 and out == "" and "bad TENSORCAT_DEGREE_CAP '1_2'" in err
+    monkeypatch.setenv("TENSORCAT_DEGREE_CAP", "12")
+    code, out, err = run(capsys, "--degree-cap", "-1", "lr", "[]", "[]", "[]")
+    assert code == 2 and out == "" and "degree 0 exceeds the configured cap -1" in err
 
 
 def test_output_determinism(capsys):
