@@ -191,13 +191,14 @@ def cmd_product(args, cfg):
 
 
 def cmd_plethysm(args, cfg):
+    check_cap(args.k, cfg.degree_cap, what="power index")
     family = args.family
     if family in ("cauchy-sym", "cauchy-ext"):
         fn = plethysm.cauchy_sym if family == "cauchy-sym" else plethysm.cauchy_ext
-        return terms_output(fn(args.k, cfg.degree_cap))
+        return terms_output(fn(args.k))
     kind = plethysm.SYMMETRIC if family.startswith("sym-") else plethysm.EXTERIOR
     inner = plethysm.power_of_sym2 if family.endswith("sym2") else plethysm.power_of_ext2
-    return terms_output(inner(args.k, kind, cfg.degree_cap))
+    return terms_output(inner(args.k, kind))
 
 
 def cmd_decompose(args, cfg):

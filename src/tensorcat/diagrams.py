@@ -1,9 +1,8 @@
 """Young-diagram arithmetic.
 
 Partitions are stored minimal-length (no trailing zeros) as weakly decreasing
-tuples of positive integers; the empty partition is ``Partition()``.  The
-canonical total order used for all deterministic output is (degree, then
-lexicographic on parts), exposed as :func:`sort_key`.
+tuples of positive integers; the empty partition is ``Partition()``.  Only
+printing orders them, by ``combination.index_key`` (degree, then parts).
 """
 
 from __future__ import annotations
@@ -85,11 +84,6 @@ class Partition(tuple):
 EMPTY = Partition()
 
 
-def sort_key(p: Partition) -> tuple:
-    """Canonical total order: by degree, then lexicographically on parts."""
-    return (p.degree, tuple(p))
-
-
 def from_frobenius(arms, legs) -> Partition:
     """Rebuild a partition from strictly decreasing arm and leg sequences."""
     arms, legs = tuple(arms), tuple(legs)
@@ -110,14 +104,14 @@ def from_frobenius(arms, legs) -> Partition:
 
 
 def add_box(p: Partition) -> tuple[Partition, ...]:
-    """All partitions obtained from p by adding one box, canonically sorted."""
+    """All partitions obtained from p by adding one box."""
     results = []
     for i in range(len(p) + 1):
         here = p[i] if i < len(p) else 0
         above = p[i - 1] if i > 0 else None
         if above is None or here + 1 <= above:
             results.append(Partition(p[:i] + (here + 1,) + p[i + 1 :]))
-    return tuple(sorted(results, key=sort_key))
+    return tuple(results)
 
 
 def remove_box(p: Partition) -> tuple[Partition, ...]:
@@ -127,7 +121,7 @@ def remove_box(p: Partition) -> tuple[Partition, ...]:
         below = p[i + 1] if i + 1 < len(p) else 0
         if p[i] - 1 >= below:
             results.append(Partition(p[:i] + (p[i] - 1,) + p[i + 1 :]))
-    return tuple(sorted(results, key=sort_key))
+    return tuple(results)
 
 
 @cache

@@ -33,8 +33,8 @@ def _hook_row_pairs(j: int, k: int) -> Combination:
     if j < 1:
         raise ValueError("hook expansion needs j >= 1")
     if k == 0:
-        return cauchy_ext(j, cap=j)
-    product = slot_product(cauchy_ext(j, cap=j), cauchy_sym(k, cap=k))
+        return cauchy_ext(j)
+    product = slot_product(cauchy_ext(j), cauchy_sym(k))
     return (product - _hook_row_pairs(j + 1, k - 1)).require_nonnegative()
 
 
@@ -50,7 +50,7 @@ def resolution_term(j: int, cap: int | None = None) -> ResolutionTerm:
     if j < 0:
         raise ValueError("resolution degree must be non-negative")
     check_cap(j, cap, what="resolution degree")
-    socle = thick_indices(cauchy_ext(j, cap=j))
+    socle = thick_indices(cauchy_ext(j))
     return ResolutionTerm(j=j, body=f"Lambda^{j}(F) (x) I", socle=socle)
 
 
@@ -72,17 +72,17 @@ def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
 def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
     """Layer k of the image of the resolution map landing in degree j.
 
-    Exactness makes this coincide with the kernel layer at degree j; it is
-    computed independently as what the complementary summand of
-    Lambda^{j-1}F (x) S^{k+1}F maps onto.
+    Exactness makes this the kernel layer at degree j.  Only j = 1, S^{k+1}F,
+    is an independent identity: for j >= 2, Lambda^{j-1}F (x) S^{k+1}F minus
+    _hook_row_pairs(j-1, k+1) is _hook_row_pairs(j, k) by that recursion.
     """
     if j < 1:
         raise ValueError("image layers exist for degree >= 1")
     check_cap(2 * (j + k), cap)
     if j == 1:
         # the map out of degree 0 has trivial kernel in positive layers
-        return thick_indices(cauchy_sym(k + 1, cap=k + 1))
-    product = slot_product(cauchy_ext(j - 1, cap=j), cauchy_sym(k + 1, cap=k + 1))
+        return thick_indices(cauchy_sym(k + 1))
+    product = slot_product(cauchy_ext(j - 1), cauchy_sym(k + 1))
     return thick_indices((product - _hook_row_pairs(j - 1, k + 1)).require_nonnegative())
 
 
@@ -130,7 +130,7 @@ def thick_target_socle(q: int, alpha: Partition, beta: Partition) -> Combination
     Independent route to the same dimensions as ext_to_thick, via the exterior
     Cauchy pairs multiplied into the target's two slots.
     """
-    return thick_indices(slot_product(cauchy_ext(q, cap=q), Combination({(alpha, beta): 1})))
+    return thick_indices(slot_product(cauchy_ext(q), Combination({(alpha, beta): 1})))
 
 
 def ext_vanishes(s: SimpleIndex, t: SimpleIndex, q: int) -> bool:
@@ -148,5 +148,5 @@ def euler_shadow(d: int) -> Combination:
         raise ValueError("degree must be non-negative")
     out = CombinationBuilder()
     for i in range(d + 1):
-        out.add_all(slot_product(cauchy_ext(i, cap=i), cauchy_sym(d - i, cap=d)), -1 if i % 2 else 1)
+        out.add_all(slot_product(cauchy_ext(i), cauchy_sym(d - i)), -1 if i % 2 else 1)
     return thick_indices(out.build())

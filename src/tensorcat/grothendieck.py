@@ -13,6 +13,9 @@ and symmetric/exterior powers of F act through the Cauchy pair decompositions
 followed by Littlewood-Richardson products on the lam and pi slots.  All
 decompositions are at the level of the Grothendieck group: a Combination of
 simple indices with positive integer multiplicities.
+
+A request checks the degree cap once, before any work (``decompose_word``,
+``layers_of_i``); ``tensor_simple`` and ``tensor_decomposition`` take none.
 """
 
 from __future__ import annotations
@@ -116,15 +119,12 @@ def _moves_remove(s: SimpleIndex, slot: int) -> list[SimpleIndex]:
 
 def _tensor_f_power(s: SimpleIndex, tag: str, k: int) -> Combination:
     """LR products of the Cauchy pairs against the lam and pi slots."""
-    pairs = cauchy_sym(k, cap=k) if tag == "SkF" else cauchy_ext(k, cap=k)
+    pairs = cauchy_sym(k) if tag == "SkF" else cauchy_ext(k)
     return thick_indices(slot_product(Combination({(s.lam, s.pi): 1}), pairs), s.mu, s.nu)
 
 
-def tensor_simple(s: SimpleIndex, g: Generator, cap: int | None = None) -> Combination:
+def tensor_simple(s: SimpleIndex, g: Generator) -> Combination:
     """Composition factors, with multiplicity, of g tensored with the simple s."""
-    target = s.degree + g.degree
-    check_cap(target, cap)
-
     if g.tag == "W_*":
         return Combination({idx: 1 for idx in _moves_add(s, 0)})
     if g.tag == "W":
@@ -134,9 +134,9 @@ def tensor_simple(s: SimpleIndex, g: Generator, cap: int | None = None) -> Combi
     if g.tag == "V":
         return Combination({idx: 1 for idx in _moves_add(s, 2) + _moves_remove(s, 1)})
     if g.tag == "V*":
-        return tensor_simple(s, V_LOWER, cap) + tensor_simple(s, W_STAR, cap)
+        return tensor_simple(s, V_LOWER) + tensor_simple(s, W_STAR)
     if g.tag == "V**":
-        return tensor_simple(s, V_NAT, cap) + tensor_simple(s, W_GEN, cap)
+        return tensor_simple(s, V_NAT) + tensor_simple(s, W_GEN)
     if g.tag == "F":
         return _tensor_f_power(s, "SkF", 1)
     if g.tag == "Q":
@@ -151,10 +151,10 @@ def tensor_simple(s: SimpleIndex, g: Generator, cap: int | None = None) -> Combi
     raise AssertionError(g.tag)
 
 
-def tensor_decomposition(dec: Combination, g: Generator, cap: int | None = None) -> Combination:
+def tensor_decomposition(dec: Combination, g: Generator) -> Combination:
     out = CombinationBuilder()
     for idx, mult in dec.items():
-        out.add_all(tensor_simple(idx, g, cap), mult)
+        out.add_all(tensor_simple(idx, g), mult)
     return out.build()
 
 
@@ -166,17 +166,19 @@ def generator_word(q: QuadIndex) -> list[Generator]:
 
 
 def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> Combination:
+    """Tensor the unit by each generator in turn; refused up front when the word's
+    degree passes the cap, as each generator adds its full degree to some term."""
+    generators = list(generators)
+    check_cap(sum(g.degree for g in generators), cap)
     dec = Combination({UNIT: 1})
     for g in generators:
-        dec = tensor_decomposition(dec, g, cap)
+        dec = tensor_decomposition(dec, g)
     return dec
 
 
 def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
     """Full composition-factor multiset of the tensor word indexed by q."""
-    total = sum(q)
-    check_cap(total, cap)
-    return decompose_word(generator_word(q), cap=total)
+    return decompose_word(generator_word(q), cap)
 
 
 def socle_of(q: QuadIndex, cap: int | None = None) -> Combination:

@@ -77,19 +77,24 @@ def osp_chains(a: PairIndex, b: PairIndex) -> list[list[PairIndex]]:
     return saturated_chains(PairIndex(*a), PairIndex(*b), osp_up_moves, osp_leq)
 
 
+def _square_power(kind: str):
+    """The powers of the variant's square: symmetric (orthogonal) or alternating (symplectic)."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return power_of_sym2 if kind == ORTHOGONAL else power_of_ext2
+
+
 def osp_layers_of_i(kind: str, kmax: int, cap: int | None = None) -> list[Combination]:
     """Filtration layers of the injective hull of the unit, per variant.
 
     Layer k is the k-th symmetric power of the symmetric (orthogonal) or
     alternating (symplectic) square of W.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    power = _square_power(kind)
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     check_cap(kmax, cap, what="layer index")
-    power = power_of_sym2 if kind == ORTHOGONAL else power_of_ext2
-    return [power(k, SYMMETRIC, cap) for k in range(kmax + 1)]
+    return [power(k, SYMMETRIC) for k in range(kmax + 1)]
 
 
 def osp_ext_to_trivial(x: OspIndex, j: int) -> int:
@@ -118,10 +123,8 @@ def osp_conjugate(x: OspIndex) -> OspIndex:
 
 def osp_resolution_socle(kind: str, j: int, cap: int | None = None) -> Combination:
     """W-slot decomposition of the socle of the j-th resolution term."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    power = _square_power(kind)
     if j < 0:
         raise ValueError("resolution degree must be non-negative")
     check_cap(j, cap, what="resolution degree")
-    power = power_of_sym2 if kind == ORTHOGONAL else power_of_ext2
-    return power(j, EXTERIOR, cap)
+    return power(j, EXTERIOR)

@@ -10,33 +10,34 @@ Six families, all multiplicity-free:
 
 A degree-k power of a square lives in diagram degree 2k; the returned
 partitions always have 2k boxes.
+
+These building blocks take no degree cap: the request that reaches them (a
+CLI command, or an engine entry point) checks its cap once, before it starts.
 """
 
 from __future__ import annotations
 
 from .combination import Combination
-from .config import check_cap
-from .diagrams import EMPTY, Partition, from_frobenius, partitions, sort_key, strict_partitions
+from .diagrams import EMPTY, Partition, from_frobenius, partitions, strict_partitions
 
 SYMMETRIC = "symmetric"
 EXTERIOR = "exterior"
 
 
-def _check_power(k: int, cap: int | None) -> None:
+def _check_power(k: int) -> None:
     if k < 0:
         raise ValueError(f"power index must be non-negative, got {k}")
-    check_cap(k, cap, what="power index")
 
 
-def cauchy_sym(k: int, cap: int | None = None) -> Combination:
+def cauchy_sym(k: int) -> Combination:
     """S^k(x (x) y) = sum of S_lam(x) (x) S_lam(y) over |lam| = k."""
-    _check_power(k, cap)
+    _check_power(k)
     return Combination({(lam, lam): 1 for lam in partitions(k)})
 
 
-def cauchy_ext(k: int, cap: int | None = None) -> Combination:
+def cauchy_ext(k: int) -> Combination:
     """Lambda^k(x (x) y) = sum of S_lam(x) (x) S_{lam'}(y) over |lam| = k."""
-    _check_power(k, cap)
+    _check_power(k)
     return Combination({(lam, lam.conjugate()): 1 for lam in partitions(k)})
 
 
@@ -44,8 +45,7 @@ def even_partitions(degree: int) -> tuple[Partition, ...]:
     """Partitions of the given degree with all parts even."""
     if degree % 2:
         return ()
-    doubled = [Partition(2 * part for part in p) for p in partitions(degree // 2)]
-    return tuple(sorted(doubled, key=sort_key))
+    return tuple(Partition(2 * part for part in p) for p in partitions(degree // 2))
 
 
 def special_partitions(degree: int) -> tuple[Partition, ...]:
@@ -58,17 +58,14 @@ def special_partitions(degree: int) -> tuple[Partition, ...]:
         return ()
     if degree == 0:
         return (EMPTY,)
-    found = []
-    for mu in strict_partitions(degree // 2):
-        arms = tuple(part - 1 for part in mu)
-        legs = tuple(mu)
-        found.append(from_frobenius(arms, legs))
-    return tuple(sorted(found, key=sort_key))
+    return tuple(
+        from_frobenius(tuple(part - 1 for part in mu), mu) for mu in strict_partitions(degree // 2)
+    )
 
 
-def power_of_sym2(k: int, kind: str, cap: int | None = None) -> Combination:
+def power_of_sym2(k: int, kind: str) -> Combination:
     """Decompose S^k(S^2 x) or Lambda^k(S^2 x) into Schur functors of x."""
-    _check_power(k, cap)
+    _check_power(k)
     if kind == SYMMETRIC:
         return Combination({lam: 1 for lam in even_partitions(2 * k)})
     if kind == EXTERIOR:
@@ -76,9 +73,9 @@ def power_of_sym2(k: int, kind: str, cap: int | None = None) -> Combination:
     raise ValueError(f"unknown power kind {kind!r}")
 
 
-def power_of_ext2(k: int, kind: str, cap: int | None = None) -> Combination:
+def power_of_ext2(k: int, kind: str) -> Combination:
     """Decompose S^k(Lambda^2 x) or Lambda^k(Lambda^2 x)."""
-    _check_power(k, cap)
+    _check_power(k)
     if kind == SYMMETRIC:
         return Combination({lam.conjugate(): 1 for lam in even_partitions(2 * k)})
     if kind == EXTERIOR:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import threading
 
-from .combination import Combination, CombinationBuilder
+from .combination import Combination, CombinationBuilder, index_key
 from .config import check_cap
-from .diagrams import Partition, partitions, sort_key
+from .diagrams import Partition, partitions
 
 _memo: dict[tuple[Partition, Partition, Partition], int] = {}
 _memo_lock = threading.Lock()
@@ -79,7 +79,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.degree != mu.degree + nu.degree:
         return 0
-    if sort_key(mu) > sort_key(nu):
+    if index_key(mu) > index_key(nu):
         mu, nu = nu, mu  # symmetric in mu, nu; keep one canonical key
     if not lam.contains(mu):
         return 0

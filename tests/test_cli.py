@@ -167,6 +167,18 @@ def test_exit_codes(capsys):
     ):
         code, out, err = run(capsys, "--degree-cap", "4", *argv)
         assert code == 2 and out == "" and "degree 5 exceeds the configured cap 4" in err, argv
+    for argv, refusal in (
+        (["plethysm", "cauchy-sym", "5"], "power index 5"),
+        (["plethysm", "sym-ext2", "5"], "power index 5"),
+        (["product", "[3]", "[2]"], "degree 5"),
+        (["socle", "2,1,1,1"], "degree 5"),
+        (["layers", "3"], "degree 6"),
+        (["kernel-layer", "2", "1"], "degree 6"),
+        (["resolution", "5"], "resolution degree 5"),
+        (["osp", "--kind", "o", "layers", "5"], "layer index 5"),
+    ):
+        code, out, err = run(capsys, "--degree-cap", "4", *argv)
+        assert code == 2 and out == "" and f"{refusal} exceeds the configured cap 4" in err, argv
     code, out, err = run(capsys, "--degree-cap", "4", "osp", "--kind", "o", "conjugate", "[2,1]", "[1]")
     assert (code, out) == (0, "sp [2,1],[1]\n")
     code, out, err = run(capsys, "--degree-cap", "4", "ext-trivial", "[2],[],[],[1,1]", "--degree", "2")

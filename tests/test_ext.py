@@ -82,7 +82,7 @@ def test_kernel_plus_complement_fills_the_product():
 
     for j in range(1, 4):
         for k in range(1, 4):
-            product = thick_indices(slot_product(cauchy_ext(j, cap=j), cauchy_sym(k, cap=k)))
+            product = thick_indices(slot_product(cauchy_ext(j), cauchy_sym(k)))
             split = kernel_layer(j, k, cap=16) + kernel_layer(j + 1, k - 1, cap=16)
             assert product == split, (j, k)
 
@@ -131,7 +131,7 @@ def test_hook_row_peel_refuses_a_negative_multiplicity(monkeypatch):
     # lower hook layer would leave negative multiplicities
     from tensorcat import ext
 
-    monkeypatch.setattr(ext, "cauchy_sym", lambda k, cap=None: Combination())
+    monkeypatch.setattr(ext, "cauchy_sym", lambda k: Combination())
     with pytest.raises(ArithmeticError, match="negative multiplicity"):
         ext.image_layer(2, 0)
 

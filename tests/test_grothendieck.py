@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from tensorcat import config, ext, grothendieck, ospcat
 from tensorcat.combination import Combination
 from tensorcat.diagrams import Partition, standard_tableau_count
 from tensorcat.errors import DegreeCapExceeded
@@ -185,11 +186,37 @@ def test_layers_of_i():
     )
 
 
-def test_degree_cap_refusal():
+def test_degree_cap_refusal(monkeypatch):
     with pytest.raises(DegreeCapExceeded):
         decompose_j(QuadIndex(4, 4, 4, 4))
-    with pytest.raises(DegreeCapExceeded):
-        tensor_simple(simple(lam=[6, 6]), V_DUAL)
+
+    # a word is refused on its total degree before the first tensor step
+    def no_step(*args):
+        raise AssertionError("tensor step taken before the cap check")
+
+    monkeypatch.setattr(grothendieck, "tensor_decomposition", no_step)
+    with pytest.raises(DegreeCapExceeded, match="degree 13 exceeds the configured cap 12"):
+        decompose_word([V_DUAL] * 13)
+
+
+def test_one_cap_check_per_request(monkeypatch):
+    checks = []
+
+    def counting(*args, **kwargs):
+        checks.append(args)
+        return config.check_cap(*args, **kwargs)
+
+    for module in (grothendieck, ext, ospcat):
+        monkeypatch.setattr(module, "check_cap", counting)
+    ext._hook_row_pairs.cache_clear()
+    for request in (
+        lambda: decompose_j(QuadIndex(3, 2, 2, 3), 12),
+        lambda: ext.kernel_layer(3, 3, 12),
+        lambda: ospcat.osp_layers_of_i("o", 5, 12),
+    ):
+        checks.clear()
+        request()
+        assert len(checks) == 1, checks
 
 
 def test_decomposition_container():

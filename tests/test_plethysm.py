@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
+from tensorcat.cli import main
 from tensorcat.diagrams import EMPTY, Partition, gl_dimension, partitions
-from tensorcat.errors import DegreeCapExceeded
 from tensorcat.oracle import brute_force_cauchy, brute_force_plethysm
 from tensorcat.plethysm import (
     EXTERIOR,
@@ -127,8 +127,12 @@ def test_cauchy_pairs_match_brute_force():
                 assert ext_engine == brute_force_cauchy("ext", k, a, b)
 
 
-def test_power_index_cap():
-    with pytest.raises(DegreeCapExceeded):
-        cauchy_sym(13)
+def test_power_index_cap(capsys):
+    # the cap is the request's: the CLI checks the power index, the building block takes none
+    assert main(["plethysm", "cauchy-sym", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "power index 13 exceeds the configured cap 12" in captured.err
     with pytest.raises(ValueError):
         power_of_sym2(2, "bogus")
+    with pytest.raises(ValueError):
+        cauchy_sym(-1)
