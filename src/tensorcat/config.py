@@ -4,7 +4,8 @@ Settings are resolved as: explicit flag > environment variable > config file
 > built-in default.  The config file is plain ``key = value`` lines with ``#``
 comments; recognized keys are ``degree_cap`` and ``group_guard``, and other
 keys are ignored.  Values, from the environment or the file, are ASCII
-integers: an optional ``-`` then digits (``diagrams.ascii_int``).
+integers: an optional ``-`` then digits (``diagrams.ascii_int``); only ASCII
+whitespace is skipped, and a file over CONFIG_FILE_LIMIT bytes is refused.
 
 Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD,
 TENSORCAT_CONFIG (path of a config file).
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from string import whitespace
 
 from .diagrams import ascii_int
 from .errors import DegreeCapExceeded, GuardExceeded
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_GROUP_GUARD = 8
+CONFIG_FILE_LIMIT = 64 * 1024  # bytes
 
 ENV_PREFIX = "TENSORCAT_"
 ENV_DEGREE_CAP = ENV_PREFIX + "DEGREE_CAP"
@@ -49,16 +52,19 @@ def check_guard(value: int, guard: int | None, what: str = "total boxes") -> Non
 
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a ``key = value`` file, ignoring blanks and # comments."""
+    with open(path, "rb") as handle:
+        data = handle.read(CONFIG_FILE_LIMIT + 1)
+    if len(data) > CONFIG_FILE_LIMIT:
+        raise ValueError(f"config file {path} exceeds {CONFIG_FILE_LIMIT} bytes")
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line {raw.rstrip()!r} in {path}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for raw in data.decode("utf-8").replace("\r", "\n").split("\n"):
+        line = raw.split("#", 1)[0].strip(whitespace)
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed config line {raw.rstrip()!r} in {path}")
+        key, value = line.split("=", 1)
+        values[key.strip(whitespace)] = value.strip(whitespace)
     return values
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from string import whitespace
 
 from .errors import ParseError
 
@@ -193,15 +194,15 @@ def parse_naturals(text: str, body: str, start: int, what: str) -> list[int]:
     """Read body, a comma-separated list of ASCII decimal naturals in text.
 
     start is where body begins in text; a bad token raises ParseError at the
-    token's own position.
+    token's own position.  Only ASCII whitespace around a token is skipped.
     """
     values = []
     pos = start
     for token in body.split(","):
         pos = text.find(token, pos)
-        cleaned = token.strip()
+        cleaned = token.strip(whitespace)
         if not (cleaned.isascii() and cleaned.isdigit()):
-            raise ParseError(text, pos + len(token) - len(token.lstrip()), f"bad {what} {cleaned!r}")
+            raise ParseError(text, pos + len(token) - len(token.lstrip(whitespace)), f"bad {what} {cleaned!r}")
         values.append(int(cleaned))
         pos += len(token)
     return values
@@ -220,13 +221,13 @@ def ascii_int(text: str, what: str = "integer") -> int:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse the text syntax ``[4,2,1]``; the empty diagram is ``[]``."""
-    stripped = text.strip()
+    """Parse the text syntax ``[4,2,1]``, ASCII spaces allowed; the empty diagram is ``[]``."""
+    stripped = text.strip(whitespace)
     if not stripped.startswith("["):
         raise ParseError(text, 0, "expected '['")
     if not stripped.endswith("]"):
         raise ParseError(text, len(text) - 1, "expected ']'")
-    inner = stripped[1:-1].strip()
+    inner = stripped[1:-1].strip(whitespace)
     if not inner:
         return EMPTY
     parts = parse_naturals(text, inner, text.index("[") + 1, "part")

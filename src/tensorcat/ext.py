@@ -1,10 +1,12 @@
 """Homological calculator for the canonical injective resolution of the unit.
 
 The resolution has terms Lambda^j F (x) I whose socles are the exterior
-Cauchy pairs in the two thick slots.  Kernel filtration layers are single
-hook-plus-row Schur functors of F; Ext dimensions are closed-form exactly for
-the unit target and for purely thick targets, and the sharpness of the defect
-grading supplies a vanishing test for every other pair.
+Cauchy pairs in the two thick slots.  In total degree d its layers form the
+Koszul complex Lambda^i F (x) S^{d-i} F, which is exact for d >= 1; kernel
+and image layers are its right and left tails, and its full signed sum is the
+Euler shadow.  Ext dimensions are closed-form exactly for the unit target and
+for purely thick targets, and the sharpness of the defect grading supplies a
+vanishing test for every other pair.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cache
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
 from .diagrams import Partition, partitions
-from .grothendieck import UNIT, SimpleIndex, thick_indices
+from .grothendieck import SimpleIndex, thick_indices
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import QuadIndex, defect
 from .symfunc import lr_coefficient, slot_product
@@ -24,18 +26,17 @@ UNKNOWN = "unknown"
 
 
 @cache
-def _hook_row_pairs(j: int, k: int) -> Combination:
-    """Pair expansion of the Schur functor S_{(k+1, 1^{j-1})} applied to F.
+def _koszul_pairs(i: int, j: int) -> Combination:
+    """Pair expansion of Lambda^i F (x) S^j F, the Koszul term at (i, j)."""
+    return slot_product(cauchy_ext(i), cauchy_sym(j))
 
-    Uses Lambda^j F (x) S^k F = S_{(k+1,1^{j-1})}F + S_{(k,1^j)}F, peeling the
-    second summand recursively; the base case k = 0 is Lambda^j F itself.
-    """
-    if j < 1:
-        raise ValueError("hook expansion needs j >= 1")
-    if k == 0:
-        return cauchy_ext(j)
-    product = slot_product(cauchy_ext(j), cauchy_sym(k))
-    return (product - _hook_row_pairs(j + 1, k - 1)).require_nonnegative()
+
+def _koszul_sum(d: int, degrees: range, top: int) -> Combination:
+    """Sum of (-1)^(i-top) Lambda^i F (x) S^{d-i} F over i in degrees, on thick indices."""
+    out = CombinationBuilder()
+    for i in degrees:
+        out.add_all(_koszul_pairs(i, d - i), -1 if (i - top) % 2 else 1)
+    return thick_indices(out.build())
 
 
 @dataclass(frozen=True)
@@ -55,35 +56,28 @@ def resolution_term(j: int, cap: int | None = None) -> ResolutionTerm:
 
 
 def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
-    """Layer k of the kernel at resolution degree j.
+    """Layer k of the kernel at resolution degree j: the right tail of the complex.
 
-    The kernel at degree 0 is the unit alone; for j >= 1 the layer is the
-    j-row summand S_{(k+1, 1^{j-1})}F of Lambda^j F (x) S^k F, expanded into
-    thick simple indices.
+    Exactness makes it the signed sum of Lambda^i F (x) S^{j+k-i} F over
+    i = j..j+k, the hook Schur functor S_{(k+1, 1^{j-1})}F for j >= 1, and at
+    j = 0 the unit for k = 0 and nothing above.
     """
     if j < 0 or k < 0:
         raise ValueError("kernel layer indices must be non-negative")
     check_cap(2 * (j + k), cap)
-    if j == 0:
-        return Combination({UNIT: 1} if k == 0 else {})
-    return thick_indices(_hook_row_pairs(j, k))
+    return _koszul_sum(j + k, range(j, j + k + 1), top=j).require_nonnegative()
 
 
 def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
-    """Layer k of the image of the resolution map landing in degree j.
+    """Layer k of the image of the resolution map landing in degree j: the left tail.
 
-    Exactness makes this the kernel layer at degree j.  Only j = 1, S^{k+1}F,
-    is an independent identity: for j >= 2, Lambda^{j-1}F (x) S^{k+1}F minus
-    _hook_row_pairs(j-1, k+1) is _hook_row_pairs(j, k) by that recursion.
+    The signed sum of Lambda^i F (x) S^{j+k-i} F over i = 0..j-1; at j = 1 it
+    is S^{k+1}F.  It equals kernel_layer(j, k) because the complex is exact.
     """
-    if j < 1:
-        raise ValueError("image layers exist for degree >= 1")
+    if j < 1 or k < 0:
+        raise ValueError("image layers exist for degree >= 1 and layer >= 0")
     check_cap(2 * (j + k), cap)
-    if j == 1:
-        # the map out of degree 0 has trivial kernel in positive layers
-        return thick_indices(cauchy_sym(k + 1))
-    product = slot_product(cauchy_ext(j - 1), cauchy_sym(k + 1))
-    return thick_indices((product - _hook_row_pairs(j - 1, k + 1)).require_nonnegative())
+    return _koszul_sum(j + k, range(j), top=j - 1).require_nonnegative()
 
 
 def ext_to_trivial(x: SimpleIndex, j: int) -> int:
@@ -146,7 +140,4 @@ def euler_shadow(d: int) -> Combination:
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    out = CombinationBuilder()
-    for i in range(d + 1):
-        out.add_all(slot_product(cauchy_ext(i), cauchy_sym(d - i)), -1 if i % 2 else 1)
-    return thick_indices(out.build())
+    return _koszul_sum(d, range(d + 1), top=0)

@@ -198,6 +198,11 @@ def test_non_ascii_digits_exit_one_with_position(capsys):
         (["osp", "--kind", "o", "leq", "1,١", "0,1"], 2),
         (["osp", "--kind", "sp", "defect", "1,0", "x,1"], 0),
         (["ext-trivial", "[1],[x],[],[]", "--degree", "1"], 5),
+        # only ASCII whitespace is skipped around a token
+        (["decompose", "0,1,1,0\u00a0"], 6),
+        (["lr", "[2,1]\u3000", "[1]", "[2]"], 5),
+        (["socle", "\u20280,1,1,0"], 0),
+        (["osp", "--kind", "o", "defect", "1,\u00a00", "0,1"], 2),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
@@ -289,6 +294,30 @@ def test_config_precedence(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "decompose", "2,2,2,2")
     assert code == 2
     monkeypatch.delenv("TENSORCAT_CONFIG")
+
+
+def test_config_file_values_are_strict_ascii(tmp_path, capsys):
+    config = tmp_path / "tensorcat.conf"
+    config.write_text("degree_cap = 12\u00a0\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), "layers", "1")
+    assert code == 1 and out == "" and "bad degree_cap '12\\xa0'" in err
+    config.write_text(" degree_cap\t= 4 \r\n", encoding="utf-8")
+    code, _, err = run(capsys, "--config", str(config), "decompose", "2,2,2,2")
+    assert code == 2 and "degree 8 exceeds the configured cap 4" in err
+
+
+def test_config_file_size_is_bounded(tmp_path, capsys):
+    from tensorcat.config import CONFIG_FILE_LIMIT
+
+    config = tmp_path / "tensorcat.conf"
+    line = "degree_cap = 4\n"
+    config.write_bytes((line + "#" * (CONFIG_FILE_LIMIT - len(line) - 1) + "\n").encode())
+    assert config.stat().st_size == CONFIG_FILE_LIMIT
+    code, _, err = run(capsys, "--config", str(config), "decompose", "2,2,2,2")
+    assert code == 2 and "degree 8 exceeds the configured cap 4" in err
+    config.write_bytes(config.read_bytes() + b"\n")
+    code, out, err = run(capsys, "--config", str(config), "layers", "1")
+    assert code == 1 and out == "" and f"exceeds {CONFIG_FILE_LIMIT} bytes" in err
 
 
 def test_removed_cache_interface_is_rejected_or_ignored(tmp_path, capsys, monkeypatch):

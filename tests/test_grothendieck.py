@@ -208,7 +208,7 @@ def test_one_cap_check_per_request(monkeypatch):
 
     for module in (grothendieck, ext, ospcat):
         monkeypatch.setattr(module, "check_cap", counting)
-    ext._hook_row_pairs.cache_clear()
+    ext._koszul_pairs.cache_clear()
     for request in (
         lambda: decompose_j(QuadIndex(3, 2, 2, 3), 12),
         lambda: ext.kernel_layer(3, 3, 12),

@@ -264,3 +264,32 @@ def test_only_symalg_imports_fractions():
         if _imports_fractions(path.read_text(encoding="utf-8"))
     }
     assert importers <= {"symalg"}, importers
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(name)
+    return unused
+
+
+def test_no_unused_module_level_imports():
+    assert _unused_imports("from .grothendieck import UNIT, simple\nsimple()") == ["UNIT"]
+    assert _unused_imports("import os.path\nos.sep") == []
+    assert _unused_imports("from .a import b  # noqa: F401") == []
+    unused = {
+        path.stem: names
+        for path in Path(symalg.__file__).parent.glob("*.py")
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not unused, unused
