@@ -118,12 +118,15 @@ def ext_to_thick(
     return total
 
 
-def thick_target_socle(q: int, alpha: Partition, beta: Partition) -> Combination:
+def thick_target_socle(
+    q: int, alpha: Partition, beta: Partition, cap: int | None = None
+) -> Combination:
     """Socle of resolution degree q after tensoring with the thick (alpha, beta).
 
     Independent route to the same dimensions as ext_to_thick, via the exterior
     Cauchy pairs multiplied into the target's two slots.
     """
+    check_cap(2 * q + alpha.degree + beta.degree, cap)
     return thick_indices(slot_product(cauchy_ext(q), Combination({(alpha, beta): 1})))
 
 
@@ -133,11 +136,15 @@ def ext_vanishes(s: SimpleIndex, t: SimpleIndex, q: int) -> bool:
     return d is None or d != q
 
 
-def euler_shadow(d: int) -> Combination:
+def euler_shadow(d: int, cap: int | None = None) -> Combination:
     """Signed sum over i+j = d of (-1)^i [Lambda^i F (x) S^j F] on thick indices.
 
-    The resolution being exact, the result is empty for every d >= 1.
+    The resolution being exact, the result is empty for every d >= 1.  Unlike
+    the other entry points, cap=None checks nothing: perfbench's engine
+    workload calls euler_shadow(d) up to d = 8, degree 16, without a cap.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
+    if cap is not None:
+        check_cap(2 * d, cap)
     return _koszul_sum(d, range(d + 1), top=0)

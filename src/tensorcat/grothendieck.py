@@ -14,18 +14,39 @@ followed by Littlewood-Richardson products on the lam and pi slots.  All
 decompositions are at the level of the Grothendieck group: a Combination of
 simple indices with positive integer multiplicities.
 
+The tensor words J(l,m,n,p) = W_*^l (x) V*^m (x) V_*^*^n (x) W^p have a closed
+form.  [V*] = [V_*] + [W_*] and [V_*^*] = [V] + [W] split the word; a thick
+block of degree x gives f^lam copies of each lam of x boxes (Schur-Weyl), and
+in the thin block V_*^r (x) V^s the factor (mu, nu) occurs
+C(r,k) C(s,k) k! f^mu f^nu times with k = r - |mu| = s - |nu|, the dimension
+of a walled Brauer simple (Benkart-Chakrabarti-Halverson-Leduc-Lee-Stroomer,
+J. Algebra 166, 1994; Koike, Adv. Math. 74, 1989).  So (lam, mu, nu, pi)
+occurs in J(l,m,n,p) exactly
+
+    C(m,a) C(n,b) C(m-a,k) C(n-b,k) k! f^lam f^mu f^nu f^pi
+
+times, with a = |lam| - l, b = |pi| - p and k = m - a - |mu| = n - b - |nu|;
+``decompose_j`` and ``socle_of`` (the slice a = b = k = 0) fill their result
+from it.  ``decompose_word`` walks a word box by box through
+``tensor_simple``: it is the only route for words with Q, F, S^kF or
+Lambda^kF, and on ``generator_word(q)`` the check of the closed form.
+
 A request checks the degree cap once, before any work (``decompose_word``,
-``layers_of_i``); ``tensor_simple`` and ``tensor_decomposition`` take none.
+``decompose_j``, ``socle_of``, ``layers_of_i``); ``tensor_simple`` and
+``tensor_decomposition`` take none.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cache
+from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
-from .diagrams import EMPTY, Partition, add_box, partitions, remove_box
+from .diagrams import EMPTY, Partition, add_box, partitions, remove_box, standard_tableau_count
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import QuadIndex
 from .symfunc import lr_coefficient, slot_product  # noqa: F401
@@ -176,14 +197,42 @@ def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> C
     return dec
 
 
+@cache
+def _tableau_counts(d: int) -> tuple[tuple[Partition, int], ...]:
+    """Each partition x of d with f^x, its number of standard tableaux."""
+    return tuple((x, standard_tableau_count(x)) for x in partitions(d))
+
+
+def _schur_weyl(degrees: tuple[int, int, int, int], weight: int):
+    """Each (lam, mu, nu, pi) of these slot degrees, weight * f^lam f^mu f^nu f^pi times."""
+    for factors in itertools.product(*map(_tableau_counts, degrees)):
+        (lam, fl), (mu, fm), (nu, fn), (pi, fp) = factors
+        yield SimpleIndex(lam, mu, nu, pi), weight * fl * fm * fn * fp
+
+
 def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
-    """Full composition-factor multiset of the tensor word indexed by q."""
-    return decompose_word(generator_word(q), cap)
+    """Full composition-factor multiset of the tensor word indexed by q, in closed form.
+
+    Distinct (a, b, k) give disjoint slot degrees, so no term is added twice.
+    """
+    check_cap(sum(q), cap)
+    l, m, n, p = q
+    return Combination(
+        term
+        for a in range(m + 1)
+        for b in range(n + 1)
+        for k in range(min(m - a, n - b) + 1)
+        for term in _schur_weyl(
+            (l + a, m - a - k, n - b - k, p + b),
+            comb(m, a) * comb(n, b) * comb(m - a, k) * comb(n - b, k) * factorial(k),
+        )
+    )
 
 
 def socle_of(q: QuadIndex, cap: int | None = None) -> Combination:
     """The semisimple socle: the factors whose quadruple degree is exactly q."""
-    return Combination({idx: mult for idx, mult in decompose_j(q, cap).items() if idx.quad == q})
+    check_cap(sum(q), cap)
+    return Combination(_schur_weyl(q, 1))
 
 
 def layers_of_i(kmax: int, cap: int | None = None) -> list[Combination]:

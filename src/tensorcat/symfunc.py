@@ -8,19 +8,15 @@ Results are memoized in memory for the life of the process.
 
 from __future__ import annotations
 
-import threading
-
 from .combination import Combination, CombinationBuilder, index_key
 from .config import check_cap
 from .diagrams import Partition, partitions
 
 _memo: dict[tuple[Partition, Partition, Partition], int] = {}
-_memo_lock = threading.Lock()
 
 
 def clear_memo() -> None:
-    with _memo_lock:
-        _memo.clear()
+    _memo.clear()
 
 
 def set_disk_cache(path=None) -> None:
@@ -88,9 +84,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     if cached is not None:
         return cached
     value = _count_lr_tableaux(lam, mu, nu)
-    with _memo_lock:
-        if key not in _memo:
-            _memo[key] = value
+    _memo[key] = value  # no lock: a racing insert stores the same value
     return value
 
 

@@ -100,6 +100,29 @@ def test_decompose_j_examples():
     )
 
 
+def test_closed_form_matches_the_walk():
+    quads = quads_with_sum_at_most(8)
+    assert len(quads) == 495
+    for q in quads:
+        walked = decompose_word(generator_word(q))
+        assert decompose_j(q) == walked, q
+        assert socle_of(q) == Combination(
+            {idx: mult for idx, mult in walked.items() if idx.quad == q}
+        ), q
+    assert len(decompose_j(QuadIndex(0, 5, 5, 0))) == 1826
+
+
+def test_decompose_j_does_not_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("closed form took a tensor step")
+
+    monkeypatch.setattr(grothendieck, "tensor_decomposition", no_walk)
+    monkeypatch.setattr(grothendieck, "tensor_simple", no_walk)
+    q = QuadIndex(2, 2, 2, 2)
+    assert decompose_j(q, 12)
+    assert socle_of(q, 12)
+
+
 def test_order_independence_of_generator_orderings():
     for q in quads_with_sum_at_most(4):
         reference = decompose_j(q)
@@ -213,6 +236,8 @@ def test_one_cap_check_per_request(monkeypatch):
         lambda: decompose_j(QuadIndex(3, 2, 2, 3), 12),
         lambda: ext.kernel_layer(3, 3, 12),
         lambda: ospcat.osp_layers_of_i("o", 5, 12),
+        lambda: ext.euler_shadow(5, 12),
+        lambda: ext.thick_target_socle(3, Partition([2]), Partition([1]), 12),
     ):
         checks.clear()
         request()
