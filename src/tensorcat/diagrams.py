@@ -179,6 +179,7 @@ def gl_dimension(p: Partition, n: int) -> int:
     return result
 
 
+@cache
 def standard_tableau_count(p: Partition) -> int:
     """Number of standard Young tableaux of shape p (hook-length formula)."""
     product = 1

@@ -136,15 +136,11 @@ def ext_vanishes(s: SimpleIndex, t: SimpleIndex, q: int) -> bool:
     return d is None or d != q
 
 
-def euler_shadow(d: int, cap: int | None = None) -> Combination:
+def euler_shadow(d: int) -> Combination:
     """Signed sum over i+j = d of (-1)^i [Lambda^i F (x) S^j F] on thick indices.
 
-    The resolution being exact, the result is empty for every d >= 1.  Unlike
-    the other entry points, cap=None checks nothing: perfbench's engine
-    workload calls euler_shadow(d) up to d = 8, degree 16, without a cap.
+    The resolution being exact, the result is empty for every d >= 1.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if cap is not None:
-        check_cap(2 * d, cap)
     return _koszul_sum(d, range(d + 1), top=0)

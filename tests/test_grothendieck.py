@@ -236,7 +236,6 @@ def test_one_cap_check_per_request(monkeypatch):
         lambda: decompose_j(QuadIndex(3, 2, 2, 3), 12),
         lambda: ext.kernel_layer(3, 3, 12),
         lambda: ospcat.osp_layers_of_i("o", 5, 12),
-        lambda: ext.euler_shadow(5, 12),
         lambda: ext.thick_target_socle(3, Partition([2]), Partition([1]), 12),
     ):
         checks.clear()
