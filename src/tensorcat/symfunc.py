@@ -1,9 +1,24 @@
 """Littlewood-Richardson coefficients and Schur-basis arithmetic.
 
-The coefficient c^lam_{mu,nu} is computed by enumerating skew tableaux of
-shape lam/mu and content nu that are weakly increasing along rows, strictly
-increasing down columns, and whose reverse reading word is a lattice word.
-Results are memoized in memory for the life of the process.
+The coefficient c^lam_{mu,nu} counts the LR tableaux of shape lam/mu and
+content nu: skew tableaux weakly increasing along rows, strictly increasing
+down columns, whose reverse reading word is a lattice word (Fulton, *Young
+Tableaux*, LMS Student Texts 35, 1997, ch. 5).  Two routes enumerate them.
+
+* The strip route, ``_lr_strips``, grows every tableau of content nu on the
+  outside of mu at once, one row of nu at a time, and so expands the whole
+  product s_mu * s_nu without naming a candidate lam.
+  ``schur_term_product`` and ``schur_product`` (the ``product`` command and
+  ``--verify``) use it.
+* The coefficient route, ``lr_coefficient``, fills the cells of one given
+  lam/mu and memoizes the count for the life of the process.  The ``lr``
+  command and ``ext.ext_to_thick`` use it, and ``_lr_terms`` scans it over
+  every partition of the degree to expand a product.
+
+``slot_product`` stays on the scan: perfbench/test_tracer.py asserts that F's
+product with the Cauchy pairs calls ``lr_coefficient``, and that this module
+binds ``partitions``.  ``_lr_terms`` is also the tests' reference for the
+strip route.
 """
 
 from __future__ import annotations
@@ -94,7 +109,8 @@ def schur(p) -> Combination:
 
 
 def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """The non-zero coefficients of s_mu * s_nu; no degree cap."""
+    """The non-zero coefficients of s_mu * s_nu, one lr_coefficient per
+    candidate lam of the degree (the scan route); no degree cap."""
     terms = {}
     for lam in partitions(mu.degree + nu.degree):
         if lam.contains(mu) and lam.contains(nu):
@@ -104,20 +120,68 @@ def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
     return terms
 
 
+def _lr_strips(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """The non-zero coefficients of s_mu * s_nu, from the LR tableaux
+    themselves (the strip route); no degree cap.
+
+    Row i of nu is laid onto the current shape as a horizontal strip of
+    label i, row by row from the top: row r grows to at most the old length
+    of row r - 1.  The lattice condition bounds it too: label i in rows
+    0..r may not outnumber label i - 1 in rows 0..r - 1.  Each finished
+    filling is one LR tableau of its shape lam.  The factor with fewer rows
+    plays nu, which keeps the search shallow.
+    """
+    if len(nu) > len(mu):
+        mu, nu = nu, mu
+    height = len(mu) + len(nu)
+    terms: dict[tuple[int, ...], int] = {}
+
+    def lay(i: int, old: list[int], prev: list[int] | None) -> None:
+        # prev[r]: count of label i - 1 in rows 0..r - 1 (None for the first label)
+        if i == len(nu):
+            lam = tuple(old)
+            terms[lam] = terms.get(lam, 0) + 1
+            return
+        new = old[:]
+        placed = [0] * (height + 1)  # placed[r]: count of label i in rows 0..r - 1
+
+        def row(r: int, left: int) -> None:
+            if left == 0:
+                placed[r + 1 :] = [placed[r]] * (height - r)
+                lay(i + 1, new, placed[:])
+                return
+            room = left if r == 0 else min(left, old[r - 1] - old[r])
+            if prev is not None:
+                room = min(room, prev[r] - placed[r])
+            # the rows below row r can take at most old[r] boxes of this strip
+            for extra in range(room, max(0, left - old[r]) - 1, -1):
+                new[r] = old[r] + extra
+                placed[r + 1] = placed[r] + extra
+                row(r + 1, left - extra)
+            new[r] = old[r]
+
+        row(0, nu[i])
+
+    lay(0, list(mu) + [0] * len(nu), None)
+    return {Partition(lam): c for lam, c in terms.items()}
+
+
 def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> Combination:
     """Expand s_mu * s_nu in the Schur basis."""
     mu, nu = Partition(mu), Partition(nu)
-    degree = mu.degree + nu.degree
-    check_cap(degree, cap)
-    return Combination(_lr_terms(mu, nu))
+    check_cap(mu.degree + nu.degree, cap)
+    return Combination(_lr_strips(mu, nu))
 
 
 def schur_product(a: Combination, b: Combination, cap: int | None = None) -> Combination:
-    """Bilinear extension of the Littlewood-Richardson product."""
+    """Bilinear extension of the Littlewood-Richardson product; one cap check
+    on the largest degree of a plus the largest of b, before any work."""
+    if a and b:
+        check_cap(max(mu.degree for mu in a) + max(nu.degree for nu in b), cap)
     out = CombinationBuilder()
     for mu, ca in a.items():
         for nu, cb in b.items():
-            out.add_all(schur_term_product(mu, nu, cap), ca * cb)
+            out.add_all(_lr_strips(mu, nu), ca * cb)
     return out.build()
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from tensorcat import config, ext, grothendieck, ospcat
+from tensorcat import config, ext, grothendieck, ospcat, symfunc
 from tensorcat.combination import Combination
 from tensorcat.diagrams import Partition, standard_tableau_count
 from tensorcat.errors import DegreeCapExceeded
@@ -229,14 +229,17 @@ def test_one_cap_check_per_request(monkeypatch):
         checks.append(args)
         return config.check_cap(*args, **kwargs)
 
-    for module in (grothendieck, ext, ospcat):
+    for module in (grothendieck, ext, ospcat, symfunc):
         monkeypatch.setattr(module, "check_cap", counting)
     ext._koszul_pairs.cache_clear()
+    three = Combination({Partition([2, 1]): 1, Partition([3]): 2, Partition([1, 1]): -1})
+    three_more = Combination({Partition([2]): 1, Partition([1, 1, 1]): 1, Partition([4]): 3})
     for request in (
         lambda: decompose_j(QuadIndex(3, 2, 2, 3), 12),
         lambda: ext.kernel_layer(3, 3, 12),
         lambda: ospcat.osp_layers_of_i("o", 5, 12),
         lambda: ext.thick_target_socle(3, Partition([2]), Partition([1]), 12),
+        lambda: symfunc.schur_product(three, three_more, 12),
     ):
         checks.clear()
         request()

@@ -92,6 +92,34 @@ def test_product_refuses_past_cap():
     with pytest.raises(DegreeCapExceeded) as err:
         schur_term_product(P([4, 3]), P([4, 2]), cap=12)
     assert "13" in str(err.value)
+    with pytest.raises(DegreeCapExceeded) as err:
+        schur_product(Combination({P([1]): 1, P([4, 3]): 1}), schur([4, 2]), cap=12)
+    assert "13" in str(err.value)
+    assert schur_product(Combination(), schur([20]), cap=12).is_zero()  # no term pair, no refusal
+
+
+def test_strip_route_matches_scan_route():
+    pairs = 0
+    for degree in range(11):
+        for d1 in range(degree + 1):
+            for mu in partitions(d1):
+                for nu in partitions(degree - d1):  # every ordered pair: both argument orders
+                    assert schur_term_product(mu, nu) == symfunc._lr_terms(mu, nu), (mu, nu)
+                    pairs += 1
+    assert pairs == 1215
+
+
+def test_products_do_not_scan(monkeypatch):
+    mu, nu = P([4, 2, 1]), P([3, 2])
+    expected = symfunc._lr_terms(mu, nu)
+
+    def refuse(*args):
+        raise AssertionError("the scan route ran")
+
+    monkeypatch.setattr(symfunc, "lr_coefficient", refuse)
+    monkeypatch.setattr(symfunc, "partitions", refuse)
+    assert schur_term_product(mu, nu) == expected
+    assert schur_product(schur(mu), schur(nu)) == expected
 
 
 def test_elementary_homogeneous():
