@@ -35,6 +35,7 @@ from .symalg import perm_sign
 from .grothendieck import SimpleIndex
 
 EXPAND_MAX_BOXES = 8
+ORBIT_MAX_SLOTS = 5
 
 Monomial = tuple[int, ...]
 
@@ -64,50 +65,36 @@ def _embed(poly: Combination, before: int, after: int) -> Combination:
     return Combination({(0,) * before + mono + (0,) * after: c for mono, c in poly.items()})
 
 
-def _ssyt_rows(shape: Partition, nvars: int):
-    """Yield semistandard fillings row by row as tuples of row value-tuples."""
-
-    def fill_row(length, min_values, bound):
-        # weakly increasing rows with entrywise lower bounds (strict over the
-        # row above) produced in lexicographic order
-        def rec(j, prev):
-            if j == length:
-                yield ()
-                return
-            for v in range(max(prev, min_values[j]), bound + 1):
-                for rest in rec(j + 1, v):
-                    yield (v,) + rest
-
-        yield from rec(0, 1)
-
-    def rec_rows(i, above):
-        if i == len(shape):
-            yield ()
-            return
-        length = shape[i]
-        min_values = [above[j] + 1 if j < len(above) else 1 for j in range(length)]
-        for row in fill_row(length, min_values, nvars):
-            for rest in rec_rows(i + 1, row):
-                yield (row,) + rest
-
-    yield from rec_rows(0, ())
-
-
 def expand_schur(lam: Partition, nvars: int) -> Combination:
-    """Schur polynomial s_lam(x_1..x_nvars) as a sum over semistandard tableaux."""
+    """Schur polynomial s_lam(x_1..x_nvars) as a sum over semistandard tableaux.
+
+    Cells are filled in row-major order; each value is at least its left
+    neighbour's and greater than its upper neighbour's.
+    """
     lam = Partition(lam)
     _within_limit(lam.degree, EXPAND_MAX_BOXES, "schur expansion boxes")
     if nvars < 1:
         raise ValueError("need at least one variable")
     if len(lam) > nvars:
         return Combination()
+    cells = [(i, j) for i, length in enumerate(lam) for j in range(length)]
+    rows = [[0] * length for length in lam]
+    weight = [0] * nvars
     out = CombinationBuilder()
-    for tableau in _ssyt_rows(lam, nvars):
-        weight = [0] * nvars
-        for row in tableau:
-            for v in row:
-                weight[v - 1] += 1
-        out.add(tuple(weight))
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            out.add(tuple(weight))
+            return
+        i, j = cells[k]
+        low = max(rows[i][j - 1] if j else 1, rows[i - 1][j] + 1 if i else 1)
+        for v in range(low, nvars + 1):
+            rows[i][j] = v
+            weight[v - 1] += 1
+            fill(k + 1)
+            weight[v - 1] -= 1
+
+    fill(0)
     return out.build()
 
 
@@ -250,29 +237,22 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination
     dual = Combination({tuple(-e for e in w): 1 for w in units})
     character = reduce(poly_product, [dual] * m + [natural] * n, Combination({(0,) * nvars: 1}))
 
-    rho = tuple(range(nvars - 1, -1, -1))
-    candidates = sorted(
-        {tuple(sorted(mono, reverse=True)) for mono in character},
-        key=lambda w: (sum(abs(e) for e in w), w),
-        reverse=True,
-    )
+    # The multiplicity of w is the coefficient of x^(w+rho) in character *
+    # a_rho, the alternant of x^rho * character (the character is symmetric).
+    # x^(mono+rho) alternates to 0 when mono+rho repeats an entry, else to
+    # the sign of its sorting permutation times a_(sorted mono+rho).
+    rho = range(nvars - 1, -1, -1)
     result = CombinationBuilder()
-    for w in candidates:
-        target = tuple(a + b for a, b in zip(w, rho))
-        mult = 0
-        for mono, c in character.items():
-            residue = tuple(t - u for t, u in zip(target, mono))
-            if sorted(residue) != list(range(nvars)):
-                continue
-            # residue is a permutation of rho; its parity gives the sign
-            perm = tuple(nvars - 1 - r for r in residue)
-            mult += c * perm_sign(perm)
-        if mult:
-            assert mult > 0, (w, mult)
-            nu = Partition(e for e in w if e > 0)
-            mu = Partition(-e for e in reversed(w) if e < 0)
-            result.add((mu, nu), mult)
-    return result.build()
+    for mono, c in character.items():
+        shifted = [e + r for e, r in zip(mono, rho)]
+        if len(set(shifted)) < nvars:
+            continue
+        order = sorted(range(nvars), key=shifted.__getitem__, reverse=True)
+        w = [shifted[i] - r for i, r in zip(order, rho)]
+        nu = Partition(e for e in w if e > 0)
+        mu = Partition(-e for e in reversed(w) if e < 0)
+        result.add((mu, nu), c * perm_sign(tuple(order)))
+    return result.build().require_nonnegative()
 
 
 def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:
@@ -372,16 +352,24 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
 
     Each move is "contract" (pair the last middle slots), "left" (project the
     first dual slot onto its quotient part) or "right" (the mirror).  The span
-    ranges over every right permutation of the source slots, every ordering of
-    distinct moves, and every placement of freshly created quotient slots
-    inside the enlarged outer blocks; this realizes the image of the
-    corresponding composition of degree-one morphism spaces.  A one-move word
-    spans the degree-one Hom space itself.  The closed form this rank checks,
+    ranges over every right permutation of the source slots and every set of
+    positions for the freshly created quotient slots inside the enlarged outer
+    blocks; this realizes the image of the corresponding composition of
+    degree-one morphism spaces.  A one-move word spans the degree-one Hom
+    space itself.  The word is applied in the given order only: any other
+    ordering consumes the same source slots up to a relabelling g -> g∘h,
+    which the right permutations already contain.  Likewise, swapping two
+    new slots' positions is swapping the two source slots that fed them.  So
+    no operator is built twice, except that a double contraction's two pairs
+    can be swapped.  The closed form this rank checks,
     symalg.move_word_dimension, is deliberately not used here.
     """
-    k_c = moves.count("contract")
-    k_l = moves.count("left")
-    k_r = moves.count("right")
+    _within_limit(l + m + n + p, ORBIT_MAX_SLOTS, "orbit rank slots")
+    names = ("contract", "left", "right")
+    for move in moves:
+        if move not in names:
+            raise ValueError(f"unknown move {move!r}")
+    k_c, k_l, k_r = (moves.count(move) for move in names)
     if m < k_c + k_l or n < k_c + k_r:
         raise ValueError(f"moves {moves} do not apply at {(l, m, n, p)}")
     nat = max(m + n, 1)
@@ -390,14 +378,14 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
     dims = [quot_l] * l + [nat + quot_l] * m + [nat + quot_r] * n + [quot_r] * p
     blocks = [(0, l), (l, m), (l + m, n), (l + m + n, p)]
 
-    def apply_moves(point, order):
+    def apply_moves(point):
         wstar = list(point[:l])
         dual = list(point[l : l + m])
         natural = list(point[l + m : l + m + n])
         wside = list(point[l + m + n :])
         new_left: list[int] = []
         new_right: list[int] = []
-        for move in order:
+        for move in moves:
             if move == "contract":
                 d, t = dual.pop(), natural.pop()
                 if d >= nat or t >= nat or d != t:
@@ -414,7 +402,6 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
                 new_right.append(t - nat)
         return tuple(new_left), tuple(wstar), tuple(dual), tuple(natural), tuple(wside), tuple(new_right)
 
-    orderings = sorted(set(itertools.permutations(moves)))
     group = list(
         itertools.product(
             itertools.permutations(range(l)),
@@ -423,24 +410,18 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
             itertools.permutations(range(p)),
         )
     )
-    left_placements = list(itertools.permutations(range(l + k_l), k_l))
-    right_placements = list(itertools.permutations(range(p + k_r), k_r))
 
     def weave(new_items, old_items, positions):
-        total = len(new_items) + len(old_items)
-        out = [None] * total
+        # positions ascend, so each insert lands at its final place
+        out = list(old_items)
         for item, pos in zip(new_items, positions):
-            out[pos] = item
-        rest = iter(old_items)
-        for i in range(total):
-            if out[i] is None:
-                out[i] = next(rest)
+            out.insert(pos, item)
         return tuple(out)
 
-    def make_op(order, pl, pr, perms):
+    def make_op(pl, pr, perms):
         def op(point):
             moved = _apply_perm_blocks(point, blocks, perms)
-            state = apply_moves(moved, order)
+            state = apply_moves(moved)
             if state is None:
                 return None
             new_left, wstar, dual, natural, wside, new_right = state
@@ -451,10 +432,9 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
         return op
 
     operators = [
-        make_op(order, pl, pr, perms)
-        for order in orderings
-        for pl in left_placements
-        for pr in right_placements
+        make_op(pl, pr, perms)
+        for pl in itertools.combinations(range(l + k_l), k_l)
+        for pr in itertools.combinations(range(p + k_r), k_r)
         for perms in group
     ]
     return _operator_family_rank(operators, dims)

@@ -12,6 +12,7 @@ from tensorcat.errors import LimitExceeded
 from tensorcat.oracle import (
     brute_force_cauchy,
     brute_force_plethysm,
+    composite_orbit_rank,
     decompose_into_schur,
     decompose_pair_into_schur,
     expand_schur,
@@ -125,6 +126,18 @@ def test_plethysm_guard():
         brute_force_plethysm("sym", 5, "sym2", 7)
     with pytest.raises(LimitExceeded, match="plethysm variables 7 exceeds the fixed limit 6"):
         brute_force_plethysm("sym", 2, "sym2", 7)
+
+
+def test_orbit_rank_guard():
+    with pytest.raises(LimitExceeded, match="orbit rank slots 6 exceeds the fixed limit 5"):
+        composite_orbit_rank(0, 3, 3, 0, moves=("contract", "contract"))
+
+
+def test_orbit_rank_rejects_unknown_moves():
+    # a misspelt move must not fall through to "right"
+    for moves in [("bogus",), ("contract", "bogus"), ("left", "Right")]:
+        with pytest.raises(ValueError, match="unknown move"):
+            composite_orbit_rank(0, 1, 1, 0, moves=moves)
 
 
 def test_stable_mixed_tensor_examples():

@@ -170,6 +170,7 @@ def test_hom_dimension_inapplicable_flavors():
 def test_hom_dimension_matches_operator_orbit_ranks():
     for q in quads_with_sum_at_most(4):
         l, m, n, p = q
+        assert composite_orbit_rank(l, m, n, p, moves=()) == move_word_dimension(q, ()), q
         if m >= 1 and n >= 1:
             assert contract_orbit_rank(l, m, n, p) == move_word_dimension(q, ("contract",)), q
         if m >= 1:
@@ -223,8 +224,10 @@ def test_composition_domain_dimensions():
 
 
 def test_composition_accounting_small_indices():
-    # domain minus (empirical) codomain is a non-negative kernel everywhere;
-    # only the double contraction has a closed form to compare against
+    # the composites of two degree-one maps span exactly half of the
+    # composition domain; for the double contraction the other half is the
+    # quadratic kernel's closed form
+    cases = 0
     for q in quads_with_sum_at_most(4):
         for kind, moves in COMPOSITION_MOVES.items():
             try:
@@ -232,10 +235,11 @@ def test_composition_accounting_small_indices():
             except ValueError:
                 continue
             codomain = composite_orbit_rank(*q, moves=moves)
-            kernel = domain - codomain
-            assert kernel >= 0, (q, kind)
+            assert 2 * codomain == domain, (q, kind)
             if kind == "contract,contract":
-                assert kernel == quadratic_kernel_dim(q), q
+                assert domain - codomain == quadratic_kernel_dim(q), q
+            cases += 1
+    assert cases == 56
 
 
 def test_group_algebra_arithmetic():
