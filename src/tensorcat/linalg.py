@@ -1,11 +1,15 @@
-"""Exact rank of sparse rational row vectors by fraction-free elimination.
+"""Exact echelon basis and rank of sparse rational row vectors.
 
-Each row is cleared of denominators, then reduced against the rows already
-kept: while its leading column (first in ``columns`` order) holds a kept row,
-the two are cross-multiplied so that entry cancels, and the result is divided
-by the gcd of its entries.  All arithmetic stays in the integers; see Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian elimination",
-Math. Comp. 22 (1968).
+One fraction-free elimination serves both.  Each row is cleared of
+denominators, then reduced against the rows already kept: while its leading
+column (first in ``columns`` order) holds a kept row, the two are
+cross-multiplied so that entry cancels, and the result is divided by the gcd
+of its entries.  A row that survives is kept.  The kept rows have distinct
+leading columns, each is a non-zero multiple of an input row minus a
+combination of earlier kept rows, so they are an echelon basis of the span of
+the input, and the rank is their number.  All arithmetic stays in the
+integers; see Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22 (1968).
 """
 
 from __future__ import annotations
@@ -13,8 +17,12 @@ from __future__ import annotations
 import math
 
 
-def rank_of_rows(rows: list[dict], columns: list) -> int:
-    """Rank of sparse rational row vectors whose keys come from `columns`."""
+def row_basis(rows: list[dict], columns: list) -> list[dict]:
+    """Echelon basis of the span of sparse rational rows keyed by `columns`.
+
+    The basis rows are integer vectors, keyed by the same column objects, in
+    order of their leading column.
+    """
     col_index = {c: i for i, c in enumerate(columns)}
     kept: dict[int, dict[int, int]] = {}  # leading column -> kept row
     for row in rows:
@@ -31,4 +39,9 @@ def rank_of_rows(rows: list[dict], columns: list) -> int:
             vec = {c: value // g for c, value in vec.items() if value}
         if vec:
             kept[lead] = vec
-    return len(kept)
+    return [{columns[i]: value for i, value in kept[lead].items()} for lead in sorted(kept)]
+
+
+def rank_of_rows(rows: list[dict], columns: list) -> int:
+    """Rank of sparse rational row vectors whose keys come from `columns`."""
+    return len(row_basis(rows, columns))

@@ -4,12 +4,15 @@ Group elements are tuples of one-line permutations (one per factor), with
 composition (s*t)(i) = s(t(i)).  Group-algebra elements carry exact rational
 coefficients; they give the Young symmetrizers and their quasi-idempotency.
 
-The two rank checks have integer rows.  The quadratic-relation kernel ranks
-the right translates g - t*g of 1 - t, written down as {g: 1, t*g: -1} with
-int coefficients.  The Young-projector corner rank factorizes: since
-(c ⊗ c')(g, h)(c ⊗ c') = c g c ⊗ c' h c', the corner of C[S_l x S_p] is the
-tensor product of two one-factor corners, and its rank is the product of
-theirs (Fulton-Harris, Representation Theory, §4.1-4.2).
+The quadratic-relation kernel ranks the right translates g - t*g of 1 - t,
+written down as {g: 1, t*g: -1} with int coefficients.  The Young-projector
+corner rank factorizes: since (c ⊗ c')(g, h)(c ⊗ c') = c g c ⊗ c' h c', the
+corner of C[S_l x S_p] is the tensor product of two one-factor corners, and
+its rank is the product of theirs.  A one-factor corner is c*A*c = c*(A*c)
+with A = C[S_n]: the left translates g*c are c with its support relabelled,
+an echelon basis of their span (f^lam rows for a Young symmetrizer) is taken
+by exact elimination, and only those rows are multiplied by c (Fulton-Harris,
+Representation Theory, §4.1-4.2).
 
 One closed form, move_word_dimension, gives the space spanned by a word of
 degree-one moves out of an injective generator: the endomorphism, degree-one
@@ -25,7 +28,7 @@ from fractions import Fraction
 from .config import check_guard
 from .diagrams import Partition, standard_tableau_count
 from .errors import LimitExceeded
-from .linalg import rank_of_rows
+from .linalg import rank_of_rows, row_basis
 from .poset import QuadIndex
 
 Perm = tuple[int, ...]
@@ -68,7 +71,8 @@ class GroupAlgebraElement:
         self.coeffs: dict[tuple[Perm, ...], Fraction] = {}
         if coeffs:
             for g, c in dict(coeffs).items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     self.coeffs[g] = c
 
@@ -83,12 +87,16 @@ class GroupAlgebraElement:
         )
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        assert self.sizes == other.sizes
+        if self.sizes != other.sizes:
+            raise ValueError(f"cannot multiply group-algebra elements of sizes {self.sizes} and {other.sizes}")
         out: dict[tuple[Perm, ...], Fraction] = {}
         for g, cg in self.coeffs.items():
             for h, ch in other.coeffs.items():
                 gh = tuple(compose(a, b) for a, b in zip(g, h))
-                out[gh] = out.get(gh, Fraction(0)) + cg * ch
+                if gh in out:
+                    out[gh] += cg * ch
+                else:
+                    out[gh] = cg * ch
         return GroupAlgebraElement(self.sizes, out)
 
     def __eq__(self, other) -> bool:
@@ -122,7 +130,12 @@ def _stabilizer_perms(groups: list[list[int]], n: int):
 
 
 def young_symmetrizer(lam: Partition) -> GroupAlgebraElement:
-    """Row symmetrizer times column antisymmetrizer for the canonical filling."""
+    """Row symmetrizer times column antisymmetrizer for the canonical filling.
+
+    The product is written down directly as the sum of sign(s) * r*s over row
+    permutations r and column permutations s.  Its terms are distinct: the row
+    and column groups meet only in the identity, so r*s = r'*s' forces r = r'.
+    """
     lam = Partition(lam)
     n = lam.degree
     if n > YOUNG_SYMMETRIZER_MAX_BOXES:
@@ -133,13 +146,10 @@ def young_symmetrizer(lam: Partition) -> GroupAlgebraElement:
         [filling[i][j] for i in range(conj[j])]
         for j in range(len(conj))
     ]
-    row_sum = GroupAlgebraElement(
-        (n,), {(p,): Fraction(1) for p in _stabilizer_perms(filling, n)}
+    signed = [(s, Fraction(perm_sign(s))) for s in _stabilizer_perms(columns, n)]
+    return GroupAlgebraElement(
+        (n,), {(compose(r, s),): sign for r in _stabilizer_perms(filling, n) for s, sign in signed}
     )
-    col_sum = GroupAlgebraElement(
-        (n,), {(p,): Fraction(perm_sign(p)) for p in _stabilizer_perms(columns, n)}
-    )
-    return row_sum * col_sum
 
 
 def young_scalar(lam: Partition) -> int:
@@ -223,11 +233,17 @@ def quadratic_kernel_check(q: QuadIndex, guard: int | None = None) -> bool:
 
 
 def _corner_rank(c: GroupAlgebraElement) -> int:
-    """Rank of the span of c*g*c over the group elements g of c's one factor."""
+    """Rank of the span of c*g*c over the group elements g of c's one factor.
+
+    That span is c*A*c = c*(A*c).  The left ideal A*c is spanned by the
+    translates g*c, each c with its support relabelled h -> g*h, so c is
+    multiplied only by the rows of an echelon basis of that ideal.
+    """
     (n,) = c.sizes
     elements = [(g,) for g in itertools.permutations(range(n))]
-    rows = [(c * GroupAlgebraElement.of((n,), g) * c).coeffs for g in elements]
-    return rank_of_rows(rows, elements)
+    translates = [{(compose(g, h),): v for (h,), v in c.coeffs.items()} for (g,) in elements]
+    products = [(c * GroupAlgebraElement(c.sizes, row)).coeffs for row in row_basis(translates, elements)]
+    return rank_of_rows(products, elements)
 
 
 def corner_algebra_dimension(lam: Partition, pi: Partition, guard: int | None = None) -> int:

@@ -1,4 +1,4 @@
-"""Checks of linalg.rank_of_rows against routes that share no elimination code.
+"""Checks of linalg.rank_of_rows and row_basis against routes that share no elimination code.
 
 Hypothesis runs derandomized on integer matrices of at most 5 x 5 with entries
 in [-2, 2]; the reference rank is the size of the largest non-zero minor, with
@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcat.linalg import rank_of_rows
+from tensorcat.linalg import rank_of_rows, row_basis
 
 SMALL = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -71,6 +71,36 @@ def test_rank_ignores_column_order(matrix):
 @given(matrices().filter(bool))
 def test_rank_is_unchanged_by_transpose(matrix):
     assert rank(transpose(matrix)) == rank(matrix)
+
+
+def basis(matrix: list[list], columns: list) -> list[dict]:
+    return row_basis([dict(zip(columns, row)) for row in matrix], columns)
+
+
+@SMALL
+@given(matrices())
+def test_row_basis_has_rank_many_rows(matrix):
+    width = len(matrix[0]) if matrix else 0
+    assert len(basis(matrix, list(range(width)))) == minor_rank(matrix)
+
+
+@SMALL
+@given(matrices())
+def test_row_basis_spans_every_input_row(matrix):
+    width = len(matrix[0]) if matrix else 0
+    columns = list(range(width))
+    kept = basis(matrix, columns)
+    for row in matrix:
+        assert rank_of_rows(kept + [dict(zip(columns, row))], columns) == len(kept)
+
+
+@SMALL
+@given(matrices())
+def test_row_basis_keys_are_the_given_columns(matrix):
+    width = len(matrix[0]) if matrix else 0
+    columns = [("column", j) for j in range(width)]
+    for row in basis(matrix, columns):
+        assert row and all(any(key is column for column in columns) for key in row)
 
 
 nonzero_fractions = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -55,6 +56,19 @@ def test_young_symmetrizer_row_and_column_cases():
     assert (c_col * c_col) == c_col.scale(2)
 
 
+def test_young_symmetrizer_is_row_sum_times_column_sum():
+    for n in range(7):
+        for lam in partitions(n):
+            conj = lam.conjugate()
+            rows = [list(range(sum(lam[:i]), sum(lam[: i + 1]))) for i in range(len(lam))]
+            columns = [[rows[i][j] for i in range(conj[j])] for j in range(len(conj))]
+            row_sum = GroupAlgebraElement((n,), {(p,): 1 for p in symalg._stabilizer_perms(rows, n)})
+            col_sum = GroupAlgebraElement((n,), {(p,): perm_sign(p) for p in symalg._stabilizer_perms(columns, n)})
+            c = young_symmetrizer(lam)
+            assert c == row_sum * col_sum, lam
+            assert all(type(v) is Fraction for v in c.coeffs.values()), lam
+
+
 def test_young_symmetrizer_hook_case():
     c = young_symmetrizer(P([2, 1]))
     assert c * c == c.scale(3)  # 3!/f = 6/2
@@ -80,8 +94,8 @@ def test_corner_algebra_is_one_dimensional():
             for lam in partitions(dl):
                 for pi in partitions(dp):
                     assert corner_algebra_dimension(lam, pi) == 1, (lam, pi)
-    # one-sided corners at four boxes
-    for lam in partitions(4):
+    # one-sided corners at five boxes
+    for lam in partitions(5):
         assert corner_algebra_dimension(lam, P([])) == 1, lam
 
 
@@ -92,6 +106,38 @@ def test_distinct_projectors_give_independent_corners():
     c11 = young_symmetrizer(P([1, 1]))
     for g in itertools.permutations(range(2)):
         assert (c2 * GroupAlgebraElement.of((2,), (g,)) * c11).coeffs == {}, g
+
+
+def _sandwich_rank(c) -> int:
+    """Rank of {c g c} over all group elements g, each product built in full."""
+    elements = [(g,) for g in itertools.permutations(range(c.sizes[0]))]
+    return rank_of_rows([(c * GroupAlgebraElement.of(c.sizes, g) * c).coeffs for g in elements], elements)
+
+
+def test_corner_rank_matches_the_full_sandwich_rank():
+    rng = random.Random(0)
+    cases = [young_symmetrizer(lam) for n in range(5) for lam in partitions(n)]
+    cases.append(GroupAlgebraElement.of((3,), (identity_perm(3),)))
+    cases.append(GroupAlgebraElement((3,), {((0, 1, 2),): 1, ((1, 0, 2),): 1}))
+    for n in (3, 4):
+        for _ in range(4):
+            cases.append(GroupAlgebraElement((n,), {(g,): rng.randint(-2, 2) for g in itertools.permutations(range(n))}))
+    for c in cases:
+        assert _corner_rank(c) == _sandwich_rank(c), c.coeffs
+
+
+def test_corner_rank_multiplies_only_the_left_ideal_basis(monkeypatch):
+    c = young_symmetrizer(P([3, 2]))
+    products = []
+    mul = GroupAlgebraElement.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", counted)
+    assert _corner_rank(c) == 1
+    assert len(products) == standard_tableau_count(P([3, 2])) == 5
 
 
 def _two_factor_corner_rank(c, d) -> int:
@@ -247,6 +293,22 @@ def test_group_algebra_arithmetic():
     b = GroupAlgebraElement.of((2, 1), ((1, 0), (0,)))
     assert b * b == identity
     assert b * identity == b
+    # coefficients are stored as Fraction and cancelled terms are dropped
+    mixed = GroupAlgebraElement((2, 1), {((0, 1), (0,)): 1, ((1, 0), (0,)): Fraction(0)})
+    assert mixed.coeffs == {((0, 1), (0,)): Fraction(1)}
+    assert type(mixed.coeffs[((0, 1), (0,))]) is Fraction
+    odd = GroupAlgebraElement((2, 1), {((0, 1), (0,)): 1, ((1, 0), (0,)): -1})
+    even = GroupAlgebraElement((2, 1), {((0, 1), (0,)): 1, ((1, 0), (0,)): 1})
+    assert (odd * even).coeffs == {}
+
+
+def test_group_algebra_product_refuses_mismatched_sizes():
+    a = GroupAlgebraElement.of((2, 2), ((0, 1), (1, 0)))
+    b = GroupAlgebraElement.of((2,), ((1, 0),))
+    with pytest.raises(ValueError, match=r"\(2, 2\) and \(2,\)"):
+        a * b
+    with pytest.raises(ValueError, match=r"\(2,\) and \(2, 2\)"):
+        b * a
 
 
 def _imports_fractions(source: str) -> bool:
