@@ -13,7 +13,8 @@ code path with the Littlewood-Richardson engine it is used to check:
 * standard-tableau counting by enumeration;
 * ranks of one explicitly constructed operator family per word of moves
   (contract, left and right quotient projections), which realizes each
-  degree-one Hom space and each composite of two of them.
+  degree-one Hom space and each composite of two of them; its 0/1 columns
+  are read from the points the moves accept, one pass per permutation.
 
 A polynomial (Laurent polynomials included) is a Combination whose indices
 are exponent tuples, one entry per variable: ``{(2, 0): 1, (1, 1): 1}`` is
@@ -43,6 +44,12 @@ Monomial = tuple[int, ...]
 def _within_limit(size: int, limit: int, what: str) -> None:
     if size > limit:
         raise LimitExceeded(size, limit, what)
+
+
+def _require_nonnegative(**entries: int) -> None:
+    for name, value in entries.items():
+        if value < 0:
+            raise ValueError(f"entries must be non-negative: {name} is {value}")
 
 
 def poly_product(a: Combination, b: Combination) -> Combination:
@@ -226,6 +233,7 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination
     the highest weight w is extracted by Weyl alternation over the symmetric
     group. Multiplicities are stable once nvars >= 2(m+n), which is required.
     """
+    _require_nonnegative(m=m, n=n)
     _within_limit(m + n, 4, "mixed tensor factors")
     if nvars is None:
         nvars = max(1, 2 * (m + n))
@@ -298,6 +306,7 @@ def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> Combination:
     level, decomposes the thin core by stable character arithmetic, and the
     thick slots by brute standard-tableau counting.
     """
+    _require_nonnegative(l=l, m=m, n=n, p=p)
     out = CombinationBuilder()
     for a in range(m + 1):
         for b in range(n + 1):
@@ -320,33 +329,6 @@ def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> Combination:
 # one explicit operator family for every word of degree-one moves
 
 
-def _apply_perm_blocks(index: tuple[int, ...], blocks: list[tuple[int, int]], perms) -> tuple[int, ...]:
-    out = list(index)
-    for (start, size), perm in zip(blocks, perms):
-        chunk = index[start : start + size]
-        for pos in range(size):
-            out[start + perm[pos]] = chunk[pos]
-    return tuple(out)
-
-
-def _operator_family_rank(operators, domain_dims: list[int]) -> int:
-    """Rank of the span of basis-to-basis operators, evaluated on the whole basis.
-
-    Each (basis point, image) pair is a 0/1 column listing the operators that
-    send the point there.  Equal columns leave the rank unchanged, so only the
-    distinct ones are reduced (as rows of the transpose).
-    """
-    basis = list(itertools.product(*[range(d) for d in domain_dims]))
-    columns: dict[tuple, list[int]] = {}
-    for r, op in enumerate(operators):
-        for idx, point in enumerate(basis):
-            image = op(point)
-            if image is not None:
-                columns.setdefault((idx, image), []).append(r)
-    distinct = dict.fromkeys(tuple(ops) for ops in columns.values())
-    return rank_of_rows([dict.fromkeys(ops, 1) for ops in distinct], list(range(len(operators))))
-
-
 def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...]) -> int:
     """Rank of the span of all modeled composites of a word of moves.
 
@@ -363,7 +345,16 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
     no operator is built twice, except that a double contraction's two pairs
     can be swapped.  The closed form this rank checks,
     symalg.move_word_dimension, is deliberately not used here.
+
+    Every operator sends a basis point x to at most one basis point.  The
+    points y that the moves accept are enumerated once, each with its image
+    under every placement of the new slots; then, one pass per tuple of
+    block permutations, each y yields the x that the permutation carries to
+    it.  Each (x, image) pair is a 0/1 column listing the operators that send
+    x there; equal columns leave the rank unchanged, so only the distinct
+    ones are reduced (as rows of the transpose).
     """
+    _require_nonnegative(l=l, m=m, n=n, p=p)
     _within_limit(l + m + n + p, ORBIT_MAX_SLOTS, "orbit rank slots")
     names = ("contract", "left", "right")
     for move in moves:
@@ -402,15 +393,6 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
                 new_right.append(t - nat)
         return tuple(new_left), tuple(wstar), tuple(dual), tuple(natural), tuple(wside), tuple(new_right)
 
-    group = list(
-        itertools.product(
-            itertools.permutations(range(l)),
-            itertools.permutations(range(m)),
-            itertools.permutations(range(n)),
-            itertools.permutations(range(p)),
-        )
-    )
-
     def weave(new_items, old_items, positions):
         # positions ascend, so each insert lands at its final place
         out = list(old_items)
@@ -418,26 +400,34 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
             out.insert(pos, item)
         return tuple(out)
 
-    def make_op(pl, pr, perms):
-        def op(point):
-            moved = _apply_perm_blocks(point, blocks, perms)
-            state = apply_moves(moved)
-            if state is None:
-                return None
+    placements = list(
+        itertools.product(
+            itertools.combinations(range(l + k_l), k_l),
+            itertools.combinations(range(p + k_r), k_r),
+        )
+    )
+    accepted = []
+    for y in itertools.product(*map(range, dims)):
+        state = apply_moves(y)
+        if state is not None:
             new_left, wstar, dual, natural, wside, new_right = state
-            head = weave(new_left, wstar, pl)
-            tail = weave(new_right, wside, pr)
-            return head + dual + natural + tail
+            images = [
+                weave(new_left, wstar, pl) + dual + natural + weave(new_right, wside, pr) for pl, pr in placements
+            ]
+            accepted.append((y, images))
 
-        return op
-
-    operators = [
-        make_op(pl, pr, perms)
-        for pl in itertools.combinations(range(l + k_l), k_l)
-        for pr in itertools.combinations(range(p + k_r), k_r)
-        for perms in group
-    ]
-    return _operator_family_rank(operators, dims)
+    columns: dict[tuple, list[int]] = {}
+    ops = 0
+    for perms in itertools.product(*(itertools.permutations(range(size)) for _, size in blocks)):
+        # the operators first move slot start + i to start + perm[i], so x[start + i] = y[start + perm[i]]
+        gather = [start + j for (start, _), perm in zip(blocks, perms) for j in perm]
+        for y, images in accepted:
+            x = tuple(map(y.__getitem__, gather))
+            for op, image in enumerate(images, ops):
+                columns.setdefault((x, image), []).append(op)
+        ops += len(placements)
+    distinct = dict.fromkeys(tuple(col) for col in columns.values())
+    return rank_of_rows([dict.fromkeys(col, 1) for col in distinct], list(range(ops)))
 
 
 def contract_orbit_rank(l: int, m: int, n: int, p: int) -> int:

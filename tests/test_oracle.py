@@ -19,6 +19,7 @@ from tensorcat.oracle import (
     is_symmetric,
     poly_product,
     rational_dimension,
+    reconstruct_tensor_word,
     stable_mixed_tensor,
     standard_tableaux_brute,
 )
@@ -138,6 +139,19 @@ def test_orbit_rank_rejects_unknown_moves():
     for moves in [("bogus",), ("contract", "bogus"), ("left", "Right")]:
         with pytest.raises(ValueError, match="unknown move"):
             composite_orbit_rank(0, 1, 1, 0, moves=moves)
+
+
+def test_negative_slot_counts_are_refused():
+    # refused before any work, naming the negative entry
+    calls = [
+        (lambda: composite_orbit_rank(0, 0, 0, -2, moves=()), "p is -2"),
+        (lambda: composite_orbit_rank(-1, 2, 1, 0, moves=("contract",)), "l is -1"),
+        (lambda: stable_mixed_tensor(-1, 2), "m is -1"),
+        (lambda: reconstruct_tensor_word(-1, 1, 0, 0), "l is -1"),
+    ]
+    for call, entry in calls:
+        with pytest.raises(ValueError, match=f"entries must be non-negative: {entry}"):
+            call()
 
 
 def test_stable_mixed_tensor_examples():

@@ -272,20 +272,28 @@ def test_composition_domain_dimensions():
 def test_composition_accounting_small_indices():
     # the composites of two degree-one maps span exactly half of the
     # composition domain; for the double contraction the other half is the
-    # quadratic kernel's closed form
-    cases = 0
-    for q in quads_with_sum_at_most(4):
-        for kind, moves in COMPOSITION_MOVES.items():
-            try:
-                domain = composition_domain_dimension(kind, q)
-            except ValueError:
-                continue
-            codomain = composite_orbit_rank(*q, moves=moves)
-            assert 2 * codomain == domain, (q, kind)
-            if kind == "contract,contract":
-                assert domain - codomain == quadratic_kernel_dim(q), q
-            cases += 1
-    assert cases == 56
+    # quadratic kernel's closed form.  Every applicable case of sum <= 4 is
+    # checked, and a few at the oracle's 5-slot limit.
+    at_limit = [
+        (QuadIndex(0, 5, 0, 0), "left,left"),
+        (QuadIndex(0, 0, 5, 0), "right,right"),
+        (QuadIndex(3, 2, 0, 0), "left,left"),
+        (QuadIndex(0, 3, 2, 0), "contract,contract"),
+    ]
+    small = [(q, kind) for q in quads_with_sum_at_most(4) for kind in COMPOSITION_MOVES]
+    sums = []
+    for q, kind in small + at_limit:
+        try:
+            domain = composition_domain_dimension(kind, q)
+        except ValueError:
+            continue
+        codomain = composite_orbit_rank(*q, moves=COMPOSITION_MOVES[kind])
+        assert 2 * codomain == domain, (q, kind)
+        if kind == "contract,contract":
+            assert domain - codomain == quadratic_kernel_dim(q), q
+        sums.append(sum(q))
+    assert len(sums) - sums.count(5) == 56
+    assert sums.count(5) == len(at_limit)
 
 
 def test_group_algebra_arithmetic():
