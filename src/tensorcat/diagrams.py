@@ -20,6 +20,8 @@ class Partition(tuple):
     degree: int
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts  # immutable and already validated
         parts = tuple(parts)
         cleaned = []
         for part in parts:

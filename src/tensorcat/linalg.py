@@ -15,13 +15,15 @@ Gaussian elimination", Math. Comp. 22 (1968).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 
-def row_basis(rows: list[dict], columns: list) -> list[dict]:
+def row_basis(rows: Iterable[dict], columns: list) -> list[dict]:
     """Echelon basis of the span of sparse rational rows keyed by `columns`.
 
     The basis rows are integer vectors, keyed by the same column objects, in
-    order of their leading column.
+    order of their leading column.  Rows are drawn one at a time, and none is
+    drawn once the basis has ``len(columns)`` rows.
     """
     col_index = {c: i for i, c in enumerate(columns)}
     kept: dict[int, dict[int, int]] = {}  # leading column -> kept row
@@ -39,6 +41,8 @@ def row_basis(rows: list[dict], columns: list) -> list[dict]:
             vec = {c: value // g for c, value in vec.items() if value}
         if vec:
             kept[lead] = vec
+            if len(kept) == len(columns):
+                break  # full rank: no later row can be independent
     return [{columns[i]: value for i, value in kept[lead].items()} for lead in sorted(kept)]
 
 

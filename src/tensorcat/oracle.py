@@ -11,6 +11,8 @@ code path with the Littlewood-Richardson engine it is used to check:
 * stable decompositions of mixed tensor powers by rational character
   arithmetic with inverse variables and Weyl alternation;
 * standard-tableau counting by enumeration;
+* LR coefficients by cell filling: the tableaux of one skew shape, counted
+  one cell at a time;
 * ranks of one explicitly constructed operator family per word of moves
   (contract, left and right quotient projections), which realizes each
   degree-one Hom space and each composite of two of them; its 0/1 columns
@@ -281,7 +283,7 @@ def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# standard tableaux and tensor-word reconstruction
+# tableau counts and tensor-word reconstruction
 
 
 @cache
@@ -297,6 +299,55 @@ def standard_tableaux_brute(lam: Partition) -> int:
         for i in range(len(lam))
         if lam[i] > (lam[i + 1] if i + 1 < len(lam) else 0)
     )
+
+
+def lr_tableaux_brute(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Count the LR tableaux of shape lam/mu and content nu cell by cell.
+
+    Zero unless lam contains mu and the degrees add up.  Cells are visited
+    in reverse reading order (rows top to bottom, each row right to left),
+    so the lattice condition is kept incrementally.
+    """
+    if not lam.contains(mu) or lam.degree != mu.degree + nu.degree:
+        return 0
+    cells = []
+    for r in range(len(lam)):
+        start = mu[r] if r < len(mu) else 0
+        for c in range(lam[r] - 1, start - 1, -1):
+            cells.append((r, c))
+    values = len(nu)
+    filling: dict[tuple[int, int], int] = {}
+    counts = [0] * (values + 1)
+
+    def in_skew(r: int, c: int) -> bool:
+        if r < 0 or r >= len(lam) or c >= lam[r]:
+            return False
+        return c >= (mu[r] if r < len(mu) else 0)
+
+    def backtrack(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        total = 0
+        upper = values
+        if in_skew(r, c + 1):
+            upper = min(upper, filling[(r, c + 1)])
+        lower = 1
+        if in_skew(r - 1, c):
+            lower = max(lower, filling[(r - 1, c)] + 1)
+        for v in range(lower, upper + 1):
+            if counts[v] >= nu[v - 1]:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            counts[v] += 1
+            filling[(r, c)] = v
+            total += backtrack(idx + 1)
+            counts[v] -= 1
+        filling.pop((r, c), None)
+        return total
+
+    return backtrack(0)
 
 
 def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> Combination:

@@ -3,35 +3,29 @@
 The coefficient c^lam_{mu,nu} counts the LR tableaux of shape lam/mu and
 content nu: skew tableaux weakly increasing along rows, strictly increasing
 down columns, whose reverse reading word is a lattice word (Fulton, *Young
-Tableaux*, LMS Student Texts 35, 1997, ch. 5).  Two routes enumerate them.
+Tableaux*, LMS Student Texts 35, 1997, ch. 5).  One enumerator,
+``_lr_strips``, builds them: it grows every tableau of content nu on the
+outside of mu at once, one row of nu at a time, and so expands the whole
+product s_mu * s_nu without naming a candidate lam.  Its expansion is
+cached per ordered factor pair, and every LR caller reads that cache:
+``schur_term_product`` and ``schur_product`` return or add it, and
+``lr_coefficient`` looks one lam up in it.
 
-* The strip route, ``_lr_strips``, grows every tableau of content nu on the
-  outside of mu at once, one row of nu at a time, and so expands the whole
-  product s_mu * s_nu without naming a candidate lam.
-  ``schur_term_product`` and ``schur_product`` (the ``product`` command and
-  ``--verify``) use it.
-* The coefficient route, ``lr_coefficient``, fills the cells of one given
-  lam/mu and memoizes the count for the life of the process.  The ``lr``
-  command and ``ext.ext_to_thick`` use it, and ``_lr_terms`` scans it over
-  every partition of the degree to expand a product.
-
-``slot_product`` stays on the scan: perfbench/test_tracer.py asserts that F's
-product with the Cauchy pairs calls ``lr_coefficient``, and that this module
-binds ``partitions``.  ``_lr_terms`` is also the tests' reference for the
-strip route.
+``slot_product`` still expands through ``_lr_terms``, which scans every
+partition of the degree and asks ``lr_coefficient`` for each.  The scan is
+kept only because perfbench/test_tracer.py asserts that F's product with
+the Cauchy pairs calls ``lr_coefficient``, and that this module binds
+``partitions``.  The tests check the enumerator against the oracle's
+cell-filling count, ``oracle.lr_tableaux_brute``.
 """
 
 from __future__ import annotations
 
-from .combination import Combination, CombinationBuilder, index_key
+from functools import cache
+
+from .combination import Combination, CombinationBuilder
 from .config import check_cap
 from .diagrams import Partition, partitions
-
-_memo: dict[tuple[Partition, Partition, Partition], int] = {}
-
-
-def clear_memo() -> None:
-    _memo.clear()
 
 
 def set_disk_cache(path=None) -> None:
@@ -39,68 +33,14 @@ def set_disk_cache(path=None) -> None:
     requires every name the tracer wraps to exist, and it still wraps this one."""
 
 
-def _count_lr_tableaux(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Enumerate Littlewood-Richardson fillings of lam/mu with content nu.
-
-    Cells are visited in reverse reading order (rows top to bottom, each row
-    right to left) so the lattice condition can be maintained incrementally.
-    """
-    cells = []
-    for r in range(len(lam)):
-        start = mu[r] if r < len(mu) else 0
-        for c in range(lam[r] - 1, start - 1, -1):
-            cells.append((r, c))
-    values = len(nu)
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * (values + 1)
-
-    def in_skew(r: int, c: int) -> bool:
-        if r < 0 or r >= len(lam) or c >= lam[r]:
-            return False
-        return c >= (mu[r] if r < len(mu) else 0)
-
-    def backtrack(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        upper = values
-        if in_skew(r, c + 1):
-            upper = min(upper, filling[(r, c + 1)])
-        lower = 1
-        if in_skew(r - 1, c):
-            lower = max(lower, filling[(r - 1, c)] + 1)
-        for v in range(lower, upper + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            counts[v] += 1
-            filling[(r, c)] = v
-            total += backtrack(idx + 1)
-            counts[v] -= 1
-        filling.pop((r, c), None)
-        return total
-
-    return backtrack(0)
-
-
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of s_lam in s_mu * s_nu; zero unless degrees add up."""
+    """Multiplicity of s_lam in s_mu * s_nu, looked up in the cached
+    expansion of the pair (mu, nu).  Zero, with no expansion, unless the
+    degrees add up and lam contains both mu and nu."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if lam.degree != mu.degree + nu.degree:
+    if lam.degree != mu.degree + nu.degree or not (lam.contains(mu) and lam.contains(nu)):
         return 0
-    if index_key(mu) > index_key(nu):
-        mu, nu = nu, mu  # symmetric in mu, nu; keep one canonical key
-    if not lam.contains(mu):
-        return 0
-    key = (lam, mu, nu)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    value = _count_lr_tableaux(lam, mu, nu)
-    _memo[key] = value  # no lock: a racing insert stores the same value
-    return value
+    return _lr_strips(mu, nu).coefficient(lam)
 
 
 def schur(p) -> Combination:
@@ -109,8 +49,9 @@ def schur(p) -> Combination:
 
 
 def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """The non-zero coefficients of s_mu * s_nu, one lr_coefficient per
-    candidate lam of the degree (the scan route); no degree cap."""
+    """The non-zero coefficients of s_mu * s_nu, one ``lr_coefficient``
+    lookup per candidate lam of the degree; no degree cap.  Kept only for
+    the tracer's pins on ``slot_product`` (see the module docstring)."""
     terms = {}
     for lam in partitions(mu.degree + nu.degree):
         if lam.contains(mu) and lam.contains(nu):
@@ -120,9 +61,10 @@ def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
     return terms
 
 
-def _lr_strips(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """The non-zero coefficients of s_mu * s_nu, from the LR tableaux
-    themselves (the strip route); no degree cap.
+@cache
+def _lr_strips(mu: Partition, nu: Partition) -> Combination:
+    """The expansion of s_mu * s_nu, from the LR tableaux themselves; no
+    degree cap.  Cached per ordered pair for the life of the process.
 
     Row i of nu is laid onto the current shape as a horizontal strip of
     label i, row by row from the top: row r grows to at most the old length
@@ -133,44 +75,50 @@ def _lr_strips(mu: Partition, nu: Partition) -> dict[Partition, int]:
     """
     if len(nu) > len(mu):
         mu, nu = nu, mu
+    if not nu:
+        return Combination({mu: 1})
     height = len(mu) + len(nu)
-    terms: dict[tuple[int, ...], int] = {}
+    last = len(nu) - 1
+    counts: dict[tuple[int, ...], int] = {}
 
-    def lay(i: int, old: list[int], prev: list[int] | None) -> None:
-        # prev[r]: count of label i - 1 in rows 0..r - 1 (None for the first label)
-        if i == len(nu):
-            lam = tuple(old)
-            terms[lam] = terms.get(lam, 0) + 1
-            return
-        new = old[:]
+    def lay(i: int, old: tuple[int, ...], prev: list[int]) -> None:
+        # prev[r]: count of label i - 1 in rows 0..r - 1
+        new = list(old)
         placed = [0] * (height + 1)  # placed[r]: count of label i in rows 0..r - 1
 
         def row(r: int, left: int) -> None:
             if left == 0:
-                placed[r + 1 :] = [placed[r]] * (height - r)
-                lay(i + 1, new, placed[:])
+                if i == last:
+                    shape = tuple(new)
+                    counts[shape] = counts.get(shape, 0) + 1
+                else:
+                    lay(i + 1, tuple(new), placed[: r + 1] + [placed[r]] * (height - r))
                 return
-            room = left if r == 0 else min(left, old[r - 1] - old[r])
-            if prev is not None:
-                room = min(room, prev[r] - placed[r])
+            here = old[r]
+            room = left
+            if r and old[r - 1] - here < room:
+                room = old[r - 1] - here
+            if prev[r] - placed[r] < room:
+                room = prev[r] - placed[r]
             # the rows below row r can take at most old[r] boxes of this strip
-            for extra in range(room, max(0, left - old[r]) - 1, -1):
-                new[r] = old[r] + extra
+            low = left - here if left > here else 0
+            for extra in range(room, low - 1, -1):
+                new[r] = here + extra
                 placed[r + 1] = placed[r] + extra
                 row(r + 1, left - extra)
-            new[r] = old[r]
+            new[r] = here
 
         row(0, nu[i])
 
-    lay(0, list(mu) + [0] * len(nu), None)
-    return {Partition(lam): c for lam, c in terms.items()}
+    lay(0, tuple(mu) + (0,) * len(nu), [nu[0]] * (height + 1))  # no lattice bound on label 0
+    return Combination({Partition(shape): c for shape, c in counts.items()})
 
 
 def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> Combination:
     """Expand s_mu * s_nu in the Schur basis."""
     mu, nu = Partition(mu), Partition(nu)
     check_cap(mu.degree + nu.degree, cap)
-    return Combination(_lr_strips(mu, nu))
+    return _lr_strips(mu, nu)
 
 
 def schur_product(a: Combination, b: Combination, cap: int | None = None) -> Combination:

@@ -28,6 +28,20 @@ def test_normalization_and_invariants():
         Partition([2, -1])
 
 
+def test_partition_of_a_partition_is_itself():
+    p = Partition([3, 1])
+    assert Partition(p) is p
+    for parts in ([3, 1], (3, 1), iter([3, 1, 0])):
+        q = Partition(parts)
+        assert q == p and q is not p and q.degree == 4
+    for parts in ([2, -1], (2, -1)):
+        with pytest.raises(ValueError, match=r"^negative part -1 in partition \(2, -1\)$"):
+            Partition(parts)
+    for parts in ([1, 2], (1, 2)):
+        with pytest.raises(ValueError, match=r"^parts not weakly decreasing: \(1, 2\)$"):
+            Partition(parts)
+
+
 def test_conjugate_examples():
     assert EMPTY.conjugate() == EMPTY
     assert Partition([1]).conjugate() == (1,)

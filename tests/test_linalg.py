@@ -124,3 +124,15 @@ def test_fixed_cases():
     assert rank_of_rows(rows, columns) == 2
     # Fraction entries with different denominators in one row
     assert rank_of_rows([{"a": Fraction(1, 2), "b": Fraction(1, 3)}, {"a": 3, "b": 2}], columns) == 1
+
+
+def test_row_basis_stops_at_full_rank():
+    columns = ["a", "b", "c"]
+    full = [{"a": 2, "b": 1}, {"a": 4, "b": 2}, {"b": 3, "c": 1}, {"a": 1, "c": 5}]
+
+    def drawn_once():
+        yield from full  # the fourth row completes the rank
+        raise AssertionError("a row was drawn after the rank was full")
+
+    assert row_basis(drawn_once(), columns) == row_basis(full + [{"a": 1, "b": 1, "c": 1}], columns)
+    assert len(row_basis(drawn_once(), columns)) == 3

@@ -7,7 +7,7 @@ from tensorcat import symfunc
 from tensorcat.combination import Combination
 from tensorcat.diagrams import EMPTY, Partition, add_box, gl_dimension, partitions
 from tensorcat.errors import DegreeCapExceeded
-from tensorcat.oracle import decompose_into_schur, expand_schur, poly_product
+from tensorcat.oracle import decompose_into_schur, expand_schur, lr_tableaux_brute, poly_product
 from tensorcat.symfunc import (
     elementary_homogeneous,
     lr_coefficient,
@@ -98,13 +98,24 @@ def test_product_refuses_past_cap():
     assert schur_product(Combination(), schur([20]), cap=12).is_zero()  # no term pair, no refusal
 
 
+def _brute_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """s_mu * s_nu by the oracle's cell-filling count over every lam of the degree."""
+    terms = {}
+    for lam in partitions(mu.degree + nu.degree):
+        if lam.contains(mu) and lam.contains(nu):
+            coeff = lr_tableaux_brute(lam, mu, nu)
+            if coeff:
+                terms[lam] = coeff
+    return terms
+
+
 def test_strip_route_matches_scan_route():
     pairs = 0
     for degree in range(11):
         for d1 in range(degree + 1):
             for mu in partitions(d1):
                 for nu in partitions(degree - d1):  # every ordered pair: both argument orders
-                    assert schur_term_product(mu, nu) == symfunc._lr_terms(mu, nu), (mu, nu)
+                    assert schur_term_product(mu, nu) == _brute_terms(mu, nu), (mu, nu)
                     pairs += 1
     assert pairs == 1215
 
@@ -112,6 +123,7 @@ def test_strip_route_matches_scan_route():
 def test_products_do_not_scan(monkeypatch):
     mu, nu = P([4, 2, 1]), P([3, 2])
     expected = symfunc._lr_terms(mu, nu)
+    symfunc._lr_strips.cache_clear()
 
     def refuse(*args):
         raise AssertionError("the scan route ran")
@@ -120,6 +132,17 @@ def test_products_do_not_scan(monkeypatch):
     monkeypatch.setattr(symfunc, "partitions", refuse)
     assert schur_term_product(mu, nu) == expected
     assert schur_product(schur(mu), schur(nu)) == expected
+
+
+def test_lr_coefficient_zero_without_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an expansion ran")
+
+    monkeypatch.setattr(symfunc, "_lr_strips", refuse)
+    assert lr_coefficient(P([1]), P([6, 6]), P([6, 6])) == 0  # degrees do not add up
+    assert lr_coefficient(P([2, 2]), P([1]), P([1])) == 0
+    assert lr_coefficient(P([2, 2]), P([3]), P([1])) == 0  # lam does not contain mu
+    assert lr_coefficient(P([2, 2]), P([1]), P([3])) == 0  # lam does not contain nu
 
 
 def test_elementary_homogeneous():
@@ -147,12 +170,14 @@ def test_symfunc_arithmetic_drops_zeros():
 def test_concurrent_inserts_are_idempotent():
     import threading
 
-    symfunc.clear_memo()
+    symfunc._lr_strips.cache_clear()
+    pairs = [(mu, P([2])) for mu in partitions(2)] + [(P([2]), mu) for mu in partitions(3)]
 
     def worker():
-        for lam in partitions(4):
-            for mu in partitions(2):
-                lr_coefficient(lam, mu, P([2]))
+        for mu, nu in pairs:
+            for lam in partitions(mu.degree + nu.degree):
+                lr_coefficient(lam, mu, nu)
+            schur_term_product(mu, nu)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
@@ -160,6 +185,10 @@ def test_concurrent_inserts_are_idempotent():
     for t in threads:
         t.join(timeout=60)
         assert not t.is_alive()
-    assert symfunc._memo
-    for (lam, mu, nu), value in list(symfunc._memo.items()):
-        assert value == symfunc._count_lr_tableaux(lam, mu, nu)
+    assert symfunc._lr_strips.cache_info().currsize == len(pairs)
+    misses = symfunc._lr_strips.cache_info().misses
+    for mu, nu in pairs:
+        cached = symfunc._lr_strips(mu, nu)
+        for lam in partitions(mu.degree + nu.degree):
+            assert cached.coefficient(lam) == lr_tableaux_brute(lam, mu, nu), (lam, mu, nu)
+    assert symfunc._lr_strips.cache_info().misses == misses  # every pair was read from the cache
