@@ -5,18 +5,21 @@ output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
 ``--output json`` emits one JSON document per invocation, validating against
 schema/output.json.
+
+A call starts a fresh interpreter, so its imports are part of its cost: json,
+symalg (with fractions) and the oracle are imported by the commands that use
+them, not at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 
 from . import ext as ext_mod
 from . import grothendieck as gr
-from . import ospcat, plethysm, poset, symalg, symfunc
+from . import ospcat, plethysm, poset, symfunc
 from .combination import Combination, index_key, index_label
 from .config import check_cap, resolve_config
 from .diagrams import Partition, ascii_int, gl_dimension, parse_naturals, parse_partition, partitions
@@ -93,7 +96,7 @@ def layers_output(layers: list[Combination]) -> tuple[list[str], list[dict]]:
 
 
 def run_verify() -> tuple[list[tuple[str, bool]], bool]:
-    from . import oracle
+    from . import oracle, symalg
 
     checks: list[tuple[str, bool]] = []
 
@@ -191,7 +194,7 @@ def cmd_product(args, cfg):
 
 
 def cmd_plethysm(args, cfg):
-    check_cap(args.k, cfg.degree_cap, what="power index")
+    check_cap(2 * args.k, cfg.degree_cap)
     family = args.family
     if family in ("cauchy-sym", "cauchy-ext"):
         fn = plethysm.cauchy_sym if family == "cauchy-sym" else plethysm.cauchy_ext
@@ -269,12 +272,16 @@ HOM_MOVES = {"end": (), "contract": ("contract",), "shift-left": ("left",), "shi
 
 
 def cmd_homdim(args, cfg):
+    from . import symalg
+
     q = parse_quad(args.quad)
     check_cap(sum(q), cfg.degree_cap)
     return scalar_output(symalg.move_word_dimension(q, HOM_MOVES[args.flavor]))
 
 
 def cmd_quadkernel(args, cfg):
+    from . import symalg
+
     q = parse_quad(args.quad)
     check_cap(sum(q), cfg.degree_cap)
     dim = symalg.quadratic_kernel_dim(q)
@@ -498,6 +505,8 @@ def main(argv=None) -> int:
         return 1
 
     if args.output == "json":
+        import json
+
         print(json.dumps({"command": args.command, "result": payload}, sort_keys=True))
     else:
         print("\n".join(lines))

@@ -14,6 +14,7 @@ rendering step: the CLI sorts terms when it prints them.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import index as integer
 
 from .diagrams import Partition
 
@@ -35,6 +36,9 @@ def index_label(index) -> str:
 class Combination(Mapping):
     """Immutable finite Z-combination; maps each index to a non-zero integer.
 
+    A coefficient that is not an integer (a float, a Fraction) raises
+    TypeError instead of being truncated.
+
     ``terms`` is a plain dict in insertion order.  Equality is that of
     mappings, so a Combination also compares equal to a dict with the same
     non-zero terms, whatever their order.
@@ -44,7 +48,7 @@ class Combination(Mapping):
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms: dict = {index: int(coeff) for index, coeff in items if coeff}
+        self.terms: dict = {index: value for index, coeff in items if (value := integer(coeff))}
 
     def __getitem__(self, index) -> int:
         return self.terms[index]

@@ -14,10 +14,9 @@ TENSORCAT_CONFIG (path of a config file).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from string import whitespace
+from typing import NamedTuple
 
-from .diagrams import ascii_int
+from .diagrams import WHITESPACE, ascii_int
 from .errors import DegreeCapExceeded, GuardExceeded
 
 DEFAULT_DEGREE_CAP = 12
@@ -30,8 +29,7 @@ ENV_GROUP_GUARD = ENV_PREFIX + "GROUP_GUARD"
 ENV_CONFIG = ENV_PREFIX + "CONFIG"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     degree_cap: int = DEFAULT_DEGREE_CAP
     group_guard: int = DEFAULT_GROUP_GUARD
 
@@ -58,13 +56,13 @@ def read_config_file(path: str) -> dict[str, str]:
         raise ValueError(f"config file {path} exceeds {CONFIG_FILE_LIMIT} bytes")
     values: dict[str, str] = {}
     for raw in data.decode("utf-8").replace("\r", "\n").split("\n"):
-        line = raw.split("#", 1)[0].strip(whitespace)
+        line = raw.split("#", 1)[0].strip(WHITESPACE)
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line {raw.rstrip()!r} in {path}")
         key, value = line.split("=", 1)
-        values[key.strip(whitespace)] = value.strip(whitespace)
+        values[key.strip(WHITESPACE)] = value.strip(WHITESPACE)
     return values
 
 

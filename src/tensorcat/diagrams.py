@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from string import whitespace
+from operator import index as integer
 
 from .errors import ParseError
 
+# ASCII whitespace: the value of string.whitespace, without importing string
+WHITESPACE = " \t\n\r\x0b\x0c"
+
 
 class Partition(tuple):
-    """A Young diagram as a weakly decreasing tuple of positive integers."""
+    """A Young diagram as a weakly decreasing tuple of positive integers.
+
+    Parts must be integers: a float or a string raises TypeError.
+    """
 
     degree: int
 
@@ -25,7 +31,7 @@ class Partition(tuple):
         parts = tuple(parts)
         cleaned = []
         for part in parts:
-            part = int(part)
+            part = integer(part)
             if part < 0:
                 raise ValueError(f"negative part {part} in partition {parts}")
             if part > 0:
@@ -203,9 +209,9 @@ def parse_naturals(text: str, body: str, start: int, what: str) -> list[int]:
     pos = start
     for token in body.split(","):
         pos = text.find(token, pos)
-        cleaned = token.strip(whitespace)
+        cleaned = token.strip(WHITESPACE)
         if not (cleaned.isascii() and cleaned.isdigit()):
-            raise ParseError(text, pos + len(token) - len(token.lstrip(whitespace)), f"bad {what} {cleaned!r}")
+            raise ParseError(text, pos + len(token) - len(token.lstrip(WHITESPACE)), f"bad {what} {cleaned!r}")
         values.append(int(cleaned))
         pos += len(token)
     return values
@@ -225,12 +231,12 @@ def ascii_int(text: str, what: str = "integer") -> int:
 
 def parse_partition(text: str) -> Partition:
     """Parse the text syntax ``[4,2,1]``, ASCII spaces allowed; the empty diagram is ``[]``."""
-    stripped = text.strip(whitespace)
+    stripped = text.strip(WHITESPACE)
     if not stripped.startswith("["):
         raise ParseError(text, 0, "expected '['")
     if not stripped.endswith("]"):
         raise ParseError(text, len(text) - 1, "expected ']'")
-    inner = stripped[1:-1].strip(whitespace)
+    inner = stripped[1:-1].strip(WHITESPACE)
     if not inner:
         return EMPTY
     parts = parse_naturals(text, inner, text.index("[") + 1, "part")

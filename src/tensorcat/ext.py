@@ -11,8 +11,8 @@ vanishing test for every other pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
@@ -39,8 +39,7 @@ def _koszul_sum(d: int, degrees: range, top: int) -> Combination:
     return thick_indices(out.build())
 
 
-@dataclass(frozen=True)
-class ResolutionTerm:
+class ResolutionTerm(NamedTuple):
     j: int
     body: str
     socle: Combination
@@ -50,7 +49,7 @@ def resolution_term(j: int, cap: int | None = None) -> ResolutionTerm:
     """Degree-j term of the resolution; its socle is the exterior Cauchy layer."""
     if j < 0:
         raise ValueError("resolution degree must be non-negative")
-    check_cap(j, cap, what="resolution degree")
+    check_cap(2 * j, cap)
     socle = thick_indices(cauchy_ext(j))
     return ResolutionTerm(j=j, body=f"Lambda^{j}(F) (x) I", socle=socle)
 

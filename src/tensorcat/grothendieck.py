@@ -39,7 +39,6 @@ A request checks the degree cap once, before any work (``decompose_word``,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
@@ -87,20 +86,24 @@ def thick_indices(pairs: Combination, mu: Partition = EMPTY, nu: Partition = EMP
     return Combination({SimpleIndex(lam, mu, nu, pi): mult for (lam, pi), mult in pairs.items()})
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One of the tensoring objects; k is the power for the graded families."""
-
+class _GeneratorFields(NamedTuple):
     tag: str
     k: int = 0
 
+
+class Generator(_GeneratorFields):
+    """One of the tensoring objects; k is the power for the graded families."""
+
+    __slots__ = ()
+
     TAGS = ("V*", "V**", "V", "V_*", "W", "W_*", "Q", "F", "SkF", "SkQ", "LkF")
 
-    def __post_init__(self):
-        if self.tag not in self.TAGS:
-            raise ValueError(f"unknown generator tag {self.tag!r}")
-        if self.tag in ("SkF", "SkQ", "LkF") and self.k < 0:
-            raise ValueError(f"generator {self.tag} needs a non-negative power, got {self.k}")
+    def __new__(cls, tag: str, k: int = 0):
+        if tag not in cls.TAGS:
+            raise ValueError(f"unknown generator tag {tag!r}")
+        if tag in ("SkF", "SkQ", "LkF") and k < 0:
+            raise ValueError(f"generator {tag} needs a non-negative power, got {k}")
+        return super().__new__(cls, tag, k)
 
     @property
     def degree(self) -> int:

@@ -93,7 +93,7 @@ def osp_layers_of_i(kind: str, kmax: int, cap: int | None = None) -> list[Combin
     power = _square_power(kind)
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    check_cap(kmax, cap, what="layer index")
+    check_cap(2 * kmax, cap)
     return [power(k, SYMMETRIC) for k in range(kmax + 1)]
 
 
@@ -126,5 +126,5 @@ def osp_resolution_socle(kind: str, j: int, cap: int | None = None) -> Combinati
     power = _square_power(kind)
     if j < 0:
         raise ValueError("resolution degree must be non-negative")
-    check_cap(j, cap, what="resolution degree")
+    check_cap(2 * j, cap)
     return power(j, EXTERIOR)

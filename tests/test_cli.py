@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,13 +12,30 @@ from tensorcat.cli import main, parse_simple_index
 from tensorcat.errors import ParseError
 from tensorcat.grothendieck import simple
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "schema" / "output.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_PATH = ROOT / "schema" / "output.json"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # a call's start-up is part of its cost: these modules serve one command or none
+    script = (
+        "import sys; bare = set(sys.modules); import tensorcat.cli; "
+        "print(' '.join(sorted(set(sys.modules) - bare)))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    loaded = set(out.split())
+    assert "tensorcat.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json", "string"}, loaded
 
 
 def test_parse_simple_index():
@@ -168,17 +188,27 @@ def test_exit_codes(capsys):
         code, out, err = run(capsys, "--degree-cap", "4", *argv)
         assert code == 2 and out == "" and "degree 5 exceeds the configured cap 4" in err, argv
     for argv, refusal in (
-        (["plethysm", "cauchy-sym", "5"], "power index 5"),
-        (["plethysm", "sym-ext2", "5"], "power index 5"),
+        (["plethysm", "cauchy-sym", "3"], "degree 6"),
+        (["plethysm", "sym-ext2", "3"], "degree 6"),
         (["product", "[3]", "[2]"], "degree 5"),
         (["socle", "2,1,1,1"], "degree 5"),
         (["layers", "3"], "degree 6"),
         (["kernel-layer", "2", "1"], "degree 6"),
-        (["resolution", "5"], "resolution degree 5"),
-        (["osp", "--kind", "o", "layers", "5"], "layer index 5"),
+        (["resolution", "3"], "degree 6"),
+        (["osp", "--kind", "o", "layers", "3"], "degree 6"),
     ):
         code, out, err = run(capsys, "--degree-cap", "4", *argv)
         assert code == 2 and out == "" and f"{refusal} exceeds the configured cap 4" in err, argv
+    # the cap bounds the largest degree built: one step below each refusal passes
+    for argv in (
+        ["plethysm", "cauchy-sym", "2"],
+        ["plethysm", "sym-ext2", "2"],
+        ["layers", "2"],
+        ["resolution", "2"],
+        ["osp", "--kind", "o", "layers", "2"],
+    ):
+        code, out, err = run(capsys, "--degree-cap", "4", *argv)
+        assert code == 0 and out and err == "", argv
     code, out, err = run(capsys, "--degree-cap", "4", "osp", "--kind", "o", "conjugate", "[2,1]", "[1]")
     assert (code, out) == (0, "sp [2,1],[1]\n")
     code, out, err = run(capsys, "--degree-cap", "4", "ext-trivial", "[2],[],[],[1,1]", "--degree", "2")

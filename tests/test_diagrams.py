@@ -42,6 +42,13 @@ def test_partition_of_a_partition_is_itself():
             Partition(parts)
 
 
+def test_non_integral_parts_are_refused():
+    # int() would truncate [2.7, 1.2] to [2, 1]
+    for parts in ([2.7, 1.2], [2.0], ["2"]):
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+
 def test_conjugate_examples():
     assert EMPTY.conjugate() == EMPTY
     assert Partition([1]).conjugate() == (1,)

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from tensorcat import config, ext, grothendieck, ospcat, symfunc
-from tensorcat.combination import Combination
+from tensorcat.combination import Combination, CombinationBuilder
 from tensorcat.diagrams import Partition, standard_tableau_count
 from tensorcat.errors import DegreeCapExceeded
 from tensorcat.grothendieck import (
     F_GEN,
     Q_GEN,
+    Generator,
     SimpleIndex,
     V_DUAL,
     V_LOWER,
@@ -255,6 +257,39 @@ def test_decomposition_container():
     assert negative.coefficient(simple()) == -1
     with pytest.raises(ArithmeticError):
         negative.require_nonnegative()
+
+
+def test_non_integral_coefficients_are_refused():
+    # int() would store 1*[1] + 0*[2], a zero against the container's invariant
+    one, two = Partition([1]), Partition([2])
+    for terms in ({one: Fraction(3, 2), two: 0.5}, {one: 1, two: 0.0}, [(one, Fraction(2, 1))]):
+        with pytest.raises(TypeError):
+            Combination(terms)
+    with pytest.raises(TypeError):
+        CombinationBuilder().add(one, 0.5).build()
+    assert Combination({one: True, two: 0}) == {one: 1}
+
+
+def test_record_types_compare_hash_and_freeze_by_field():
+    assert repr(Generator("SkF", 2)) == "Generator(tag='SkF', k=2)"
+    assert repr(config.Config()) == "Config(degree_cap=12, group_guard=8)"
+    term = ext.resolution_term(1)
+    assert repr(term) == "ResolutionTerm(j=1, body='Lambda^1(F) (x) I', socle=Combination(1*[1],[],[],[1]))"
+    assert term == ext.resolution_term(1) and term != ext.resolution_term(2)
+    for a, b, c in (
+        (Generator("V*"), Generator("V*", 0), Generator("V*", 1)),
+        (config.Config(), config.Config(12, 8), config.Config(group_guard=9)),
+    ):
+        assert a == b and hash(a) == hash(b) and a != c
+    for record, field in ((Generator("SkF", 2), "k"), (config.Config(), "degree_cap"), (term, "j")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3)
+        with pytest.raises(AttributeError):
+            record.extra = 3
+    with pytest.raises(ValueError, match=r"^unknown generator tag 'X'$"):
+        Generator("X")
+    with pytest.raises(ValueError, match=r"^generator SkF needs a non-negative power, got -1$"):
+        Generator("SkF", -1)
 
 
 def test_simple_index_helpers():

@@ -128,10 +128,12 @@ def test_cauchy_pairs_match_brute_force():
 
 
 def test_power_index_cap(capsys):
-    # the cap is the request's: the CLI checks the power index, the building block takes none
-    assert main(["plethysm", "cauchy-sym", "13"]) == 2
+    # the cap is the request's: the CLI checks the degree 2k of the power, the building block takes none
+    assert main(["plethysm", "cauchy-sym", "7"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "power index 13 exceeds the configured cap 12" in captured.err
+    assert captured.out == "" and "degree 14 exceeds the configured cap 12" in captured.err
+    assert main(["plethysm", "cauchy-sym", "6"]) == 0
+    assert capsys.readouterr().out.count("\n") == len(partitions(6))
     with pytest.raises(ValueError):
         power_of_sym2(2, "bogus")
     with pytest.raises(ValueError):
