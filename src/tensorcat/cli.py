@@ -22,7 +22,7 @@ from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symfunc
 from .combination import Combination, index_key, index_label
 from .config import check_cap, resolve_config
-from .diagrams import Partition, ascii_int, gl_dimension, parse_naturals, parse_partition, partitions
+from .diagrams import EMPTY, Partition, ascii_int, gl_dimension, parse_naturals, parse_partition, partitions
 from .errors import DegreeCapExceeded, GuardExceeded, LimitExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
 from .poset import QuadIndex, parse_quad
@@ -242,7 +242,7 @@ def cmd_covers(args, cfg):
 def cmd_ext_trivial(args, cfg):
     x = parse_simple_index(args.index)
     check_cap(x.degree, cfg.degree_cap)
-    return scalar_output(ext_mod.ext_to_trivial(x, args.degree))
+    return scalar_output(ext_mod.ext_to_thick(x, (EMPTY, EMPTY), args.degree))
 
 
 def cmd_ext_thick(args, cfg):
@@ -259,9 +259,9 @@ def cmd_ext_vanishes(args, cfg):
 
 
 def cmd_resolution(args, cfg):
-    term = ext_mod.resolution_term(args.j, cfg.degree_cap)
-    lines, socle = terms_output(term.socle)
-    return [f"body: {term.body}"] + lines, {"j": term.j, "body": term.body, "socle": socle}
+    lines, socle = terms_output(ext_mod.resolution_socle(args.j, cfg.degree_cap))
+    body = f"Lambda^{args.j}(F) (x) I"
+    return [f"body: {body}"] + lines, {"j": args.j, "body": body, "socle": socle}
 
 
 def cmd_kernel_layer(args, cfg):

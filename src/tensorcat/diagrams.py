@@ -177,6 +177,7 @@ def gl_dimension(p: Partition, n: int) -> int:
 
     Hook-content formula; exactly zero when the diagram has more than n rows.
     """
+    n = integer(n)
     if n < 1:
         raise ValueError(f"space dimension must be positive, got {n}")
     if len(p) > n:

@@ -4,22 +4,22 @@ The resolution has terms Lambda^j F (x) I whose socles are the exterior
 Cauchy pairs in the two thick slots.  In total degree d its layers form the
 Koszul complex Lambda^i F (x) S^{d-i} F, which is exact for d >= 1; kernel
 and image layers are its right and left tails, and its full signed sum is the
-Euler shadow.  Ext dimensions are closed-form exactly for the unit target and
-for purely thick targets, and the sharpness of the defect grading supplies a
-vanishing test for every other pair.
+Euler shadow.  Ext dimensions are closed-form exactly for purely thick
+targets, the unit (the thick target indexed by two empty diagrams) among
+them, and the sharpness of the defect grading supplies a vanishing test for
+every other pair.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
 
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
-from .diagrams import Partition, partitions
+from .diagrams import EMPTY, Partition, partitions
 from .grothendieck import SimpleIndex, thick_indices
 from .plethysm import cauchy_ext, cauchy_sym
-from .poset import QuadIndex, defect
+from .poset import defect
 from .symfunc import lr_coefficient, slot_product
 
 UNKNOWN = "unknown"
@@ -39,19 +39,12 @@ def _koszul_sum(d: int, degrees: range, top: int) -> Combination:
     return thick_indices(out.build())
 
 
-class ResolutionTerm(NamedTuple):
-    j: int
-    body: str
-    socle: Combination
-
-
-def resolution_term(j: int, cap: int | None = None) -> ResolutionTerm:
-    """Degree-j term of the resolution; its socle is the exterior Cauchy layer."""
+def resolution_socle(j: int, cap: int | None = None) -> Combination:
+    """Socle of the degree-j resolution term Lambda^j F (x) I: the exterior Cauchy pairs."""
     if j < 0:
         raise ValueError("resolution degree must be non-negative")
     check_cap(2 * j, cap)
-    socle = thick_indices(cauchy_ext(j))
-    return ResolutionTerm(j=j, body=f"Lambda^{j}(F) (x) I", socle=socle)
+    return thick_indices(cauchy_ext(j))
 
 
 def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
@@ -79,35 +72,22 @@ def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
     return _koszul_sum(j + k, range(j), top=j - 1).require_nonnegative()
 
 
-def ext_to_trivial(x: SimpleIndex, j: int) -> int:
-    """dim Ext^j(X, unit): one exactly on the conjugate-thick family."""
-    if j < 0:
-        return 0
-    if x.mu or x.nu:
-        return 0
-    if x.lam.degree != j:
-        return 0
-    return 1 if x.pi == x.lam.conjugate() else 0
-
-
 def ext_to_thick(
     x: SimpleIndex, target: tuple[Partition, Partition], q: int
 ) -> int | str:
     """dim Ext^q(X, T) for a purely thick T indexed by (alpha, beta).
 
     For thick X the dimension is the Cauchy-type sum over degree-q diagrams
-    gamma of c^lam_{alpha,gamma} * c^pi_{beta,gamma'}.  For mixed X the answer
+    gamma of c^lam_{alpha,gamma} * c^pi_{beta,gamma'}, which is zero unless
+    q = |lam| - |alpha| = |pi| - |beta|.  At the unit, alpha = beta = () and
+    the sum is one exactly when |lam| = q and pi = lam'.  For mixed X the answer
     is 0 whenever the defect differs from q, and UNKNOWN at the defect itself.
     """
     alpha, beta = Partition(target[0]), Partition(target[1])
-    if q < 0:
+    if q < 0 or x.lam.degree - alpha.degree != q or x.pi.degree - beta.degree != q:
         return 0
     if not x.is_thick():
-        t = QuadIndex(alpha.degree, 0, 0, beta.degree)
-        d = defect(x.quad, t)
-        if d is None or d != q:
-            return 0
-        return UNKNOWN
+        return 0 if ext_vanishes(x, SimpleIndex(alpha, EMPTY, EMPTY, beta), q) else UNKNOWN
     total = 0
     for gamma in partitions(q):
         cl = lr_coefficient(x.lam, alpha, gamma)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, factorial
+from operator import index as integer
 from typing import Iterable, NamedTuple
 
 from .combination import Combination, CombinationBuilder
@@ -101,6 +102,7 @@ class Generator(_GeneratorFields):
     def __new__(cls, tag: str, k: int = 0):
         if tag not in cls.TAGS:
             raise ValueError(f"unknown generator tag {tag!r}")
+        k = integer(k)
         if tag in ("SkF", "SkQ", "LkF") and k < 0:
             raise ValueError(f"generator {tag} needs a non-negative power, got {k}")
         return super().__new__(cls, tag, k)
@@ -236,7 +238,4 @@ def layers_of_i(kmax: int, cap: int | None = None) -> list[Combination]:
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
     check_cap(2 * kmax, cap)
-    return [
-        Combination({SimpleIndex(lam, EMPTY, EMPTY, lam): 1 for lam in partitions(k)})
-        for k in range(kmax + 1)
-    ]
+    return [thick_indices(cauchy_sym(k)) for k in range(kmax + 1)]

@@ -74,10 +74,9 @@ def power_of_sym2(k: int, kind: str) -> Combination:
 
 
 def power_of_ext2(k: int, kind: str) -> Combination:
-    """Decompose S^k(Lambda^2 x) or Lambda^k(Lambda^2 x)."""
-    _check_power(k)
-    if kind == SYMMETRIC:
-        return Combination({lam.conjugate(): 1 for lam in even_partitions(2 * k)})
-    if kind == EXTERIOR:
-        return Combination({lam: 1 for lam in special_partitions(2 * k)})
-    raise ValueError(f"unknown power kind {kind!r}")
+    """Decompose S^k(Lambda^2 x) or Lambda^k(Lambda^2 x).
+
+    Lambda^2 x is S^2 x with rows and columns swapped, so each term is the
+    conjugate of the matching term of power_of_sym2.
+    """
+    return Combination({lam.conjugate(): 1 for lam in power_of_sym2(k, kind)})

@@ -17,6 +17,7 @@ length is the defect.
 from __future__ import annotations
 
 from functools import cache
+from operator import index as integer
 from typing import NamedTuple
 
 from .diagrams import parse_naturals
@@ -34,7 +35,7 @@ class QuadIndex(NamedTuple):
 
 
 def quad(l: int, m: int, n: int, p: int) -> QuadIndex:
-    q = QuadIndex(int(l), int(m), int(n), int(p))
+    q = QuadIndex(integer(l), integer(m), integer(n), integer(p))
     if min(q) < 0:
         raise ValueError(f"quadruple entries must be non-negative: {tuple(q)}")
     return q

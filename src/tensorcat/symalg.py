@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import index as integer
 
 from .config import check_guard
 from .diagrams import Partition, standard_tableau_count
@@ -67,7 +68,7 @@ class GroupAlgebraElement:
     __slots__ = ("sizes", "coeffs")
 
     def __init__(self, sizes, coeffs=None):
-        self.sizes: tuple[int, ...] = tuple(int(n) for n in sizes)
+        self.sizes: tuple[int, ...] = tuple(integer(n) for n in sizes)
         self.coeffs: dict[tuple[Perm, ...], Fraction] = {}
         if coeffs:
             for g, c in dict(coeffs).items():
@@ -75,10 +76,6 @@ class GroupAlgebraElement:
                     c = Fraction(c)
                 if c:
                     self.coeffs[g] = c
-
-    @classmethod
-    def of(cls, sizes, g, coeff=1) -> "GroupAlgebraElement":
-        return cls(sizes, {tuple(g): Fraction(coeff)})
 
     def scale(self, factor) -> "GroupAlgebraElement":
         factor = Fraction(factor)

@@ -12,7 +12,7 @@ from math import comb, factorial
 
 from tensorcat.combination import Combination
 from tensorcat.diagrams import EMPTY, Partition, gl_dimension, partitions, standard_tableau_count
-from tensorcat.ext import ext_to_thick, ext_to_trivial, euler_shadow, resolution_term
+from tensorcat.ext import ext_to_thick, euler_shadow, resolution_socle
 from tensorcat.grothendieck import decompose_j, decompose_word, generator_word, simple
 from tensorcat.oracle import (
     brute_force_plethysm,
@@ -161,10 +161,10 @@ def _all_indices(total_degree: int):
 
 def test_criterion_04_ext_to_unit():
     failures = []
-    socles = {j: resolution_term(j).socle for j in range(7)}
+    socles = {j: resolution_socle(j) for j in range(7)}
     for x in _all_indices(6):
         for j in range(7):
-            value = ext_to_trivial(x, j)
+            value = ext_to_thick(x, (EMPTY, EMPTY), j)
             expected = int(
                 not x.mu and not x.nu and x.lam.degree == j and x.pi == x.lam.conjugate()
             )
@@ -172,8 +172,6 @@ def test_criterion_04_ext_to_unit():
                 failures.append(("table", x, j))
             if value != socles[j].coefficient(x):
                 failures.append(("socle", x, j))
-            if x.is_thick() and value != ext_to_thick(x, (EMPTY, EMPTY), j):
-                failures.append(("thick reduction", x, j))
     ok = not failures
     _report(4, "ext dimensions into the unit", ok)
     assert ok, failures[:5]

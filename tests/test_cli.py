@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from tensorcat.cli import main, parse_simple_index
@@ -273,7 +274,6 @@ def test_output_determinism(capsys):
 
 
 def test_json_outputs_validate_against_schema(capsys):
-    jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
     commands = [
         ["lr", "[2,1]", "[1]", "[2]"],

@@ -49,6 +49,23 @@ def test_non_integral_parts_are_refused():
             Partition(parts)
 
 
+def test_non_integral_sizes_are_refused():
+    # int() would truncate each of these to an integer the caller did not give
+    from tensorcat.grothendieck import Generator
+    from tensorcat.poset import quad
+    from tensorcat.symalg import GroupAlgebraElement
+
+    for call in (
+        lambda: quad(1.5, 0, 2.9, 0),
+        lambda: gl_dimension(Partition([2]), 3.0),
+        lambda: gl_dimension(Partition([2]), 2.5),
+        lambda: Generator("SkF", 1.5),
+        lambda: GroupAlgebraElement((2.7,)),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_conjugate_examples():
     assert EMPTY.conjugate() == EMPTY
     assert Partition([1]).conjugate() == (1,)

@@ -7,12 +7,11 @@ from tensorcat.diagrams import EMPTY, Partition, partitions
 from tensorcat.ext import (
     UNKNOWN,
     ext_to_thick,
-    ext_to_trivial,
     ext_vanishes,
     euler_shadow,
     image_layer,
     kernel_layer,
-    resolution_term,
+    resolution_socle,
     thick_target_socle,
 )
 from tensorcat.grothendieck import simple, thick_indices
@@ -20,6 +19,11 @@ from tensorcat.poset import QuadIndex, defect
 from tensorcat.symfunc import lr_coefficient
 
 P = Partition
+
+
+def ext_to_unit(x, j):
+    # the unit is the thick target indexed by two empty diagrams
+    return ext_to_thick(x, (EMPTY, EMPTY), j)
 
 
 def all_indices_up_to(total_degree: int):
@@ -36,16 +40,16 @@ def all_indices_up_to(total_degree: int):
 
 
 def test_resolution_term_socles():
-    assert resolution_term(0).socle == Combination({simple(): 1})
-    assert resolution_term(1).socle == Combination({simple(lam=[1], pi=[1]): 1})
-    assert resolution_term(2).socle == Combination(
+    assert resolution_socle(0) == Combination({simple(): 1})
+    assert resolution_socle(1) == Combination({simple(lam=[1], pi=[1]): 1})
+    assert resolution_socle(2) == Combination(
         {simple(lam=[2], pi=[1, 1]): 1, simple(lam=[1, 1], pi=[2]): 1}
     )
 
 
 def test_resolution_socle_is_conjugate_pairs():
     for j in range(7):
-        socle = resolution_term(j).socle
+        socle = resolution_socle(j)
         assert socle == Combination(
             {simple(lam=g, pi=g.conjugate()): 1 for g in partitions(j)}
         )
@@ -155,9 +159,9 @@ def test_euler_shadow_vanishes():
 
 
 def test_ext_to_trivial_examples():
-    assert ext_to_trivial(simple(lam=[1], pi=[1]), 1) == 1
-    assert ext_to_trivial(simple(lam=[2], pi=[2]), 2) == 0
-    assert ext_to_trivial(simple(), 0) == 1
+    assert ext_to_unit(simple(lam=[1], pi=[1]), 1) == 1
+    assert ext_to_unit(simple(lam=[2], pi=[2]), 2) == 0
+    assert ext_to_unit(simple(), 0) == 1
 
 
 def test_ext_to_trivial_characterization():
@@ -169,17 +173,16 @@ def test_ext_to_trivial_characterization():
                 and x.lam.degree == j
                 and x.pi == x.lam.conjugate()
             )
-            assert ext_to_trivial(x, j) == expected
+            assert ext_to_unit(x, j) == expected
             # membership in the resolution socle gives the same answer
-            socle = resolution_term(j).socle
-            assert ext_to_trivial(x, j) == socle.coefficient(x)
+            assert ext_to_unit(x, j) == resolution_socle(j).coefficient(x)
 
 
 def test_ext_to_trivial_defect_consistency():
     origin = QuadIndex(0, 0, 0, 0)
     for x in all_indices_up_to(6):
         for j in range(7):
-            if ext_to_trivial(x, j):
+            if ext_to_unit(x, j):
                 assert defect(x.quad, origin) == j
 
 
@@ -196,11 +199,30 @@ def test_ext_to_thick_examples():
 
 
 def test_ext_to_thick_reduces_to_trivial_target():
-    for x in all_indices_up_to(5):
-        for q in range(6):
-            reduced = ext_to_thick(x, (EMPTY, EMPTY), q)
-            if x.is_thick():
-                assert reduced == ext_to_trivial(x, q)
+    for q in range(6):
+        socle = resolution_socle(q)
+        for x in all_indices_up_to(5):
+            assert ext_to_thick(x, (EMPTY, EMPTY), q) == socle.coefficient(x), (x, q)
+
+
+def test_ext_to_thick_answers_mismatched_degrees_without_the_sum(monkeypatch):
+    # the sum runs over the diagrams of degree q; it is zero unless
+    # q = |lam| - |alpha| = |pi| - |beta|, so it must not be entered then
+    from tensorcat import ext
+
+    def refuse(n):
+        raise AssertionError(f"partitions({n}) called")
+
+    monkeypatch.setattr(ext, "partitions", refuse)
+    cases = [
+        (simple(lam=[1], pi=[1]), (EMPTY, EMPTY), 100_000),
+        (simple(lam=[2], pi=[1]), (EMPTY, EMPTY), 2),
+        (simple(lam=[2], pi=[2]), (P([1]), EMPTY), 1),
+        (simple(lam=[1], pi=[1]), (P([1]), P([1])), 1),
+        (simple(lam=[1], mu=[1], pi=[1]), (EMPTY, EMPTY), 1),
+    ]
+    for x, target, q in cases:
+        assert ext_to_thick(x, target, q) == 0, (x, target, q)
 
 
 def test_ext_to_thick_matches_independent_socle_expansion():
@@ -260,5 +282,5 @@ def test_sharpness_against_trivial_table():
     origin = simple()
     for x in all_indices_up_to(5):
         for q in range(6):
-            if ext_to_trivial(x, q):
+            if ext_to_unit(x, q):
                 assert not ext_vanishes(x, origin, q)

@@ -273,15 +273,12 @@ def test_non_integral_coefficients_are_refused():
 def test_record_types_compare_hash_and_freeze_by_field():
     assert repr(Generator("SkF", 2)) == "Generator(tag='SkF', k=2)"
     assert repr(config.Config()) == "Config(degree_cap=12, group_guard=8)"
-    term = ext.resolution_term(1)
-    assert repr(term) == "ResolutionTerm(j=1, body='Lambda^1(F) (x) I', socle=Combination(1*[1],[],[],[1]))"
-    assert term == ext.resolution_term(1) and term != ext.resolution_term(2)
     for a, b, c in (
         (Generator("V*"), Generator("V*", 0), Generator("V*", 1)),
         (config.Config(), config.Config(12, 8), config.Config(group_guard=9)),
     ):
         assert a == b and hash(a) == hash(b) and a != c
-    for record, field in ((Generator("SkF", 2), "k"), (config.Config(), "degree_cap"), (term, "j")):
+    for record, field in ((Generator("SkF", 2), "k"), (config.Config(), "degree_cap")):
         with pytest.raises(AttributeError):
             setattr(record, field, 3)
         with pytest.raises(AttributeError):

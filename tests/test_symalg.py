@@ -105,19 +105,19 @@ def test_distinct_projectors_give_independent_corners():
     c2 = young_symmetrizer(P([2]))
     c11 = young_symmetrizer(P([1, 1]))
     for g in itertools.permutations(range(2)):
-        assert (c2 * GroupAlgebraElement.of((2,), (g,)) * c11).coeffs == {}, g
+        assert (c2 * GroupAlgebraElement((2,), {(g,): 1}) * c11).coeffs == {}, g
 
 
 def _sandwich_rank(c) -> int:
     """Rank of {c g c} over all group elements g, each product built in full."""
     elements = [(g,) for g in itertools.permutations(range(c.sizes[0]))]
-    return rank_of_rows([(c * GroupAlgebraElement.of(c.sizes, g) * c).coeffs for g in elements], elements)
+    return rank_of_rows([(c * GroupAlgebraElement(c.sizes, {g: 1}) * c).coeffs for g in elements], elements)
 
 
 def test_corner_rank_matches_the_full_sandwich_rank():
     rng = random.Random(0)
     cases = [young_symmetrizer(lam) for n in range(5) for lam in partitions(n)]
-    cases.append(GroupAlgebraElement.of((3,), (identity_perm(3),)))
+    cases.append(GroupAlgebraElement((3,), {(identity_perm(3),): 1}))
     cases.append(GroupAlgebraElement((3,), {((0, 1, 2),): 1, ((1, 0, 2),): 1}))
     for n in (3, 4):
         for _ in range(4):
@@ -148,12 +148,12 @@ def _two_factor_corner_rank(c, d) -> int:
         {(g[0], h[0]): cg * ch for g, cg in c.coeffs.items() for h, ch in d.coeffs.items()},
     )
     elements = list(itertools.product(*(itertools.permutations(range(n)) for n in sizes)))
-    rows = [(corner * GroupAlgebraElement.of(sizes, g) * corner).coeffs for g in elements]
+    rows = [(corner * GroupAlgebraElement(sizes, {g: 1}) * corner).coeffs for g in elements]
     return rank_of_rows(rows, elements)
 
 
 def test_corner_rank_factorizes():
-    identity_3 = GroupAlgebraElement.of((3,), (identity_perm(3),))
+    identity_3 = GroupAlgebraElement((3,), {(identity_perm(3),): 1})
     row_sum_21 = GroupAlgebraElement((3,), {((0, 1, 2),): 1, ((1, 0, 2),): 1})
     c2, c21 = young_symmetrizer(P([2])), young_symmetrizer(P([2, 1]))
     for c, d, ranks in [
@@ -297,8 +297,8 @@ def test_composition_accounting_small_indices():
 
 
 def test_group_algebra_arithmetic():
-    identity = GroupAlgebraElement.of((2, 1), ((0, 1), (0,)))
-    b = GroupAlgebraElement.of((2, 1), ((1, 0), (0,)))
+    identity = GroupAlgebraElement((2, 1), {((0, 1), (0,)): 1})
+    b = GroupAlgebraElement((2, 1), {((1, 0), (0,)): 1})
     assert b * b == identity
     assert b * identity == b
     # coefficients are stored as Fraction and cancelled terms are dropped
@@ -311,8 +311,8 @@ def test_group_algebra_arithmetic():
 
 
 def test_group_algebra_product_refuses_mismatched_sizes():
-    a = GroupAlgebraElement.of((2, 2), ((0, 1), (1, 0)))
-    b = GroupAlgebraElement.of((2,), ((1, 0),))
+    a = GroupAlgebraElement((2, 2), {((0, 1), (1, 0)): 1})
+    b = GroupAlgebraElement((2,), {((1, 0),): 1})
     with pytest.raises(ValueError, match=r"\(2, 2\) and \(2,\)"):
         a * b
     with pytest.raises(ValueError, match=r"\(2,\) and \(2, 2\)"):
