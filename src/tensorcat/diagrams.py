@@ -43,6 +43,14 @@ class Partition(tuple):
         self.degree = sum(cleaned)
         return self
 
+    @classmethod
+    def _unchecked(cls, rows, degree: int) -> "Partition":
+        """A Partition of rows the caller guarantees are positive integers,
+        weakly decreasing and summing to degree; nothing is checked."""
+        self = tuple.__new__(cls, rows)
+        self.degree = degree
+        return self
+
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
 
@@ -57,7 +65,7 @@ class Partition(tuple):
         for part in self:
             for j in range(part):
                 cols[j] += 1
-        return Partition(cols)
+        return Partition._unchecked(cols, self.degree)
 
     def contains(self, other: "Partition") -> bool:
         """Containment of diagrams: other fits inside self row by row."""

@@ -16,13 +16,11 @@ from functools import cache
 
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
-from .diagrams import EMPTY, Partition, partitions
+from .diagrams import Partition, partitions
 from .grothendieck import SimpleIndex, thick_indices
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import defect
 from .symfunc import lr_coefficient, slot_product
-
-UNKNOWN = "unknown"
 
 
 @cache
@@ -72,22 +70,19 @@ def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
     return _koszul_sum(j + k, range(j), top=j - 1).require_nonnegative()
 
 
-def ext_to_thick(
-    x: SimpleIndex, target: tuple[Partition, Partition], q: int
-) -> int | str:
+def ext_to_thick(x: SimpleIndex, target: tuple[Partition, Partition], q: int) -> int:
     """dim Ext^q(X, T) for a purely thick T indexed by (alpha, beta).
 
     For thick X the dimension is the Cauchy-type sum over degree-q diagrams
     gamma of c^lam_{alpha,gamma} * c^pi_{beta,gamma'}, which is zero unless
     q = |lam| - |alpha| = |pi| - |beta|.  At the unit, alpha = beta = () and
-    the sum is one exactly when |lam| = q and pi = lam'.  For mixed X the answer
-    is 0 whenever the defect differs from q, and UNKNOWN at the defect itself.
+    the sum is one exactly when |lam| = q and pi = lam'.  For mixed X it is 0.
     """
     alpha, beta = Partition(target[0]), Partition(target[1])
     if q < 0 or x.lam.degree - alpha.degree != q or x.pi.degree - beta.degree != q:
         return 0
     if not x.is_thick():
-        return 0 if ext_vanishes(x, SimpleIndex(alpha, EMPTY, EMPTY, beta), q) else UNKNOWN
+        return 0  # thin degrees above T's zero: no defect (poset.leq), so Ext vanishes
     total = 0
     for gamma in partitions(q):
         cl = lr_coefficient(x.lam, alpha, gamma)

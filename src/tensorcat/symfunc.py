@@ -6,7 +6,10 @@ down columns, whose reverse reading word is a lattice word (Fulton, *Young
 Tableaux*, LMS Student Texts 35, 1997, ch. 5).  One enumerator,
 ``_lr_strips``, builds them: it grows every tableau of content nu on the
 outside of mu at once, one row of nu at a time, and so expands the whole
-product s_mu * s_nu without naming a candidate lam.  Its expansion is
+product s_mu * s_nu without naming a candidate lam.  It searches whichever
+of (mu, nu) and (mu', nu') has the shorter content factor, because
+c^lam_{mu,nu} = c^{lam'}_{mu',nu'}, and builds each shape it finds with
+``Partition._unchecked``, which skips a second validation.  Its expansion is
 cached per ordered factor pair, and every LR caller reads that cache:
 ``schur_term_product`` and ``schur_product`` return or add it, and
 ``lr_coefficient`` looks one lam up in it.
@@ -72,7 +75,17 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
     0..r may not outnumber label i - 1 in rows 0..r - 1.  Each finished
     filling is one LR tableau of its shape lam.  The factor with fewer rows
     plays nu, which keeps the search shallow.
+
+    When a conjugate factor has fewer rows than both factors, that is when
+    min(mu_1, nu_1) < min(len(mu), len(nu)), the search runs on the
+    conjugates instead and conjugates each shape it finds:
+    c^lam_{mu,nu} = c^{lam'}_{mu',nu'} (Fulton, ch. 5).  The search
+    builds only weakly decreasing rows of the known degree, so each shape
+    becomes a Partition without being validated again.
     """
+    flip = bool(mu and nu) and min(mu[0], nu[0]) < min(len(mu), len(nu))
+    if flip:
+        mu, nu = mu.conjugate(), nu.conjugate()
     if len(nu) > len(mu):
         mu, nu = nu, mu
     if not nu:
@@ -111,7 +124,15 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
         row(0, nu[i])
 
     lay(0, tuple(mu) + (0,) * len(nu), [nu[0]] * (height + 1))  # no lattice bound on label 0
-    return Combination({Partition(shape): c for shape, c in counts.items()})
+    degree = mu.degree + nu.degree
+    out = {}
+    for shape, c in counts.items():
+        rows = height
+        while not shape[rows - 1]:
+            rows -= 1
+        lam = Partition._unchecked(shape[:rows], degree)
+        out[lam.conjugate() if flip else lam] = c
+    return Combination(out)
 
 
 def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> Combination:

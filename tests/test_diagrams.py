@@ -86,6 +86,19 @@ def test_conjugate_matches_box_transpose():
             assert p.conjugate().conjugate() == p
 
 
+def test_conjugate_builds_checked_partitions():
+    # conjugate skips validation, and tuple equality would not see a wrong
+    # degree, so check the invariants Partition() enforces directly
+    for n in range(13):
+        for p in partitions(n):
+            conj = p.conjugate()
+            assert type(conj) is Partition
+            assert conj.degree == sum(conj) == n
+            assert 0 not in conj
+            assert conj == Partition(tuple(conj))
+            assert conj.conjugate() == p and conj.conjugate().degree == n
+
+
 def test_add_box_examples():
     assert add_box(EMPTY) == (Partition([1]),)
     assert set(add_box(Partition([1]))) == {(2,), (1, 1)}

@@ -120,9 +120,39 @@ def test_strip_route_matches_scan_route():
     assert pairs == 1215
 
 
+def test_product_keys_are_checked_partitions():
+    # the strip search builds its keys without validation, and Combination
+    # equality compares tuples only, so check what Partition() would enforce
+    for degree in range(11):
+        for d1 in range(degree + 1):
+            for mu in partitions(d1):
+                for nu in partitions(degree - d1):
+                    for key in schur_term_product(mu, nu):
+                        assert type(key) is Partition, (mu, nu, key)
+                        assert key.degree == sum(key) == degree, (mu, nu, key)
+                        assert 0 not in key, (mu, nu, key)
+                        assert key == Partition(tuple(key)), (mu, nu, key)
+
+
+@pytest.mark.parametrize(
+    "mu, nu",
+    [
+        ([1] * 6, [1] * 5),
+        ([2, 2, 2, 2, 1], [1, 1, 1, 1]),
+        ([1, 1, 1, 1], [2, 2, 2, 2, 1]),
+        ([2, 2, 1, 1, 1], [2, 1, 1, 1]),
+    ],
+)
+def test_long_column_products_match_brute(mu, nu):
+    # each pair is searched on its conjugates, which have fewer rows
+    mu, nu = P(mu), P(nu)
+    assert schur_term_product(mu, nu, cap=13) == _brute_terms(mu, nu)
+
+
 def test_products_do_not_scan(monkeypatch):
-    mu, nu = P([4, 2, 1]), P([3, 2])
-    expected = symfunc._lr_terms(mu, nu)
+    # the second pair is searched on its conjugates, which have fewer rows
+    pairs = [(P([4, 2, 1]), P([3, 2])), (P([2, 1, 1, 1]), P([1, 1, 1]))]
+    expected = [symfunc._lr_terms(mu, nu) for mu, nu in pairs]
     symfunc._lr_strips.cache_clear()
 
     def refuse(*args):
@@ -130,8 +160,9 @@ def test_products_do_not_scan(monkeypatch):
 
     monkeypatch.setattr(symfunc, "lr_coefficient", refuse)
     monkeypatch.setattr(symfunc, "partitions", refuse)
-    assert schur_term_product(mu, nu) == expected
-    assert schur_product(schur(mu), schur(nu)) == expected
+    for (mu, nu), terms in zip(pairs, expected):
+        assert schur_term_product(mu, nu) == terms
+        assert schur_product(schur(mu), schur(nu)) == terms
 
 
 def test_lr_coefficient_zero_without_expansion(monkeypatch):
