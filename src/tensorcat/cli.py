@@ -259,7 +259,7 @@ def cmd_ext_vanishes(args, cfg):
 
 
 def cmd_resolution(args, cfg):
-    lines, socle = terms_output(ext_mod.resolution_socle(args.j, cfg.degree_cap))
+    lines, socle = terms_output(ext_mod.thick_target_socle(args.j, EMPTY, EMPTY, cfg.degree_cap))
     body = f"Lambda^{args.j}(F) (x) I"
     return [f"body: {body}"] + lines, {"j": args.j, "body": body, "socle": socle}
 
@@ -430,7 +430,7 @@ def build_parser() -> Parser:
     kernel.add_argument("j", type=ascii_int)
     kernel.add_argument("k", type=ascii_int)
 
-    homdim = add_command(sub, "homdim", cmd_homdim, help="endomorphism / degree-one Hom dimensions")
+    homdim = add_command(sub, "homdim", cmd_homdim, help="span of zero or one move out of J(q) in the move model")
     homdim.add_argument("quad")
     homdim.add_argument("flavor", choices=("end", "contract", "shift-left", "shift-right"))
 
@@ -494,9 +494,6 @@ def main(argv=None) -> int:
         lines, payload = execute(args, cfg)
     except VerifyFailure as failure:
         (lines, payload), code = failure.args, 1
-    except ParseError as exc:
-        print(f"tensorcat: error: {exc}", file=sys.stderr)
-        return 1
     except (DegreeCapExceeded, GuardExceeded, LimitExceeded) as exc:
         print(f"tensorcat: refused: {exc}", file=sys.stderr)
         return 2

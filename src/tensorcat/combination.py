@@ -65,9 +65,6 @@ class Combination(Mapping):
     def coefficient(self, index) -> int:
         return self.terms.get(index, 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def scale(self, factor: int) -> "Combination":
         return CombinationBuilder().add_all(self, factor).build()
 

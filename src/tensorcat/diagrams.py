@@ -84,10 +84,6 @@ class Partition(tuple):
             legs.append(conj[i] - i - 1)
         return tuple(arms), tuple(legs)
 
-    def is_even(self) -> bool:
-        """True when every part is even."""
-        return all(part % 2 == 0 for part in self)
-
     def is_special(self) -> bool:
         """True when each diagonal hook has leg exactly one longer than arm.
 

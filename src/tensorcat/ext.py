@@ -37,14 +37,6 @@ def _koszul_sum(d: int, degrees: range, top: int) -> Combination:
     return thick_indices(out.build())
 
 
-def resolution_socle(j: int, cap: int | None = None) -> Combination:
-    """Socle of the degree-j resolution term Lambda^j F (x) I: the exterior Cauchy pairs."""
-    if j < 0:
-        raise ValueError("resolution degree must be non-negative")
-    check_cap(2 * j, cap)
-    return thick_indices(cauchy_ext(j))
-
-
 def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
     """Layer k of the kernel at resolution degree j: the right tail of the complex.
 
@@ -98,8 +90,11 @@ def thick_target_socle(
     """Socle of resolution degree q after tensoring with the thick (alpha, beta).
 
     Independent route to the same dimensions as ext_to_thick, via the exterior
-    Cauchy pairs multiplied into the target's two slots.
+    Cauchy pairs multiplied into the target's two slots.  At the unit,
+    alpha = beta = (), it is the socle of the resolution term Lambda^q F (x) I.
     """
+    if q < 0:
+        raise ValueError("resolution degree must be non-negative")
     check_cap(2 * q + alpha.degree + beta.degree, cap)
     return thick_indices(slot_product(cauchy_ext(q), Combination({(alpha, beta): 1})))
 

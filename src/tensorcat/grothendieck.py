@@ -126,14 +126,6 @@ Q_GEN = Generator("Q")
 F_GEN = Generator("F")
 
 
-def sym_f(k: int) -> Generator:
-    return Generator("SkF", k)
-
-
-def sym_q(k: int) -> Generator:
-    return Generator("SkQ", k)
-
-
 def _moves_add(s: SimpleIndex, slot: int) -> list[SimpleIndex]:
     return [SimpleIndex(*s[:slot], q, *s[slot + 1 :]) for q in add_box(s[slot])]
 

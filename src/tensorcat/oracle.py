@@ -14,9 +14,9 @@ code path with the Littlewood-Richardson engine it is used to check:
 * LR coefficients by cell filling: the tableaux of one skew shape, counted
   one cell at a time;
 * ranks of one explicitly constructed operator family per word of moves
-  (contract, left and right quotient projections), which realizes each
-  degree-one Hom space and each composite of two of them; its 0/1 columns
-  are read from the points the moves accept, one pass per permutation.
+  (contract, left and right quotient projections), which realizes its span
+  in symalg's move model (not claimed as a Hom space of the category); its
+  0/1 columns are read from the points the moves accept, one pass per perm.
 
 A polynomial (Laurent polynomials included) is a Combination whose indices
 are exponent tuples, one entry per variable: ``{(2, 0): 1, (1, 1): 1}`` is
@@ -387,9 +387,9 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
     first dual slot onto its quotient part) or "right" (the mirror).  The span
     ranges over every right permutation of the source slots and every set of
     positions for the freshly created quotient slots inside the enlarged outer
-    blocks; this realizes the image of the corresponding composition of
-    degree-one morphism spaces.  A one-move word spans the degree-one Hom
-    space itself.  The word is applied in the given order only: any other
+    blocks; this realizes the span of the word in the move model.  A
+    one-move word spans the moves of that kind out of (l, m, n, p).  The
+    word is applied in the given order only: any other
     ordering consumes the same source slots up to a relabelling g -> g∘h,
     which the right permutations already contain.  Likewise, swapping two
     new slots' positions is swapping the two source slots that fed them.  So

@@ -14,9 +14,10 @@ an echelon basis of their span (f^lam rows for a Young symmetrizer) is taken
 by exact elimination, and only those rows are multiplied by c (Fulton-Harris,
 Representation Theory, §4.1-4.2).
 
-One closed form, move_word_dimension, gives the space spanned by a word of
-degree-one moves out of an injective generator: the endomorphism, degree-one
-Hom, two-step composition and quadratic-kernel dimensions are all read off it.
+One closed form, move_word_dimension, gives the span of a word of moves out of
+J(q) in the move model; the empty-word, one-move, composition and kernel numbers
+are read off it.  These spans are not claimed as Hom spaces of the category:
+"contract" at (0,1,1,0) spans a map into the unit, which is not injective.
 """
 
 from __future__ import annotations
@@ -161,16 +162,16 @@ MOVES = ("contract", "left", "right")
 
 
 def move_word_dimension(q: QuadIndex, moves: tuple[str, ...]) -> int:
-    """Dimension spanned by a word of degree-one moves leaving q.
+    """Dimension of the span of a word of degree-one moves out of J(q).
 
-    Each move is "contract" (pair a dual slot with a natural slot), "left"
-    (project a dual slot onto the quotient, enlarging l) or "right" (the
-    mirror, enlarging p).  The word needs m >= #contract + #left and
-    n >= #contract + #right.  Every Hom space involved is a free module over
-    the group algebra of the enlarged outer blocks, so the dimension is the
-    number of distinct orderings of the word times
-    (l + #left)! m! n! (p + #right)!.  The empty word is the endomorphism
-    algebra of q.
+    The move model: X = V* contains X' = V_*, Y = V_*^* contains Y' = V;
+    "left" is X -> X/X' (enlarging l), "right" is Y -> Y/Y' (enlarging p),
+    "contract" is the pairing X (x) Y -> 1.  The word needs
+    m >= #contract + #left and n >= #contract + #right.  Every span is a free
+    module over the group algebra of the enlarged outer blocks, so the
+    dimension is the number of distinct orderings of the word times
+    (l + #left)! m! n! (p + #right)!.  The empty word spans the slot
+    permutations of q.
     """
     for move in moves:
         if move not in MOVES:
@@ -198,8 +199,8 @@ COMPOSITIONS = (
 def composition_domain_dimension(kind: str, q: QuadIndex) -> int:
     """Dimension of the domain of a two-step composition map.
 
-    The domain is the tensor product of two degree-one Hom spaces over the
-    endomorphism algebra of the intermediate object; both factors are free
+    The domain is the tensor product of two one-move spans over the
+    empty-word span of the intermediate index; both factors are free
     one-sided modules there, so the dimension is that of the two-move word
     (summed over the two orderings for the mixed compositions).
     """

@@ -169,11 +169,3 @@ def slot_product(a: Combination, b: Combination) -> Combination:
                 for pi, cp in second.items():
                     out.add((lam, pi), cx * cy * cl * cp)
     return out.build()
-
-
-def elementary_homogeneous(k: int, cap: int | None = None) -> tuple[Combination, Combination]:
-    """The pair (e_k, h_k) = (s_[1^k], s_[k]) of exterior/symmetric characters."""
-    if k < 0:
-        raise ValueError(f"power index must be non-negative, got {k}")
-    check_cap(k, cap)
-    return schur([1] * k), schur([k])

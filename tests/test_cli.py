@@ -153,6 +153,8 @@ def test_osp_commands(capsys):
 def test_exit_codes(capsys):
     code, out, err = run(capsys, "lr", "bogus", "[1]", "[2]")
     assert code == 1 and out == "" and "position 0" in err
+    code, out, err = run(capsys, "resolution", "-1")
+    assert code == 1 and out == "" and "resolution degree must be non-negative" in err
     code, out, err = run(capsys, "--degree-cap", "3", "decompose", "2,2,2,2")
     assert code == 2 and "cap" in err
     code, out, err = run(capsys, "homdim", "0,0,1,0", "contract")

@@ -161,12 +161,6 @@ def test_is_special_by_hook_arm_inspection():
             assert p.is_special() == verdict, p
 
 
-def test_is_even():
-    assert Partition([4, 2]).is_even()
-    assert not Partition([3, 2]).is_even()
-    assert EMPTY.is_even()
-
-
 def test_hook_lengths_and_tableau_count():
     assert hook_lengths(Partition([2, 1])) == [[3, 1], [1]]
     for n in range(8):

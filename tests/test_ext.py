@@ -10,7 +10,6 @@ from tensorcat.ext import (
     euler_shadow,
     image_layer,
     kernel_layer,
-    resolution_socle,
     thick_target_socle,
 )
 from tensorcat.grothendieck import simple, thick_indices
@@ -39,16 +38,17 @@ def all_indices_up_to(total_degree: int):
 
 
 def test_resolution_term_socles():
-    assert resolution_socle(0) == Combination({simple(): 1})
-    assert resolution_socle(1) == Combination({simple(lam=[1], pi=[1]): 1})
-    assert resolution_socle(2) == Combination(
+    # the resolution term Lambda^j F (x) I is the unit's thick target socle
+    assert thick_target_socle(0, EMPTY, EMPTY) == Combination({simple(): 1})
+    assert thick_target_socle(1, EMPTY, EMPTY) == Combination({simple(lam=[1], pi=[1]): 1})
+    assert thick_target_socle(2, EMPTY, EMPTY) == Combination(
         {simple(lam=[2], pi=[1, 1]): 1, simple(lam=[1, 1], pi=[2]): 1}
     )
 
 
 def test_resolution_socle_is_conjugate_pairs():
     for j in range(7):
-        socle = resolution_socle(j)
+        socle = thick_target_socle(j, EMPTY, EMPTY)
         assert socle == Combination(
             {simple(lam=g, pi=g.conjugate()): 1 for g in partitions(j)}
         )
@@ -164,6 +164,7 @@ def test_ext_to_trivial_examples():
 
 
 def test_ext_to_trivial_characterization():
+    socles = [thick_target_socle(j, EMPTY, EMPTY) for j in range(7)]
     for x in all_indices_up_to(6):
         for j in range(7):
             expected = int(
@@ -174,7 +175,7 @@ def test_ext_to_trivial_characterization():
             )
             assert ext_to_unit(x, j) == expected
             # membership in the resolution socle gives the same answer
-            assert ext_to_unit(x, j) == resolution_socle(j).coefficient(x)
+            assert ext_to_unit(x, j) == socles[j].coefficient(x)
 
 
 def test_ext_to_trivial_defect_consistency():
@@ -199,7 +200,7 @@ def test_ext_to_thick_examples():
 
 def test_ext_to_thick_reduces_to_trivial_target():
     for q in range(6):
-        socle = resolution_socle(q)
+        socle = thick_target_socle(q, EMPTY, EMPTY)
         for x in all_indices_up_to(5):
             assert ext_to_thick(x, (EMPTY, EMPTY), q) == socle.coefficient(x), (x, q)
 

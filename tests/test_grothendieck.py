@@ -26,8 +26,6 @@ from tensorcat.grothendieck import (
     layers_of_i,
     simple,
     socle_of,
-    sym_f,
-    sym_q,
     tensor_simple,
 )
 from tensorcat.oracle import rational_dimension, reconstruct_tensor_word, stable_mixed_tensor
@@ -57,7 +55,7 @@ def test_tensor_simple_examples():
         }
     )
     s = simple(lam=[2], mu=[1], pi=[1])
-    assert tensor_simple(s, sym_f(0)) == Combination({s: 1})
+    assert tensor_simple(s, Generator("SkF", 0)) == Combination({s: 1})
 
 
 def test_tensor_simple_box_moves():
@@ -84,8 +82,8 @@ def test_sym_q_is_truncated_sum_of_f_powers():
     s = simple(pi=[1])
     total = Combination()
     for j in range(3):
-        total = total + tensor_simple(s, sym_f(j))
-    assert tensor_simple(s, sym_q(2)) == total
+        total = total + tensor_simple(s, Generator("SkF", j))
+    assert tensor_simple(s, Generator("SkQ", 2)) == total
 
 
 def test_decompose_j_examples():

@@ -367,3 +367,56 @@ def test_no_unused_module_level_imports():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not unused, unused
+
+
+# Public names that only tests reach: independent reference routes the tests
+# check the engine against, each waiting for a `--verify` caller.
+TEST_ONLY_ROUTES = {
+    "poset.defect_mirror": "the defect by the mirrored closed form, checked against defect",
+    "ospcat.osp_chains": "the o/sp saturated chains, checked against the o/sp defect",
+    "ospcat.osp_resolution_socle": "the o/sp resolution socle, checked against osp_ext_to_trivial",
+    "grothendieck.generator_word": "the word of J(q), walked box by box against decompose_j",
+}
+
+
+def _referenced_names(source: str) -> set[str]:
+    """Names a module reads: bare names, attributes, imported names and dotted strings."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")  # perfbench pins its targets by dotted name
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def _public_definitions(source: str) -> set[str]:
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_engine_name_has_a_caller_outside_tests():
+    assert _referenced_names("import a\nb.c('x.y', 'not a name')") == {"b", "c", "x", "y"}
+    assert _public_definitions("def f(): g()\nclass _C: pass\nclass D: pass") == {"f", "D"}
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "tensorcat"
+    referenced = set()
+    for path in [*package.glob("*.py"), *(root / "perfbench").glob("*.py")]:
+        referenced |= _referenced_names(path.read_text(encoding="utf-8"))
+    test_only = {
+        f"{path.stem}.{name}"
+        for path in package.glob("*.py")
+        if path.stem not in ("oracle", "cli")
+        for name in _public_definitions(path.read_text(encoding="utf-8"))
+        if name not in referenced
+    }
+    assert test_only == set(TEST_ONLY_ROUTES), sorted(test_only ^ set(TEST_ONLY_ROUTES))
