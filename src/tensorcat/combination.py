@@ -30,7 +30,7 @@ def index_label(index) -> str:
     """Text form: ``[2,1]`` for a partition, slots joined by commas otherwise."""
     if isinstance(index, Partition):
         return str(index)
-    return ",".join(str(part) for part in index)
+    return ",".join(map(str, index))
 
 
 class Combination(Mapping):

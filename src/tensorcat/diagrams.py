@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import index as integer
+from operator import ge, index as integer
 
 from .errors import ParseError
 
@@ -55,23 +55,19 @@ class Partition(tuple):
         return f"Partition({list(self)})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(part) for part in self) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram, swapping rows and columns."""
-        if not self:
-            return EMPTY
-        cols = [0] * self[0]
-        for part in self:
-            for j in range(part):
-                cols[j] += 1
+        cols: list[int] = []
+        for rows in range(len(self), 0, -1):
+            # columns len(cols)..self[rows - 1] - 1 have exactly `rows` boxes
+            cols += [rows] * (self[rows - 1] - len(cols))
         return Partition._unchecked(cols, self.degree)
 
     def contains(self, other: "Partition") -> bool:
         """Containment of diagrams: other fits inside self row by row."""
-        if len(other) > len(self):
-            return False
-        return all(o <= s for s, o in zip(self, other))
+        return len(other) <= len(self) and all(map(ge, self, other))
 
     def frobenius(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Frobenius coordinates (arms | legs) along the main diagonal."""

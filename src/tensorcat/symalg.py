@@ -12,7 +12,10 @@ its rank is the product of theirs.  A one-factor corner is c*A*c = c*(A*c)
 with A = C[S_n]: the left translates g*c are c with its support relabelled,
 an echelon basis of their span (f^lam rows for a Young symmetrizer) is taken
 by exact elimination, and only those rows are multiplied by c (Fulton-Harris,
-Representation Theory, §4.1-4.2).
+Representation Theory, §4.1-4.2).  The corner rank runs in integers: c is
+cleared of denominators first, which keeps the rank, and its products are
+built on int coefficient dicts by ``_multiply``, the same product that
+``GroupAlgebraElement.__mul__`` applies to Fraction coefficients.
 
 One closed form, move_word_dimension, gives the span of a word of moves out of
 J(q) in the move model; the empty-word, one-move, composition and kernel numbers
@@ -43,7 +46,7 @@ def identity_perm(n: int) -> Perm:
 
 
 def compose(s: Perm, t: Perm) -> Perm:
-    return tuple(s[t[i]] for i in range(len(s)))
+    return tuple([s[i] for i in t])
 
 
 def perm_sign(s: Perm) -> int:
@@ -61,6 +64,17 @@ def perm_sign(s: Perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _multiply(a: dict, b: dict) -> dict:
+    """Product of two coefficient dicts keyed by tuples of permutations, in
+    whatever exact type the coefficients have; zero terms may remain."""
+    out = {}
+    for g, cg in a.items():
+        for h, ch in b.items():
+            gh = tuple(map(compose, g, h))
+            out[gh] = out.get(gh, 0) + cg * ch
+    return out
 
 
 class GroupAlgebraElement:
@@ -87,15 +101,7 @@ class GroupAlgebraElement:
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.sizes != other.sizes:
             raise ValueError(f"cannot multiply group-algebra elements of sizes {self.sizes} and {other.sizes}")
-        out: dict[tuple[Perm, ...], Fraction] = {}
-        for g, cg in self.coeffs.items():
-            for h, ch in other.coeffs.items():
-                gh = tuple(compose(a, b) for a, b in zip(g, h))
-                if gh in out:
-                    out[gh] += cg * ch
-                else:
-                    out[gh] = cg * ch
-        return GroupAlgebraElement(self.sizes, out)
+        return GroupAlgebraElement(self.sizes, _multiply(self.coeffs, other.coeffs))
 
     def __eq__(self, other) -> bool:
         return (
@@ -235,12 +241,16 @@ def _corner_rank(c: GroupAlgebraElement) -> int:
 
     That span is c*A*c = c*(A*c).  The left ideal A*c is spanned by the
     translates g*c, each c with its support relabelled h -> g*h, so c is
-    multiplied only by the rows of an echelon basis of that ideal.
+    multiplied only by the rows of an echelon basis of that ideal.  c is
+    first cleared of denominators, which scales the span and keeps its rank,
+    so the translates, the basis and the products are all integer dicts.
     """
     (n,) = c.sizes
+    den = math.lcm(*(v.denominator for v in c.coeffs.values()))
+    integral = {g: v.numerator * (den // v.denominator) for g, v in c.coeffs.items()}
     elements = [(g,) for g in itertools.permutations(range(n))]
-    translates = [{(compose(g, h),): v for (h,), v in c.coeffs.items()} for (g,) in elements]
-    products = [(c * GroupAlgebraElement(c.sizes, row)).coeffs for row in row_basis(translates, elements)]
+    translates = [{(compose(g, h),): v for (h,), v in integral.items()} for (g,) in elements]
+    products = [_multiply(integral, row) for row in row_basis(translates, elements)]
     return rank_of_rows(products, elements)
 
 

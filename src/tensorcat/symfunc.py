@@ -4,10 +4,13 @@ The coefficient c^lam_{mu,nu} counts the LR tableaux of shape lam/mu and
 content nu: skew tableaux weakly increasing along rows, strictly increasing
 down columns, whose reverse reading word is a lattice word (Fulton, *Young
 Tableaux*, LMS Student Texts 35, 1997, ch. 5).  One enumerator,
-``_lr_strips``, builds them: it grows every tableau of content nu on the
-outside of mu at once, one row of nu at a time, and so expands the whole
-product s_mu * s_nu without naming a candidate lam.  It searches whichever
-of (mu, nu) and (mu', nu') has the shorter content factor, because
+``_lr_strips``, counts them: it lays the rows of nu on the outside of mu one
+label at a time, label i starting at row i, and so expands the whole product
+s_mu * s_nu without naming a candidate lam.  It counts fillings per search
+state, not one tableau at a time: a state is the shape so far and the prefix
+counts of the label just laid, and fillings that reach the same state are
+added up before the next label is laid.  It searches whichever of (mu, nu)
+and (mu', nu') has the shorter content factor, because
 c^lam_{mu,nu} = c^{lam'}_{mu',nu'}, and builds each shape it finds with
 ``Partition._unchecked``, which skips a second validation.  Its expansion is
 cached per ordered factor pair, and every LR caller reads that cache:
@@ -72,9 +75,16 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
     Row i of nu is laid onto the current shape as a horizontal strip of
     label i, row by row from the top: row r grows to at most the old length
     of row r - 1.  The lattice condition bounds it too: label i in rows
-    0..r may not outnumber label i - 1 in rows 0..r - 1.  Each finished
-    filling is one LR tableau of its shape lam.  The factor with fewer rows
-    plays nu, which keeps the search shallow.
+    0..r may not outnumber label i - 1 in rows 0..r - 1.  So label i starts
+    at row i, because the rows above it hold no box of label i - 1.  A row
+    with no room and no forced boxes is stepped over.  The factor with fewer
+    rows plays nu, which keeps the search shallow.
+
+    Fillings are counted per search state, one pass per label over a dict
+    from state to its number of fillings.  A state is the shape so far and
+    the prefix counts of the label just laid (its boxes in rows 0..r - 1,
+    for each r), which is all the next label's strips depend on.  After the
+    last label the shape alone is the key, and its count is c^lam_{mu,nu}.
 
     When a conjugate factor has fewer rows than both factors, that is when
     min(mu_1, nu_1) < min(len(mu), len(nu)), the search runs on the
@@ -92,47 +102,53 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
         return Combination({mu: 1})
     height = len(mu) + len(nu)
     last = len(nu) - 1
-    counts: dict[tuple[int, ...], int] = {}
+    # (shape, prefix counts of the label just laid) -> fillings; label 0 has no lattice bound
+    states = {(tuple(mu) + (0,) * len(nu), (nu[0],) * (height + 1)): 1}
+    for i, part in enumerate(nu):
+        out = {}
+        for (old, prev), fillings in states.items():
+            new = list(old)
+            prefix = [0] * (height + 1)  # prefix[r]: count of label i in rows 0..r - 1
 
-    def lay(i: int, old: tuple[int, ...], prev: list[int]) -> None:
-        # prev[r]: count of label i - 1 in rows 0..r - 1
-        new = list(old)
-        placed = [0] * (height + 1)  # placed[r]: count of label i in rows 0..r - 1
+            def row(r: int, left: int, placed: int) -> None:
+                while True:  # step over rows with no room and no forced boxes
+                    here = old[r]
+                    room = left
+                    if r and old[r - 1] - here < room:
+                        room = old[r - 1] - here
+                    if prev[r] - placed < room:
+                        room = prev[r] - placed
+                    # the rows below row r can take at most old[r] boxes of this strip
+                    low = left - here
+                    if room > 0 or low > 0:
+                        break
+                    r += 1
+                    prefix[r] = placed
+                if low < 0:
+                    low = 0
+                for extra in range(room, low - 1, -1):
+                    new[r] = here + extra
+                    if extra < left:
+                        prefix[r + 1] = placed + extra
+                        row(r + 1, left - extra, placed + extra)
+                        continue
+                    key = tuple(new)
+                    if i < last:  # rows r + 1.. hold no box of label i
+                        key = (key, tuple(prefix[: r + 1]) + (part,) * (height - r))
+                    out[key] = out.get(key, 0) + fillings
+                new[r] = here
 
-        def row(r: int, left: int) -> None:
-            if left == 0:
-                if i == last:
-                    shape = tuple(new)
-                    counts[shape] = counts.get(shape, 0) + 1
-                else:
-                    lay(i + 1, tuple(new), placed[: r + 1] + [placed[r]] * (height - r))
-                return
-            here = old[r]
-            room = left
-            if r and old[r - 1] - here < room:
-                room = old[r - 1] - here
-            if prev[r] - placed[r] < room:
-                room = prev[r] - placed[r]
-            # the rows below row r can take at most old[r] boxes of this strip
-            low = left - here if left > here else 0
-            for extra in range(room, low - 1, -1):
-                new[r] = here + extra
-                placed[r + 1] = placed[r] + extra
-                row(r + 1, left - extra)
-            new[r] = here
-
-        row(0, nu[i])
-
-    lay(0, tuple(mu) + (0,) * len(nu), [nu[0]] * (height + 1))  # no lattice bound on label 0
+            row(i, part, 0)
+        states = out
     degree = mu.degree + nu.degree
-    out = {}
-    for shape, c in counts.items():
+    lams = {}
+    for shape, c in states.items():
         rows = height
         while not shape[rows - 1]:
             rows -= 1
         lam = Partition._unchecked(shape[:rows], degree)
-        out[lam.conjugate() if flip else lam] = c
-    return Combination(out)
+        lams[lam.conjugate() if flip else lam] = c
+    return Combination(lams)
 
 
 def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> Combination:

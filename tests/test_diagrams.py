@@ -99,6 +99,14 @@ def test_conjugate_builds_checked_partitions():
             assert conj.conjugate() == p and conj.conjugate().degree == n
 
 
+def test_contains_is_cell_inclusion():
+    shapes = [p for n in range(8) for p in partitions(n)]
+    cells = {p: {(r, c) for r, part in enumerate(p) for c in range(part)} for p in shapes}
+    for p in shapes:
+        for q in shapes:
+            assert p.contains(q) == (cells[q] <= cells[p]), (p, q)
+
+
 def test_add_box_examples():
     assert add_box(EMPTY) == (Partition([1]),)
     assert set(add_box(Partition([1]))) == {(2,), (1, 1)}

@@ -148,6 +148,22 @@ def test_long_column_products_match_brute(mu, nu):
     assert schur_term_product(mu, nu, cap=13) == _brute_terms(mu, nu)
 
 
+@pytest.mark.parametrize(
+    "mu, nu, largest",
+    [([3, 2, 1], [3, 2, 1], 4), ([4, 3, 2, 1], [3, 2, 1], 8), ([4, 2, 1], [3, 2, 1, 1], 4)],
+)
+def test_merged_search_states_match_brute(mu, nu, largest):
+    # coefficients above 1 count fillings that reach one shape through
+    # several search states, which the strip search adds up per state
+    mu, nu = P(mu), P(nu)
+    degree = mu.degree + nu.degree
+    for first, second in ((mu, nu), (nu, mu)):
+        product = schur_term_product(first, second, cap=degree)
+        for lam in partitions(degree):
+            assert product.coefficient(lam) == lr_tableaux_brute(lam, mu, nu), (lam, first, second)
+    assert max(product.values()) == largest
+
+
 def test_products_do_not_scan(monkeypatch):
     # the second pair is searched on its conjugates, which have fewer rows
     pairs = [(P([4, 2, 1]), P([3, 2])), (P([2, 1, 1, 1]), P([1, 1, 1]))]
