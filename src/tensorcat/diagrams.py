@@ -3,6 +3,8 @@
 Partitions are stored minimal-length (no trailing zeros) as weakly decreasing
 tuples of positive integers; the empty partition is ``Partition()``.  Only
 printing orders them, by ``combination.index_key`` (degree, then parts).
+A ``Partition`` is a bare tuple: it has no instance dict, and its degree is
+computed from the parts when asked for, so each one costs what its tuple does.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ WHITESPACE = " \t\n\r\x0b\x0c"
 class Partition(tuple):
     """A Young diagram as a weakly decreasing tuple of positive integers.
 
-    Parts must be integers: a float or a string raises TypeError.
+    Parts must be integers: a float or a string raises TypeError.  There is
+    no instance dict: ``degree`` is read-only and computed as the sum of the
+    parts.
     """
 
-    degree: int
+    __slots__ = ()
+
+    degree = property(sum, doc="The number of boxes.")
 
     def __new__(cls, parts=()):
         if type(parts) is cls:
@@ -39,17 +45,13 @@ class Partition(tuple):
         for a, b in zip(cleaned, cleaned[1:]):
             if a < b:
                 raise ValueError(f"parts not weakly decreasing: {parts}")
-        self = super().__new__(cls, cleaned)
-        self.degree = sum(cleaned)
-        return self
+        return super().__new__(cls, cleaned)
 
     @classmethod
-    def _unchecked(cls, rows, degree: int) -> "Partition":
+    def _unchecked(cls, rows) -> "Partition":
         """A Partition of rows the caller guarantees are positive integers,
-        weakly decreasing and summing to degree; nothing is checked."""
-        self = tuple.__new__(cls, rows)
-        self.degree = degree
-        return self
+        weakly decreasing; nothing is checked."""
+        return tuple.__new__(cls, rows)
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
@@ -59,11 +61,7 @@ class Partition(tuple):
 
     def conjugate(self) -> "Partition":
         """Transpose the diagram, swapping rows and columns."""
-        cols: list[int] = []
-        for rows in range(len(self), 0, -1):
-            # columns len(cols)..self[rows - 1] - 1 have exactly `rows` boxes
-            cols += [rows] * (self[rows - 1] - len(cols))
-        return Partition._unchecked(cols, self.degree)
+        return Partition._unchecked(conjugate_rows(self))
 
     def contains(self, other: "Partition") -> bool:
         """Containment of diagrams: other fits inside self row by row."""
@@ -91,6 +89,15 @@ class Partition(tuple):
 
 
 EMPTY = Partition()
+
+
+def conjugate_rows(rows) -> list[int]:
+    """The columns of the diagram with these weakly decreasing rows."""
+    cols: list[int] = []
+    for depth in range(len(rows), 0, -1):
+        # columns len(cols)..rows[depth - 1] - 1 have exactly `depth` boxes
+        cols += [depth] * (rows[depth - 1] - len(cols))
+    return cols
 
 
 def from_frobenius(arms, legs) -> Partition:

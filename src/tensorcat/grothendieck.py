@@ -27,7 +27,10 @@ occurs in J(l,m,n,p) exactly
 
 times, with a = |lam| - l, b = |pi| - p and k = m - a - |mu| = n - b - |nu|;
 ``decompose_j`` and ``socle_of`` (the slice a = b = k = 0) fill their result
-from it.  ``decompose_word`` walks a word box by box through
+from it one (a, b, k) block at a time: the partitions of each slot degree and
+their f^x are looked up once per request, and a block's indices and
+multiplicities are zipped into the result dict without a Python-level step
+per term.  ``decompose_word`` walks a word box by box through
 ``tensor_simple``: it is the only route for words with Q, F, S^kF or
 Lambda^kF, and on ``generator_word(q)`` the check of the closed form.
 
@@ -39,7 +42,7 @@ A request checks the degree cap once, before any work (``decompose_word``,
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import index as integer
 from typing import Iterable, NamedTuple
 
@@ -193,36 +196,48 @@ def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> C
     return dec
 
 
-def _schur_weyl(degrees: tuple[int, int, int, int], weight: int):
-    """Each (lam, mu, nu, pi) of these slot degrees, weight * f^lam f^mu f^nu f^pi times."""
-    slots = [[(x, standard_tableau_count(x)) for x in partitions(d)] for d in degrees]
-    for (lam, fl), (mu, fm), (nu, fn), (pi, fp) in itertools.product(*slots):
-        yield SimpleIndex(lam, mu, nu, pi), weight * fl * fm * fn * fp
+def _slot_table(degrees: Iterable[int]) -> dict[int, tuple[tuple[Partition, ...], tuple[int, ...]]]:
+    """The partitions of each degree, with their f^x, looked up once per request."""
+    table = {}
+    for d in degrees:
+        xs = partitions(d)
+        table[d] = xs, tuple(map(standard_tableau_count, xs))
+    return table
+
+
+def _fill_schur_weyl(terms: dict, table: dict, degrees: tuple[int, int, int, int], weight: int) -> None:
+    """Set each (lam, mu, nu, pi) of these slot degrees to weight * f^lam f^mu f^nu f^pi
+    in terms, in the order of itertools.product over the four slots."""
+    (lams, fl), (mus, fm), (nus, fn), (pis, fp) = [table[d] for d in degrees]
+    keys = map(tuple.__new__, itertools.repeat(SimpleIndex), itertools.product(lams, mus, nus, pis))
+    thin = [weight * a * b for a in fm for b in fn]
+    terms.update(zip(keys, map(prod, itertools.product(fl, thin, fp))))
 
 
 def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
     """Full composition-factor multiset of the tensor word indexed by q, in closed form.
 
-    Distinct (a, b, k) give disjoint slot degrees, so no term is added twice.
+    Distinct (a, b, k) give disjoint slot degrees, so each block of terms is
+    new and is filled in whole.
     """
     check_cap(sum(q), cap)
     l, m, n, p = q
-    return Combination(
-        term
-        for a in range(m + 1)
-        for b in range(n + 1)
-        for k in range(min(m - a, n - b) + 1)
-        for term in _schur_weyl(
-            (l + a, m - a - k, n - b - k, p + b),
-            comb(m, a) * comb(n, b) * comb(m - a, k) * comb(n - b, k) * factorial(k),
-        )
-    )
+    table = _slot_table(range(max(l + m, n + p) + 1))
+    terms: dict = {}
+    for a in range(m + 1):
+        for b in range(n + 1):
+            for k in range(min(m - a, n - b) + 1):
+                weight = comb(m, a) * comb(n, b) * comb(m - a, k) * comb(n - b, k) * factorial(k)
+                _fill_schur_weyl(terms, table, (l + a, m - a - k, n - b - k, p + b), weight)
+    return Combination(terms)
 
 
 def socle_of(q: QuadIndex, cap: int | None = None) -> Combination:
     """The semisimple socle: the factors whose quadruple degree is exactly q."""
     check_cap(sum(q), cap)
-    return Combination(_schur_weyl(q, 1))
+    terms: dict = {}
+    _fill_schur_weyl(terms, _slot_table(set(q)), q, 1)
+    return Combination(terms)
 
 
 def layers_of_i(kmax: int, cap: int | None = None) -> list[Combination]:

@@ -225,14 +225,19 @@ def quadratic_kernel_check(q: QuadIndex, guard: int | None = None) -> bool:
 
     The right translate of 1 - t by a group element g is g - t*g, so each row
     is {g: 1, t*g: -1}; the rows are ranked exactly and the rank is tested
-    against the closed form.
+    against the closed form.  t is the identity on the l and p slots, so t*g
+    twists only g's m and n slots, each looked up in a table of t*s built
+    once per permutation s of that slot.
     """
     l, m, n, p = q
     dim = quadratic_kernel_dim(q)
     check_guard(l + m + n + p, guard)
     elements = list(itertools.product(*(itertools.permutations(range(k)) for k in q)))
-    twist = (identity_perm(l), *(identity_perm(k - 2) + (k - 1, k - 2) for k in (m, n)), identity_perm(p))
-    rows = [{g: 1, tuple(map(compose, twist, g)): -1} for g in elements]
+    tm, tn = (
+        {s: compose(identity_perm(k - 2) + (k - 1, k - 2), s) for s in itertools.permutations(range(k))}
+        for k in (m, n)
+    )
+    rows = [{g: 1, (g[0], tm[g[1]], tn[g[2]], g[3]): -1} for g in elements]
     return rank_of_rows(rows, elements) == dim
 
 

@@ -11,8 +11,10 @@ state, not one tableau at a time: a state is the shape so far and the prefix
 counts of the label just laid, and fillings that reach the same state are
 added up before the next label is laid.  It searches whichever of (mu, nu)
 and (mu', nu') has the shorter content factor, because
-c^lam_{mu,nu} = c^{lam'}_{mu',nu'}, and builds each shape it finds with
-``Partition._unchecked``, which skips a second validation.  Its expansion is
+c^lam_{mu,nu} = c^{lam'}_{mu',nu'}, and builds each shape it finds as one
+Partition with ``Partition._unchecked(rows)``, which takes no degree and
+skips a second validation; a shape found on the conjugate pair is
+transposed as raw rows, never built twice.  Its expansion is
 cached per ordered factor pair, and every LR caller reads that cache:
 ``schur_term_product`` and ``schur_product`` return or add it, and
 ``lr_coefficient`` looks one lam up in it.
@@ -31,7 +33,7 @@ from functools import cache
 
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
-from .diagrams import Partition, partitions
+from .diagrams import Partition, conjugate_rows, partitions
 
 
 def set_disk_cache(path=None) -> None:
@@ -90,8 +92,9 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
     min(mu_1, nu_1) < min(len(mu), len(nu)), the search runs on the
     conjugates instead and conjugates each shape it finds:
     c^lam_{mu,nu} = c^{lam'}_{mu',nu'} (Fulton, ch. 5).  The search
-    builds only weakly decreasing rows of the known degree, so each shape
-    becomes a Partition without being validated again.
+    builds only weakly decreasing rows, so each shape becomes a Partition
+    without being validated again, and only once: a conjugated shape is
+    transposed as raw rows first.
     """
     flip = bool(mu and nu) and min(mu[0], nu[0]) < min(len(mu), len(nu))
     if flip:
@@ -140,14 +143,13 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
 
             row(i, part, 0)
         states = out
-    degree = mu.degree + nu.degree
     lams = {}
     for shape, c in states.items():
         rows = height
         while not shape[rows - 1]:
             rows -= 1
-        lam = Partition._unchecked(shape[:rows], degree)
-        lams[lam.conjugate() if flip else lam] = c
+        shape = shape[:rows]
+        lams[Partition._unchecked(conjugate_rows(shape) if flip else shape)] = c
     return Combination(lams)
 
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from tensorcat.diagrams import (
@@ -97,6 +100,32 @@ def test_conjugate_builds_checked_partitions():
             assert 0 not in conj
             assert conj == Partition(tuple(conj))
             assert conj.conjugate() == p and conj.conjugate().degree == n
+
+
+def test_partition_is_a_bare_tuple():
+    p = Partition([3, 1])
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        p.degree = 5
+    with pytest.raises(AttributeError):
+        p.rank = 2
+    assert p.degree == 4
+
+
+def test_degree_is_the_sum_of_the_parts():
+    for n in range(9):
+        for p in partitions(n):
+            for q in (p, p.conjugate(), Partition._unchecked(p), Partition._unchecked(list(p))):
+                assert type(q) is Partition
+                assert q.degree == sum(q) == n, (p, q)
+
+
+def test_copy_and_pickle_return_equal_partitions():
+    for p in (EMPTY, Partition([1]), Partition([4, 2, 2, 1])):
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(q) is Partition
+            assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+            assert q.degree == p.degree
 
 
 def test_contains_is_cell_inclusion():

@@ -7,7 +7,7 @@ import pytest
 
 from tensorcat import config, ext, grothendieck, ospcat, symfunc
 from tensorcat.combination import Combination, CombinationBuilder
-from tensorcat.diagrams import Partition, standard_tableau_count
+from tensorcat.diagrams import Partition, partitions, standard_tableau_count
 from tensorcat.errors import DegreeCapExceeded
 from tensorcat.grothendieck import (
     F_GEN,
@@ -172,6 +172,30 @@ def test_defect_grading_of_factors():
         socle = socle_of(q)
         expected = Combination({idx: mult for idx, mult in dec.terms.items() if idx.quad == q})
         assert socle == expected
+
+
+def test_closed_form_keys_are_simple_indices_in_block_order():
+    # the closed form builds its keys with tuple.__new__, skipping the
+    # namedtuple's constructor, so check their type and degrees directly
+    def blocks(q):
+        l, m, n, p = q
+        for a in range(m + 1):
+            for b in range(n + 1):
+                for k in range(min(m - a, n - b) + 1):
+                    yield QuadIndex(l + a, m - a - k, n - b - k, p + b)
+
+    for q in quads_with_sum_at_most(6):
+        quads = list(blocks(q))
+        keys = list(decompose_j(q))
+        for key in keys:
+            assert type(key) is SimpleIndex, (q, key)
+            assert key.quad in quads and key.degree == sum(key.quad), (q, key)
+        # the terms come block by block, each block in itertools.product order
+        slots = [[partitions(d) for d in quad] for quad in quads]
+        assert keys == [SimpleIndex(*x) for block in slots for x in itertools.product(*block)], q
+        for key in socle_of(q):
+            assert type(key) is SimpleIndex, (q, key)
+            assert key.quad == q and key.degree == sum(q), (q, key)
 
 
 def test_socle_examples_and_multiplicities():

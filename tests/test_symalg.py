@@ -238,7 +238,8 @@ def test_quadratic_kernel_dims():
 
 
 def test_quadratic_kernel_explicit_row_reduction():
-    for q in [(0, 2, 2, 0), (1, 2, 2, 0), (0, 2, 2, 1), (0, 3, 2, 0)]:
+    # t twists only the m and n slots; the last cases fill all four slots
+    for q in [(0, 2, 2, 0), (1, 2, 2, 0), (0, 2, 2, 1), (0, 3, 2, 0), (1, 3, 2, 1), (2, 2, 3, 1), (1, 2, 2, 2)]:
         assert quadratic_kernel_check(QuadIndex(*q))
 
 

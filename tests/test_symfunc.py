@@ -230,3 +230,28 @@ def test_concurrent_inserts_are_idempotent():
         for lam in partitions(mu.degree + nu.degree):
             assert cached.coefficient(lam) == lr_tableaux_brute(lam, mu, nu), (lam, mu, nu)
     assert symfunc._lr_strips.cache_info().misses == misses  # every pair was read from the cache
+
+
+def test_lr_cache_memory_per_term():
+    # a Partition is a bare tuple; an instance dict on each found shape
+    # would add about 170 B per cached term
+    import tracemalloc
+
+    pairs = [
+        (mu, nu)
+        for d1 in range(9)
+        for d2 in range(9 - d1)
+        for mu in partitions(d1)
+        for nu in partitions(d2)
+    ]
+    assert len(pairs) == 434
+    symfunc._lr_strips.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        terms = sum(len(symfunc._lr_strips(mu, nu)) for mu, nu in pairs)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert terms == 1330
+    assert used / terms < 300, used / terms
