@@ -16,6 +16,7 @@ Submodules:
   (fraction-free elimination)
 * ospcat: the orthogonal/symplectic variant
 * oracle: independent brute-force verifiers
+* crosscheck: engine-against-oracle predicates shared by --verify and the tests
 * cli: command-line front end
 """
 

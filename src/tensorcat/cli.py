@@ -7,14 +7,13 @@ output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 schema/output.json.
 
 A call starts a fresh interpreter, so its imports are part of its cost: json,
-symalg (with fractions) and the oracle are imported by the commands that use
-them, not at start-up.
+symalg (with fractions) and the cross-checks with their oracle are imported by
+the commands that use them, not at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from . import ext as ext_mod
@@ -22,10 +21,11 @@ from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symfunc
 from .combination import Combination, index_key, index_label
 from .config import check_cap, resolve_config
-from .diagrams import EMPTY, Partition, ascii_int, gl_dimension, parse_naturals, parse_partition, partitions
+from .diagrams import EMPTY, Partition, ascii_int, parse_naturals, parse_partition
+from .diagrams import partitions  # noqa: F401  (perfbench's tracer test asserts cli binds it)
 from .errors import DegreeCapExceeded, GuardExceeded, LimitExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
-from .poset import QuadIndex, parse_quad
+from .poset import parse_quad
 
 
 def parse_simple_index(text: str) -> SimpleIndex:
@@ -89,86 +89,6 @@ def layers_output(layers: list[Combination]) -> tuple[list[str], list[dict]]:
         lines.extend("  " + line for line in text)
         payload.append({"k": k, "terms": items})
     return lines, payload
-
-
-# ---------------------------------------------------------------------------
-# verify mode: small oracle cross-checks of every engine family
-
-
-def run_verify() -> tuple[list[tuple[str, bool]], bool]:
-    from . import oracle, symalg
-
-    checks: list[tuple[str, bool]] = []
-
-    def check(name: str, ok: bool) -> None:
-        checks.append((name, bool(ok)))
-
-    product = symfunc.schur_product(symfunc.schur([2, 1]), symfunc.schur([1, 1]))
-    brute = oracle.decompose_into_schur(
-        oracle.poly_product(oracle.expand_schur(Partition([2, 1]), 5), oracle.expand_schur(Partition([1, 1]), 5))
-    )
-    check("schur product vs monomial expansion", product == brute)
-
-    agree = True
-    families = (
-        ("sym", "sym2", plethysm.power_of_sym2, plethysm.SYMMETRIC),
-        ("ext", "sym2", plethysm.power_of_sym2, plethysm.EXTERIOR),
-        ("sym", "ext2", plethysm.power_of_ext2, plethysm.SYMMETRIC),
-        ("ext", "ext2", plethysm.power_of_ext2, plethysm.EXTERIOR),
-    )
-    for outer, inner, fn, kind in families:
-        for k in range(4):
-            engine = {p: m for p, m in fn(k, kind).items() if len(p) <= 4}
-            agree &= engine == oracle.brute_force_plethysm(outer, k, inner, 4).terms
-    check("square powers vs brute-force plethysm", agree)
-
-    agree = True
-    for k in range(4):
-        engine_pairs = {
-            key: m for key, m in plethysm.cauchy_ext(k).items() if len(key[0]) <= 3 and len(key[1]) <= 3
-        }
-        agree &= engine_pairs == oracle.brute_force_cauchy("ext", k, 3, 3)
-    check("cauchy pairs vs brute-force powers", agree)
-
-    agree = True
-    for total in range(4):
-        for l in range(total + 1):
-            for m in range(total - l + 1):
-                for n in range(total - l - m + 1):
-                    p = total - l - m - n
-                    q = QuadIndex(l, m, n, p)
-                    engine = dict(gr.decompose_j(q).terms)
-                    agree &= engine == oracle.reconstruct_tensor_word(l, m, n, p)
-    check("tensor words vs character reconstruction", agree)
-
-    agree = True
-    box = [QuadIndex(*t) for t in itertools.product(range(3), repeat=4)]
-    for a in box:
-        for b in box:
-            d = poset.defect(a, b)
-            chains = poset.chains(a, b)
-            if d is None:
-                agree &= not chains
-            else:
-                agree &= bool(chains) and {len(c) - 1 for c in chains} == {d}
-    check("defect vs exhaustive chains", agree)
-
-    agree = True
-    for n in range(5):
-        for lam in partitions(n):
-            c = symalg.young_symmetrizer(lam)
-            agree &= c * c == c.scale(symalg.young_scalar(lam))
-    check("young symmetrizer scalars", agree)
-
-    agree = True
-    for n in range(5):
-        for lam in partitions(n):
-            for nv in range(1, 5):
-                agree &= gl_dimension(lam, nv) == sum(oracle.expand_schur(lam, nv).values())
-    check("hook-content dimensions vs tableau counts", agree)
-
-    ok = all(flag for _, flag in checks)
-    return checks, ok
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +248,10 @@ class VerifyFailure(Exception):
 
 
 def cmd_verify(args, cfg):
-    checks, ok = run_verify()
+    from .crosscheck import CHECKS, failures
+
+    checks = [(name, not failures(predicate, cases)) for name, predicate, cases in CHECKS]
+    ok = all(flag for _, flag in checks)
     lines = [f"check {name}: {'ok' if flag else 'FAIL'}" for name, flag in checks]
     payload = {"checks": [{"name": n, "ok": f} for n, f in checks], "ok": ok}
     if not ok:

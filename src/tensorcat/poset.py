@@ -16,7 +16,7 @@ length is the defect.
 
 from __future__ import annotations
 
-from functools import cache
+from math import factorial
 from operator import index as integer
 from typing import NamedTuple
 
@@ -97,35 +97,37 @@ def saturated_chains(a, b, up_moves, order) -> list[list]:
     """All saturated chains from a up to b, sorted.
 
     up_moves(x) lists the elements covering x and order(x, y) tests x below y;
-    only covers that still lie below b are followed.
+    only covers that still lie below b are followed.  The walk keeps its own
+    stack, so a long chain needs no deep recursion.
     """
     if not order(a, b):
         return []
-
-    @cache
-    def reachable(x) -> bool:
-        return order(x, b)
-
-    def extend(x) -> list[list]:
-        if x == b:
-            return [[x]]
-        return [[x] + tail for c in up_moves(x) if reachable(c) for tail in extend(c)]
-
-    return sorted(extend(a))
+    found, stack = [], [[a]]
+    while stack:
+        chain = stack.pop()
+        if chain[-1] == b:
+            found.append(chain)
+        else:
+            stack.extend(chain + [c] for c in up_moves(chain[-1]) if order(c, b))
+    return sorted(found)
 
 
 def chain_count(a: QuadIndex, b: QuadIndex) -> int:
-    """Number of saturated chains from a up to b, counted without listing them."""
-    if not leq(a, b):
+    """Number of saturated chains from a up to b, counted without listing them.
+
+    A chain is an ordering of its moves: x1 quotients on the m side, x2 on the
+    n side, x3 pairings and x4 twists, with x1 + x3 = m' - m, x2 + x3 = n' - n
+    and x1 + x4 = l - l'.  Every ordering stays below b, so the count is the
+    sum over x3 of the multinomial d! / (x1! x2! x3! x4!), d the defect.
+    """
+    d = defect(a, b)
+    if d is None:
         return 0
-
-    @cache
-    def count(x: QuadIndex) -> int:
-        if x == b:
-            return 1
-        return sum(count(c) for c in _up_moves(x) if leq(c, b))
-
-    return count(a)
+    dm, dn, dl = b.m - a.m, b.n - a.n, a.l - b.l
+    return sum(
+        factorial(d) // (factorial(dm - x3) * factorial(dn - x3) * factorial(x3) * factorial(dl - dm + x3))
+        for x3 in range(max(0, dm - dl), min(dm, dn) + 1)
+    )
 
 
 def chains(a: QuadIndex, b: QuadIndex) -> list[list[QuadIndex]]:

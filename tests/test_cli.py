@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,13 +11,19 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tensorcat import plethysm
 from tensorcat.cli import main, parse_simple_index
+from tensorcat.combination import Combination
 from tensorcat.errors import ParseError
 from tensorcat.grothendieck import simple
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "schema" / "output.json"
+SCHEMA = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)  # validate() would re-check the schema per call
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -37,6 +46,20 @@ def test_cli_import_loads_only_what_every_command_needs():
     loaded = set(out.split())
     assert "tensorcat.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json", "string"}, loaded
+    # the oracle side is reached only through crosscheck, only by --verify
+    assert not loaded & {"tensorcat.crosscheck", "tensorcat.oracle", "tensorcat.symalg"}, loaded
+
+
+def test_only_cmd_verify_imports_crosscheck():
+    sites = set()  # (module, top-level function or None) of each import naming crosscheck
+    for path in (ROOT / "src" / "tensorcat").glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+                    if any("crosscheck" in name.split(".") for name in names):
+                        sites.add((path.stem, getattr(top, "name", None)))
+    assert sites == {("cli", "cmd_verify")}
 
 
 def test_parse_simple_index():
@@ -182,6 +205,11 @@ def test_exit_codes(capsys):
     assert code == 2 and out == "" and "chain length 14 exceeds the configured cap 12" in err
     code, out, err = run(capsys, "chains", "4,0,0,4", "0,4,4,0")
     assert code == 0 and len(out.splitlines()) == 4900
+    # long chains: counted in closed form and listed without deep recursion
+    code, out, err = run(capsys, "--degree-cap", "2000", "chains", "1000,0,0,0", "0,1000,0,0")
+    assert code == 0 and len(out.splitlines()) == 1 and out.count(" -> ") == 1000 and err == ""
+    code, out, err = run(capsys, "--degree-cap", "2000", "chains", "400,0,0,400", "0,400,400,0")
+    assert code == 2 and out == "" and "exceeds the fixed limit 100000" in err
     for argv in (
         ["ext-trivial", "[3],[],[],[1,1]", "--degree", "3"],
         ["osp", "--kind", "sp", "ext-trivial", "[5]", "[]", "--degree", "2"],
@@ -276,7 +304,7 @@ def test_output_determinism(capsys):
 
 
 def test_json_outputs_validate_against_schema(capsys):
-    schema = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
+    VALIDATOR.check_schema(SCHEMA)
     commands = [
         ["lr", "[2,1]", "[1]", "[2]"],
         ["product", "[2,1]", "[1]"],
@@ -305,7 +333,7 @@ def test_json_outputs_validate_against_schema(capsys):
         captured = capsys.readouterr()
         assert code == 0, (argv, captured.err)
         document = json.loads(captured.out)
-        jsonschema.validate(document, schema)
+        VALIDATOR.validate(document)
 
 
 def test_config_precedence(tmp_path, capsys, monkeypatch):
@@ -377,6 +405,59 @@ def test_verify_mode(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines and all(line.endswith(": ok") for line in lines)
+
+
+def test_verify_failure_prints_the_report_and_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(plethysm, "cauchy_ext", lambda k: Combination())  # a seeded fault
+    code, out, err = run(capsys, "--verify")
+    rows = [line.rsplit(": ", 1) for line in out.splitlines()]
+    assert code == 1 and err == ""
+    assert [flag for _, flag in rows] == ["ok", "ok", "FAIL", "ok", "ok", "ok", "ok"]
+    assert rows[2][0] == "check cauchy pairs vs brute-force powers"
+    code, out, err = run(capsys, "--output", "json", "--verify")
+    document = json.loads(out)
+    VALIDATOR.validate(document)
+    assert code == 1 and document["result"]["ok"] is False
+    assert [check["ok"] for check in document["result"]["checks"]] == [True, True, False, True, True, True, True]
+
+
+# Every command shape as words; a capital letter is drawn from its grammar.
+_SHAPES = (
+    "lr P P P", "product P P", "plethysm F N", "decompose Q", "socle Q", "layers N", "defect Q Q", "chains Q Q",
+    "covers Q --bound N", "ext-trivial S --degree N", "ext-thick S P P --degree N", "ext-vanishes S S --degree N",
+    "resolution N", "kernel-layer N N", "homdim Q H", "quadkernel Q", "quadkernel Q --check",
+    "osp --kind K leq R R", "osp --kind K defect R R", "osp --kind K layers N",
+    "osp --kind K ext-trivial P P --degree N", "osp --kind K conjugate P P",
+)
+_N = st.sampled_from([*range(8), 12, 13, 100, 10**6, -1]).map(str)  # the cap's edge, far past it, a negative
+_P = st.lists(st.integers(1, 8), max_size=5).map(lambda rows: str(sorted(rows, reverse=True)).replace(" ", ""))
+_WORDS = {
+    "N": _N,  # an entry or count
+    "P": _P,  # a partition
+    "Q": st.lists(_N, min_size=4, max_size=4).map(",".join),  # a quadruple
+    "R": st.lists(_N, min_size=2, max_size=2).map(",".join),  # an o/sp pair
+    "S": st.lists(_P, min_size=4, max_size=4).map(",".join),  # a simple index
+    "F": st.sampled_from(["cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2"]),
+    "H": st.sampled_from(["end", "contract", "shift-left", "shift-right"]),
+    "K": st.sampled_from(["o", "sp"]),
+}
+_ARGVS = st.tuples(*(st.tuples(*(_WORDS.get(w, st.just(w)) for w in shape.split())) for shape in _SHAPES))
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.sampled_from(["4", "12", "20"]), st.sampled_from([[], ["--output", "json"]]), _ARGVS)
+def test_grammar_fuzz_exits_cleanly(cap, mode, argvs):
+    for argv in (["--degree-cap", cap, *mode, *words] for words in argvs):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:  # argparse's usage error
+                code = exit_.code
+        assert code in (0, 1, 2), argv
+        assert (out.getvalue() == "") == (code != 0), argv  # a failed call prints nothing on stdout
+        if mode and not code:
+            VALIDATOR.validate(json.loads(out.getvalue()))
 
 
 def test_subprocess_byte_determinism():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 
 import pytest
 
+from tensorcat.crosscheck import failures, gl_dimension_agrees
 from tensorcat.diagrams import (
     EMPTY,
     Partition,
@@ -18,7 +20,7 @@ from tensorcat.diagrams import (
     standard_tableau_count,
 )
 from tensorcat.errors import ParseError
-from tensorcat.oracle import expand_schur, standard_tableaux_brute
+from tensorcat.oracle import standard_tableaux_brute
 
 
 def test_normalization_and_invariants():
@@ -160,10 +162,8 @@ def test_gl_dimension_examples():
 
 
 def test_gl_dimension_counts_tableaux():
-    for n in range(7):
-        for p in partitions(n):
-            for nv in range(1, 6):
-                assert gl_dimension(p, nv) == sum(expand_schur(p, nv).values())
+    shapes = [p for n in range(7) for p in partitions(n)]
+    assert not failures(gl_dimension_agrees, itertools.product(shapes, range(1, 6)))
 
 
 def test_frobenius_roundtrip():

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import pytest
 
 from tensorcat.cli import main
+from tensorcat.crosscheck import cauchy_pairs_agree, failures, square_power_agrees
 from tensorcat.diagrams import EMPTY, Partition, gl_dimension, partitions
-from tensorcat.oracle import brute_force_cauchy, brute_force_plethysm
 from tensorcat.plethysm import (
     EXTERIOR,
     SYMMETRIC,
@@ -96,35 +97,13 @@ def test_cauchy_dimension_identities():
 
 
 def test_square_powers_match_brute_force():
-    cases = (
-        ("sym", "sym2", power_of_sym2, SYMMETRIC),
-        ("ext", "sym2", power_of_sym2, EXTERIOR),
-        ("sym", "ext2", power_of_ext2, SYMMETRIC),
-        ("ext", "ext2", power_of_ext2, EXTERIOR),
-    )
-    for nv in range(2, 6):
-        for outer, inner, fn, kind in cases:
-            for k in range(5):
-                engine = {p: m for p, m in fn(k, kind).items() if len(p) <= nv}
-                assert engine == brute_force_plethysm(outer, k, inner, nv).terms
+    cases = itertools.product(("sym", "ext"), ("sym2", "ext2"), range(5), range(2, 6))  # outer, inner, k, nv
+    assert not failures(square_power_agrees, cases)
 
 
 def test_cauchy_pairs_match_brute_force():
-    for a in range(1, 4):
-        for b in range(1, 4):
-            for k in range(4):
-                sym_engine = {
-                    key: m
-                    for key, m in cauchy_sym(k).items()
-                    if len(key[0]) <= a and len(key[1]) <= b
-                }
-                assert sym_engine == brute_force_cauchy("sym", k, a, b)
-                ext_engine = {
-                    key: m
-                    for key, m in cauchy_ext(k).items()
-                    if len(key[0]) <= a and len(key[1]) <= b
-                }
-                assert ext_engine == brute_force_cauchy("ext", k, a, b)
+    cases = itertools.product(("sym", "ext"), range(4), range(1, 4), range(1, 4))  # kind, k, a, b
+    assert not failures(cauchy_pairs_agree, cases)
 
 
 def test_power_index_cap(capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from tensorcat import symalg
+from tensorcat.crosscheck import symmetrizer_scalar_agrees
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
 from tensorcat.errors import GuardExceeded, LimitExceeded
 from tensorcat.linalg import rank_of_rows
@@ -77,10 +78,8 @@ def test_young_symmetrizer_hook_case():
 def test_quasi_idempotency_up_to_five_boxes():
     for n in range(6):
         for lam in partitions(n):
-            c = young_symmetrizer(lam)
-            h = young_scalar(lam)
-            assert c * c == c.scale(h), lam
-            assert h * standard_tableau_count(lam) == factorial(n)
+            assert symmetrizer_scalar_agrees(lam), lam
+            assert young_scalar(lam) * standard_tableau_count(lam) == factorial(n)
 
 
 def test_symmetrizer_guard():
@@ -374,7 +373,10 @@ def test_no_unused_module_level_imports():
 
 
 # Public names that only tests reach: independent reference routes the tests
-# check the engine against, each waiting for a `--verify` caller.
+# check the engine against, each waiting for a `--verify` caller.  A new
+# `--verify` check appends a line to the report, whose sha256 the benchmark
+# pins (perfbench/digests.json, checked by run.py), so those callers wait for
+# a benchmark revision that re-records that digest.
 TEST_ONLY_ROUTES = {
     "poset.defect_mirror": "the defect by the mirrored closed form, checked against defect",
     "ospcat.osp_chains": "the o/sp saturated chains, checked against the o/sp defect",
