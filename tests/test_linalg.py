@@ -124,6 +124,9 @@ def test_fixed_cases():
     assert rank_of_rows(rows, columns) == 2
     # Fraction entries with different denominators in one row
     assert rank_of_rows([{"a": Fraction(1, 2), "b": Fraction(1, 3)}, {"a": 3, "b": 2}], columns) == 1
+    # rows mixing ints and Fractions, the int first in one and last in the other
+    mixed = [{"a": 2, "b": Fraction(1, 3)}, {"b": Fraction(1, 2), "a": 3}]
+    assert row_basis(mixed, columns) == [{"a": 6, "b": 1}]
 
 
 def test_row_basis_stops_at_full_rank():

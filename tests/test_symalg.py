@@ -29,17 +29,9 @@ from tensorcat.symalg import (
     young_scalar,
     young_symmetrizer,
 )
+from quads import quads_with_sum_at_most
 
 P = Partition
-
-
-def quads_with_sum_at_most(bound: int) -> list[QuadIndex]:
-    out = []
-    for total in range(bound + 1):
-        for split in itertools.product(range(total + 1), repeat=4):
-            if sum(split) == total:
-                out.append(QuadIndex(*split))
-    return out
 
 
 def test_perm_utilities():

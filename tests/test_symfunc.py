@@ -9,11 +9,13 @@ from tensorcat.crosscheck import schur_product_agrees
 from tensorcat.diagrams import EMPTY, Partition, add_box, gl_dimension, partitions
 from tensorcat.errors import DegreeCapExceeded
 from tensorcat.oracle import lr_tableaux_brute
+from tensorcat.plethysm import cauchy_ext, cauchy_sym
 from tensorcat.symfunc import (
     lr_coefficient,
     schur,
     schur_product,
     schur_term_product,
+    slot_product,
 )
 
 P = Partition
@@ -165,17 +167,32 @@ def test_merged_search_states_match_brute(mu, nu, largest):
     assert max(product.values()) == largest
 
 
+def brute_terms(mu: Partition, nu: Partition) -> dict:
+    """The non-zero terms of s_mu * s_nu by the oracle's cell-filling count."""
+    candidates = partitions(mu.degree + nu.degree)
+    return {lam: c for lam in candidates if (c := lr_tableaux_brute(lam, mu, nu))}
+
+
 def test_products_do_not_scan(monkeypatch):
     # the second pair is searched on its conjugates, which have fewer rows
     pairs = [(P([4, 2, 1]), P([3, 2])), (P([2, 1, 1, 1]), P([1, 1, 1]))]
-    expected = [symfunc._lr_terms(mu, nu) for mu, nu in pairs]
+    expected = [brute_terms(mu, nu) for mu, nu in pairs]
+    ext3, sym2 = cauchy_ext(3), cauchy_sym(2)
+    slot_expected = Combination()
+    for (x1, x2), cx in ext3.items():
+        for (y1, y2), cy in sym2.items():
+            first, second = brute_terms(x1, y1), brute_terms(x2, y2)
+            slot_expected += Combination(
+                {(lam, pi): cx * cy * cl * cp for lam, cl in first.items() for pi, cp in second.items()}
+            )
     symfunc._lr_strips.cache_clear()
 
     def refuse(*args):
         raise AssertionError("the scan route ran")
 
-    monkeypatch.setattr(symfunc, "lr_coefficient", refuse)
     monkeypatch.setattr(symfunc, "partitions", refuse)
+    assert slot_product(ext3, sym2) == slot_expected
+    monkeypatch.setattr(symfunc, "lr_coefficient", refuse)
     for (mu, nu), terms in zip(pairs, expected):
         assert schur_term_product(mu, nu) == terms
         assert schur_product(schur(mu), schur(nu)) == terms
