@@ -4,7 +4,8 @@ Every engine operation is exposed as a subcommand with canonical, byte-stable
 output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
 ``--output json`` emits one JSON document per invocation, validating against
-schema/output.json.
+schema/output.json.  Handlers return lazy text lines and the engine's result,
+which ``json.dumps`` encodes with ``terms_json``: each call renders one form.
 
 A call starts a fresh interpreter, so its imports are part of its cost: json,
 symalg (with fractions) and the cross-checks with their oracle are imported by
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from . import ext as ext_mod
 from . import grothendieck as gr
@@ -64,35 +67,34 @@ def parse_simple_index(text: str) -> SimpleIndex:
 # rendering
 
 
-def terms_output(terms: Combination) -> tuple[list[str], list[dict]]:
-    """Text lines and JSON objects of a combination, one per term, in canonical order.
-
-    A JSON term names its index kind: ``partition``, ``pair`` or ``index``.
-    """
-    ordered = sorted(terms.items(), key=lambda kv: index_key(kv[0]))
-    lines = [f"{mult} {index_label(idx)}" for idx, mult in ordered] or ["0"]
-    payload = []
-    for idx, mult in ordered:
-        if isinstance(idx, Partition):
-            payload.append({"partition": list(idx), "mult": mult})
-        else:
-            field = "index" if isinstance(idx, SimpleIndex) else "pair"
-            payload.append({field: [list(p) for p in idx], "mult": mult})
-    return lines, payload
+def terms_json(value) -> list[dict]:
+    """``json.dumps``'s encoder of a Combination: its terms in canonical order, each naming its index kind."""
+    if not isinstance(value, Combination):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    kinds = {Partition: "partition", SimpleIndex: "index"}  # any other index is a pair
+    ordered = sorted(value.items(), key=lambda kv: index_key(kv[0]))
+    return [{kinds.get(type(idx), "pair"): idx, "mult": mult} for idx, mult in ordered]
 
 
-def layers_output(layers: list[Combination]) -> tuple[list[str], list[dict]]:
-    lines, payload = [], []
-    for k, terms in enumerate(layers):
-        text, items = terms_output(terms)
-        lines.append(f"layer {k}:")
-        lines.extend("  " + line for line in text)
-        payload.append({"k": k, "terms": items})
-    return lines, payload
+def term_lines(terms: Combination, indent: str = "") -> Iterator[str]:
+    """Text lines of a combination, one per term in canonical order; ``0`` if it is empty."""
+    if not terms:
+        yield indent + "0"
+    for idx, mult in sorted(terms.items(), key=lambda kv: index_key(kv[0])):
+        yield f"{indent}{mult} {index_label(idx)}"
+
+
+def terms_output(terms: Combination) -> tuple[Iterator[str], Combination]:
+    return term_lines(terms), terms
+
+
+def layers_output(layers: list[Combination]) -> tuple[Iterator[str], list[dict]]:
+    lines = (line for k, terms in enumerate(layers) for line in chain([f"layer {k}:"], term_lines(terms, "  ")))
+    return lines, [{"k": k, "terms": terms} for k, terms in enumerate(layers)]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes (args, cfg) and returns (text lines, json payload)
+# subcommand handlers: each takes (args, cfg) and returns (lazy text lines, result)
 
 
 def scalar_output(value) -> tuple[list[str], object]:
@@ -150,13 +152,12 @@ def cmd_chains(args, cfg):
     if count > CHAIN_LIMIT:
         raise LimitExceeded(count, CHAIN_LIMIT, "saturated chains")
     found = poset.chains(a, b)
-    lines = [" -> ".join(str(q) for q in chain) for chain in found] or ["(none)"]
-    return lines, [[list(q) for q in chain] for chain in found]
+    return (" -> ".join(map(str, path)) for path in found) if found else ["(none)"], found
 
 
 def cmd_covers(args, cfg):
     found = poset.covers(parse_quad(args.a), args.bound)
-    return [str(q) for q in found] or ["(none)"], [list(q) for q in found]
+    return map(str, found) if found else ["(none)"], found
 
 
 def cmd_ext_trivial(args, cfg):
@@ -179,9 +180,9 @@ def cmd_ext_vanishes(args, cfg):
 
 
 def cmd_resolution(args, cfg):
-    lines, socle = terms_output(ext_mod.thick_target_socle(args.j, EMPTY, EMPTY, cfg.degree_cap))
+    socle = ext_mod.thick_target_socle(args.j, EMPTY, EMPTY, cfg.degree_cap)
     body = f"Lambda^{args.j}(F) (x) I"
-    return [f"body: {body}"] + lines, {"j": args.j, "body": body, "socle": socle}
+    return chain([f"body: {body}"], term_lines(socle)), {"j": args.j, "body": body, "socle": socle}
 
 
 def cmd_kernel_layer(args, cfg):
@@ -239,24 +240,22 @@ def cmd_osp_conjugate(args, cfg):
     x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
     check_cap(x.degree, cfg.degree_cap)
     image = ospcat.osp_conjugate(x)
-    payload = {"kind": image.kind, "lam": list(image.lam), "mu": list(image.mu)}
-    return [f"{image.kind} {image.lam},{image.mu}"], payload
+    return [f"{image.kind} {image.lam},{image.mu}"], image._asdict()
 
 
 class VerifyFailure(Exception):
-    """A failed cross-check; its args are the report's (text lines, json payload)."""
+    """A failed cross-check; its args are the report's (text lines, result)."""
 
 
 def cmd_verify(args, cfg):
     from .crosscheck import CHECKS, failures
 
-    checks = [(name, not failures(predicate, cases)) for name, predicate, cases in CHECKS]
-    ok = all(flag for _, flag in checks)
-    lines = [f"check {name}: {'ok' if flag else 'FAIL'}" for name, flag in checks]
-    payload = {"checks": [{"name": n, "ok": f} for n, f in checks], "ok": ok}
-    if not ok:
-        raise VerifyFailure(lines, payload)
-    return lines, payload
+    checks = [{"name": name, "ok": not failures(predicate, cases)} for name, predicate, cases in CHECKS]
+    lines = (f"check {check['name']}: {'ok' if check['ok'] else 'FAIL'}" for check in checks)
+    result = {"checks": checks, "ok": all(check["ok"] for check in checks)}
+    if not result["ok"]:
+        raise VerifyFailure(lines, result)
+    return lines, result
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +382,7 @@ def build_parser() -> Parser:
     return parser
 
 
-def execute(args, cfg) -> tuple[list[str], object]:
+def execute(args, cfg) -> tuple[Iterable[str], object]:
     """Run one subcommand through the handler its parser declared."""
     return args.handler(args, cfg)
 
@@ -414,9 +413,9 @@ def main(argv=None) -> int:
 
     code = 0
     try:
-        lines, payload = execute(args, cfg)
+        lines, result = execute(args, cfg)
     except VerifyFailure as failure:
-        (lines, payload), code = failure.args, 1
+        (lines, result), code = failure.args, 1
     except (DegreeCapExceeded, GuardExceeded, LimitExceeded) as exc:
         print(f"tensorcat: refused: {exc}", file=sys.stderr)
         return 2
@@ -427,7 +426,7 @@ def main(argv=None) -> int:
     if args.output == "json":
         import json
 
-        print(json.dumps({"command": args.command, "result": payload}, sort_keys=True))
+        print(json.dumps({"command": args.command, "result": result}, sort_keys=True, default=terms_json))
     else:
         print("\n".join(lines))
     return code

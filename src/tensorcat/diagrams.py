@@ -191,7 +191,8 @@ def gl_dimension(p: Partition, n: int) -> int:
         return 0
     contents = math.prod(n + j - i for i in range(len(p)) for j in range(p[i]))
     result, rem = divmod(contents, math.prod(h for row in hook_lengths(p) for h in row))
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"hook-content quotient for {p} leaves remainder {rem}")
     return result
 
 
@@ -203,7 +204,8 @@ def standard_tableau_count(p: Partition) -> int:
         for h in row:
             product *= h
     result, rem = divmod(math.factorial(p.degree), product)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"hook-length quotient for {p} leaves remainder {rem}")
     return result
 
 

@@ -81,10 +81,6 @@ class SimpleIndex(NamedTuple):
 UNIT = SimpleIndex(EMPTY, EMPTY, EMPTY, EMPTY)
 
 
-def simple(lam=(), mu=(), nu=(), pi=()) -> SimpleIndex:
-    return SimpleIndex(Partition(lam), Partition(mu), Partition(nu), Partition(pi))
-
-
 def thick_indices(pairs: Combination, mu: Partition = EMPTY, nu: Partition = EMPTY) -> Combination:
     """Put each (lam, pi) pair into the thick slots of the index (lam, mu, nu, pi)."""
     return Combination({SimpleIndex(lam, mu, nu, pi): mult for (lam, pi), mult in pairs.items()})

@@ -160,7 +160,8 @@ def young_scalar(lam: Partition) -> int:
     """The scalar h with c^2 = h*c: degree factorial over the tableau count."""
     lam = Partition(lam)
     value, rem = divmod(math.factorial(lam.degree), standard_tableau_count(lam))
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"young scalar of {lam} leaves remainder {rem}")
     return value
 
 

@@ -14,7 +14,7 @@ from tensorcat import crosscheck
 from tensorcat.combination import Combination
 from tensorcat.diagrams import EMPTY, Partition, gl_dimension, partitions, standard_tableau_count
 from tensorcat.ext import ext_to_thick, euler_shadow, thick_target_socle
-from tensorcat.grothendieck import decompose_j, decompose_word, generator_word, simple
+from tensorcat.grothendieck import decompose_j, decompose_word, generator_word
 from tensorcat.oracle import composite_orbit_rank, contract_orbit_rank
 from tensorcat.ospcat import (
     ORTHOGONAL,
@@ -37,7 +37,7 @@ from tensorcat.symalg import (
     young_scalar,
 )
 from tensorcat.symfunc import schur, schur_product
-from quads import quads_with_sum_at_most
+from quads import quads_with_sum_at_most, simple
 
 P = Partition
 

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcat import plethysm
+from tensorcat import cli, plethysm
 from tensorcat.cli import main, parse_simple_index
 from tensorcat.combination import Combination
 from tensorcat.errors import ParseError
-from tensorcat.grothendieck import simple
+from tensorcat.poset import QuadIndex
+from quads import simple
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "schema" / "output.json"
@@ -127,6 +128,32 @@ def test_chains_and_covers(capsys):
     assert all(line.count("->") == 2 for line in lines)
     code, out, _ = run(capsys, "covers", "0,0,0,0", "--bound", "2")
     assert out == "0,1,1,0\n"
+
+
+GOLDEN = {
+    tuple(case["argv"]): case["stdout"]
+    for case in json.loads((ROOT / "tests" / "golden_cli.json").read_text(encoding="utf-8"))
+    if not case["env"]
+}
+
+
+def test_each_output_mode_renders_only_what_it_prints(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rendered for the output mode not printed")
+
+    calls = [("decompose", "0,1,1,0"), ("layers", "2"), ("resolution", "2")]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "terms_json", refuse)
+        for argv in calls:
+            assert run(capsys, *argv) == (0, GOLDEN[argv], ""), argv
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "index_label", refuse)
+        for argv in calls:
+            argv = ("--output", "json", *argv)
+            assert run(capsys, *argv) == (0, GOLDEN[argv], ""), argv
+    monkeypatch.setattr(QuadIndex, "__str__", refuse)
+    argv = ("--output", "json", "chains", "1,0,0,1", "0,1,1,0")
+    assert run(capsys, *argv) == (0, GOLDEN[argv], "")
 
 
 def test_defect_undefined(capsys):
@@ -467,6 +494,7 @@ def test_subprocess_byte_determinism():
     argv = [sys.executable, "-m", "tensorcat", "--output", "json", "decompose", "0,2,1,0"]
     first = subprocess.run(argv, capture_output=True)
     second = subprocess.run(argv, capture_output=True)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
+    optimized = subprocess.run([sys.executable, "-O", *argv[1:]], capture_output=True)  # -O strips asserts
+    assert first.returncode == 0 == optimized.returncode
+    assert first.stdout == second.stdout == optimized.stdout
     assert first.stdout.endswith(b"\n")

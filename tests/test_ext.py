@@ -12,9 +12,10 @@ from tensorcat.ext import (
     kernel_layer,
     thick_target_socle,
 )
-from tensorcat.grothendieck import simple, thick_indices
+from tensorcat.grothendieck import thick_indices
 from tensorcat.poset import QuadIndex, defect
 from tensorcat.symfunc import lr_coefficient
+from quads import simple
 
 P = Partition
 

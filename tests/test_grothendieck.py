@@ -23,14 +23,13 @@ from tensorcat.grothendieck import (
     decompose_word,
     generator_word,
     layers_of_i,
-    simple,
     socle_of,
     tensor_simple,
 )
 from tensorcat.crosscheck import tensor_word_agrees
 from tensorcat.oracle import rational_dimension, stable_mixed_tensor
 from tensorcat.poset import QuadIndex, leq
-from quads import quads_with_sum_at_most
+from quads import quads_with_sum_at_most, simple
 
 P = Partition
 

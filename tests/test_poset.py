@@ -8,6 +8,7 @@ from tensorcat.crosscheck import chains_have_defect_length, failures
 from tensorcat.errors import ParseError
 from tensorcat.poset import (
     QuadIndex,
+    chain_count,
     chains,
     covers,
     defect,
@@ -86,6 +87,8 @@ def test_chains_examples():
     assert chains(s, s) == [[s]]
     found = chains(QuadIndex(1, 0, 0, 1), QuadIndex(0, 1, 1, 0))
     assert found and all(len(c) == 3 for c in found)
+    incomparable = (QuadIndex(0, 1, 0, 0), QuadIndex(1, 0, 0, 0))
+    assert chains(*incomparable) == [] and chain_count(*incomparable) == 0
 
 
 def test_covers_examples():
@@ -94,6 +97,7 @@ def test_covers_examples():
     assert QuadIndex(0, 2, 2, 0) not in found
     for c in found:
         assert defect(QuadIndex(0, 0, 0, 0), c) == 1
+    assert covers(QuadIndex(0, 0, 0, 0), 0) == []
 
 
 def test_covers_are_exactly_defect_one():
@@ -114,8 +118,9 @@ def test_parse_quad_takes_ascii_digits_only():
 def test_parse_quad():
     assert parse_quad("1,0,0,1") == QuadIndex(1, 0, 0, 1)
     assert parse_quad(" 2, 3 ,0,1 ") == QuadIndex(2, 3, 0, 1)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_quad("1,2,3")
+    assert err.value.pos == 0
     with pytest.raises(ParseError):
         parse_quad("1,2,x,4")
     with pytest.raises(ValueError):

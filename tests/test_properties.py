@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcat import poset
-from tensorcat.cli import _parse_osp_pair, parse_simple_index, terms_output
+from tensorcat.cli import _parse_osp_pair, parse_simple_index, terms_json, terms_output
 from tensorcat.combination import Combination, CombinationBuilder, index_key, index_label
 from tensorcat.crosscheck import chains_have_defect_length
 from tensorcat.diagrams import Partition, parse_partition, partitions
@@ -67,8 +67,9 @@ def test_builder_matches_repeated_addition(items):
     backwards = CombinationBuilder()
     for index, coeff in reversed(items):
         backwards.add(index, coeff)
-    lines, payload = terms_output(summed)
-    assert terms_output(backwards.build()) == (lines, payload)  # insertion order never shows
+    rendered = [(list(text), terms_json(terms)) for text, terms in map(terms_output, (summed, backwards.build()))]
+    assert rendered[0] == rendered[1]  # insertion order never shows
+    lines, payload = rendered[0]
     indices = [tuple(Partition(part) for part in term["pair"]) for term in payload]
     assert [index_key(idx) for idx in indices] == sorted(map(index_key, indices))
     assert lines == ([f"{term['mult']} {index_label(idx)}" for term, idx in zip(payload, indices)] or ["0"])
