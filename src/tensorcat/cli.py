@@ -23,10 +23,10 @@ from . import ext as ext_mod
 from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symfunc
 from .combination import Combination, index_key, index_label
-from .config import check_cap, resolve_config
+from .config import check_cap, check_limit, resolve_config
 from .diagrams import EMPTY, Partition, ascii_int, parse_naturals, parse_partition
 from .diagrams import partitions  # noqa: F401  (perfbench's tracer test asserts cli binds it)
-from .errors import DegreeCapExceeded, GuardExceeded, LimitExceeded, ParseError, TensorcatError
+from .errors import LimitExceeded, ParseError, TensorcatError
 from .grothendieck import SimpleIndex
 from .poset import parse_quad
 
@@ -148,9 +148,7 @@ CHAIN_LIMIT = 100_000
 def cmd_chains(args, cfg):
     a, b = parse_quad(args.a), parse_quad(args.b)
     check_cap(poset.defect(a, b) or 0, cfg.degree_cap, what="chain length")
-    count = poset.chain_count(a, b)
-    if count > CHAIN_LIMIT:
-        raise LimitExceeded(count, CHAIN_LIMIT, "saturated chains")
+    check_limit(poset.chain_count(a, b), CHAIN_LIMIT, "saturated chains")
     found = poset.chains(a, b)
     return (" -> ".join(map(str, path)) for path in found) if found else ["(none)"], found
 
@@ -416,7 +414,7 @@ def main(argv=None) -> int:
         lines, result = execute(args, cfg)
     except VerifyFailure as failure:
         (lines, result), code = failure.args, 1
-    except (DegreeCapExceeded, GuardExceeded, LimitExceeded) as exc:
+    except LimitExceeded as exc:
         print(f"tensorcat: refused: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TensorcatError) as exc:

@@ -9,6 +9,10 @@ whitespace is skipped, and a file over CONFIG_FILE_LIMIT bytes is refused.
 
 Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD,
 TENSORCAT_CONFIG (path of a config file).
+
+``check_limit`` is the one place a refusal is raised: the degree cap
+(``check_cap``), the group guard (``check_guard``) and every limit fixed in
+the program go through it, so each raises ``errors.LimitExceeded``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 from typing import NamedTuple
 
 from .diagrams import WHITESPACE, ascii_int
-from .errors import DegreeCapExceeded, GuardExceeded
+from .errors import LimitExceeded
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_GROUP_GUARD = 8
@@ -34,18 +38,20 @@ class Config(NamedTuple):
     group_guard: int = DEFAULT_GROUP_GUARD
 
 
+def check_limit(value: int, limit: int, what: str, bound: str = "the fixed limit") -> None:
+    """Refuse ``value`` above ``limit``; the message names ``what`` and ``bound``."""
+    if value > limit:
+        raise LimitExceeded(value, limit, what, bound)
+
+
 def check_cap(value: int, cap: int | None, what: str = "degree") -> None:
     """Refuse ``value`` above the degree cap (the default cap when None)."""
-    limit = DEFAULT_DEGREE_CAP if cap is None else cap
-    if value > limit:
-        raise DegreeCapExceeded(value, limit, what)
+    check_limit(value, DEFAULT_DEGREE_CAP if cap is None else cap, what, "the configured cap")
 
 
 def check_guard(value: int, guard: int | None, what: str = "total boxes") -> None:
     """Refuse ``value`` above the group-algebra guard (the default when None)."""
-    limit = DEFAULT_GROUP_GUARD if guard is None else guard
-    if value > limit:
-        raise GuardExceeded(value, limit, what)
+    check_limit(value, DEFAULT_GROUP_GUARD if guard is None else guard, what, "the group-algebra guard")
 
 
 def read_config_file(path: str) -> dict[str, str]:

@@ -19,7 +19,7 @@ def schur_product_agrees(mu: Partition, nu: Partition) -> bool:
     """s_mu * s_nu by LR against the monomial expansion in |mu| + |nu| variables."""
     nv = mu.degree + nu.degree
     brute = oracle.poly_product(oracle.expand_schur(mu, nv), oracle.expand_schur(nu, nv))
-    return symfunc.schur_product(symfunc.schur(mu), symfunc.schur(nu)) == oracle.decompose_into_schur(brute)
+    return symfunc.schur_term_product(mu, nu) == oracle.decompose_into_schur(brute)
 
 
 def square_power_agrees(outer: str, inner: str, k: int, nv: int) -> bool:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refusal, whichever limit it hits, is one ``LimitExceeded``, raised by
+``config.check_limit``; the CLI maps it to exit 2.
+"""
 
 from __future__ import annotations
 
@@ -7,31 +11,14 @@ class TensorcatError(Exception):
     """Base class for all errors raised deliberately by this package."""
 
 
-class DegreeCapExceeded(TensorcatError):
-    """A computation was refused because it would pass the degree cap."""
-
-    def __init__(self, degree: int, cap: int, what: str = "degree"):
-        self.degree = degree
-        self.cap = cap
-        super().__init__(f"{what} {degree} exceeds the configured cap {cap}")
-
-
-class GuardExceeded(TensorcatError):
-    """An explicit group-algebra computation was refused by the size guard."""
-
-    def __init__(self, size: int, guard: int, what: str = "total boxes"):
-        self.size = size
-        self.guard = guard
-        super().__init__(f"{what} {size} exceeds the group-algebra guard {guard}")
-
-
 class LimitExceeded(TensorcatError):
-    """A computation was refused by a limit fixed in the program, not a setting."""
+    """A computation was refused by a limit: the degree cap, the group guard or
+    a limit fixed in the program.  Raised only by ``config.check_limit``."""
 
-    def __init__(self, size: int, limit: int, what: str):
+    def __init__(self, size: int, limit: int, what: str, bound: str = "the fixed limit"):
         self.size = size
         self.limit = limit
-        super().__init__(f"{what} {size} exceeds the fixed limit {limit}")
+        super().__init__(f"{what} {size} exceeds {bound} {limit}")
 
 
 class ParseError(TensorcatError):

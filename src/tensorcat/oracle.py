@@ -31,8 +31,8 @@ from functools import cache, reduce
 from math import comb
 
 from .combination import Combination, CombinationBuilder, index_label
+from .config import check_limit
 from .diagrams import Partition, gl_dimension, partitions
-from .errors import LimitExceeded
 from .linalg import rank_of_rows
 from .symalg import perm_sign
 from .grothendieck import SimpleIndex
@@ -41,11 +41,6 @@ EXPAND_MAX_BOXES = 8
 ORBIT_MAX_SLOTS = 5
 
 Monomial = tuple[int, ...]
-
-
-def _within_limit(size: int, limit: int, what: str) -> None:
-    if size > limit:
-        raise LimitExceeded(size, limit, what)
 
 
 def _require_nonnegative(**entries: int) -> None:
@@ -81,7 +76,7 @@ def expand_schur(lam: Partition, nvars: int) -> Combination:
     neighbour's and greater than its upper neighbour's.
     """
     lam = Partition(lam)
-    _within_limit(lam.degree, EXPAND_MAX_BOXES, "schur expansion boxes")
+    check_limit(lam.degree, EXPAND_MAX_BOXES, "schur expansion boxes")
     if nvars < 1:
         raise ValueError("need at least one variable")
     if len(lam) > nvars:
@@ -199,8 +194,8 @@ def brute_force_plethysm(outer: str, k: int, inner: str, nvars: int) -> Combinat
 
     inner is "sym2" or "ext2"; sizes are limited to k <= 4, nvars <= 6.
     """
-    _within_limit(k, 4, "plethysm power")
-    _within_limit(nvars, 6, "plethysm variables")
+    check_limit(k, 4, "plethysm power")
+    check_limit(nvars, 6, "plethysm variables")
     if inner == "sym2":
         pairs = itertools.combinations_with_replacement(range(nvars), 2)
     elif inner == "ext2":
@@ -215,9 +210,9 @@ def brute_force_cauchy(outer: str, k: int, a: int, b: int) -> Combination:
 
     Sizes are limited to k <= 4 and a, b <= 5.
     """
-    _within_limit(k, 4, "cauchy power")
-    _within_limit(a, 5, "cauchy a-space variables")
-    _within_limit(b, 5, "cauchy b-space variables")
+    check_limit(k, 4, "cauchy power")
+    check_limit(a, 5, "cauchy a-space variables")
+    check_limit(b, 5, "cauchy b-space variables")
     pairs = ((i, a + j) for i, j in itertools.product(range(a), range(b)))
     character = _power_character(outer, k, _pair_weights(pairs, a + b), a + b)
     return decompose_pair_into_schur(character, a, b)
@@ -236,7 +231,7 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination
     group. Multiplicities are stable once nvars >= 2(m+n), which is required.
     """
     _require_nonnegative(m=m, n=n)
-    _within_limit(m + n, 4, "mixed tensor factors")
+    check_limit(m + n, 4, "mixed tensor factors")
     if nvars is None:
         nvars = max(1, 2 * (m + n))
     if nvars < 2 * (m + n) or nvars < 1:
@@ -406,7 +401,7 @@ def composite_orbit_rank(l: int, m: int, n: int, p: int, moves: tuple[str, ...])
     ones are reduced (as rows of the transpose).
     """
     _require_nonnegative(l=l, m=m, n=n, p=p)
-    _within_limit(l + m + n + p, ORBIT_MAX_SLOTS, "orbit rank slots")
+    check_limit(l + m + n + p, ORBIT_MAX_SLOTS, "orbit rank slots")
     names = ("contract", "left", "right")
     for move in moves:
         if move not in names:

@@ -30,9 +30,8 @@ import math
 from fractions import Fraction
 from operator import index as integer
 
-from .config import check_guard
+from .config import check_guard, check_limit
 from .diagrams import Partition, standard_tableau_count
-from .errors import LimitExceeded
 from .linalg import rank_of_rows, row_basis
 from .poset import QuadIndex
 
@@ -142,8 +141,7 @@ def young_symmetrizer(lam: Partition) -> GroupAlgebraElement:
     """
     lam = Partition(lam)
     n = lam.degree
-    if n > YOUNG_SYMMETRIZER_MAX_BOXES:
-        raise LimitExceeded(n, YOUNG_SYMMETRIZER_MAX_BOXES, "symmetrizer boxes")
+    check_limit(n, YOUNG_SYMMETRIZER_MAX_BOXES, "symmetrizer boxes")
     filling = _canonical_filling(lam)
     conj = lam.conjugate()
     columns = [

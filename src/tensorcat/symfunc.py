@@ -16,8 +16,8 @@ Partition with ``Partition._unchecked(rows)``, which takes no degree and
 skips a second validation; a shape found on the conjugate pair is
 transposed as raw rows, never built twice.  Its expansion is
 cached per ordered factor pair, and every LR caller reads that cache:
-``schur_term_product`` and ``schur_product`` return or add it, and
-``lr_coefficient`` looks one lam up in it.
+``schur_term_product`` returns it, and ``lr_coefficient`` looks one lam up
+in it.
 
 ``slot_product`` reads the same cache through ``_lr_terms``, which asks
 ``lr_coefficient`` once for each shape of the cached expansion and scans no
@@ -51,11 +51,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     if lam.degree != mu.degree + nu.degree or not (lam.contains(mu) and lam.contains(nu)):
         return 0
     return _lr_strips(mu, nu).coefficient(lam)
-
-
-def schur(p) -> Combination:
-    """The single Schur function s_p."""
-    return Combination({Partition(p): 1})
 
 
 def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
@@ -155,18 +150,6 @@ def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> 
     mu, nu = Partition(mu), Partition(nu)
     check_cap(mu.degree + nu.degree, cap)
     return _lr_strips(mu, nu)
-
-
-def schur_product(a: Combination, b: Combination, cap: int | None = None) -> Combination:
-    """Bilinear extension of the Littlewood-Richardson product; one cap check
-    on the largest degree of a plus the largest of b, before any work."""
-    if a and b:
-        check_cap(max(mu.degree for mu in a) + max(nu.degree for nu in b), cap)
-    out = CombinationBuilder()
-    for mu, ca in a.items():
-        for nu, cb in b.items():
-            out.add_all(_lr_strips(mu, nu), ca * cb)
-    return out.build()
 
 
 def slot_product(a: Combination, b: Combination) -> Combination:

@@ -226,6 +226,8 @@ def test_exit_codes(capsys):
     assert (code, out) == (0, "6227020800\n")
     code, out, err = run(capsys, "quadkernel", "0,11,2,0")
     assert code == 2 and out == "" and "degree 13 exceeds the configured cap 12" in err
+    code, out, err = run(capsys, "--group-guard", "3", "quadkernel", "0,2,2,0", "--check")
+    assert code == 2 and out == "" and "total boxes 4 exceeds the group-algebra guard 3" in err
     code, out, err = run(capsys, "chains", "6,0,0,6", "0,6,6,0")
     assert code == 2 and out == "" and "saturated chains 853776 exceeds the fixed limit 100000" in err
     code, out, err = run(capsys, "chains", "7,0,0,7", "0,7,7,0")

@@ -5,17 +5,26 @@ Every command below is run in-process through ``cli.main``, in text and in
 exit code must equal the recorded values in ``golden_cli.json``.  The string
 ``{tmp}`` stands for a per-test scratch directory (it holds the config file).
 
-Re-record (only when an output change is intended):
+Check the corpus outside pytest (standard library only; exits 1 naming the
+first case that differs, else prints the sha256 of the joined stdouts, which
+lets interpreters and ``-O`` runs be compared):
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+Re-record (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -139,8 +148,41 @@ def test_golden_cli_corpus(tmp_path):
         assert got == want, " ".join(want["argv"])
 
 
-if __name__ == "__main__":
+def test_check_mode_under_optimize():
+    # the stand-alone check runs every case, {tmp} and environment ones included,
+    # and must pass with asserts stripped and a fixed hash seed, reading the corpus only
+    before = CORPUS_PATH.read_bytes()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", __file__], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert CORPUS_PATH.read_bytes() == before
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Check the golden CLI corpus, or re-record it.")
+    parser.add_argument("--record", action="store_true", help="overwrite golden_cli.json with the current outputs")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         corpus = run_all(scratch)
-    CORPUS_PATH.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(corpus)} cases in {CORPUS_PATH}", file=sys.stderr)
+    if args.record:
+        CORPUS_PATH.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+        print(f"recorded {len(corpus)} cases in {CORPUS_PATH}", file=sys.stderr)
+        return 0
+    expected = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+    for got, want in zip(corpus, expected):
+        if got != want:
+            print(f"mismatch: {' '.join(want['argv'])} (env {want['env']})", file=sys.stderr)
+            return 1
+    if len(corpus) != len(expected):
+        print(f"mismatch: {len(corpus)} cases run, {len(expected)} recorded", file=sys.stderr)
+        return 1
+    print(hashlib.sha256("".join(case["stdout"] for case in corpus).encode("utf-8")).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

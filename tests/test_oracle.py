@@ -23,7 +23,6 @@ from tensorcat.oracle import (
     stable_mixed_tensor,
     standard_tableaux_brute,
 )
-from tensorcat.symfunc import schur
 
 P = Partition
 
@@ -47,7 +46,7 @@ def test_roundtrip_decomposition():
                 poly = expand_schur(lam, nv)
                 decomposed = decompose_into_schur(poly)
                 if len(lam) <= nv:
-                    assert decomposed == schur(lam)
+                    assert decomposed == Combination({lam: 1})
                 else:
                     assert not decomposed
 
@@ -205,7 +204,7 @@ def test_rational_dimension():
 ORACLE_MAY_IMPORT = {
     "combination": {"Combination", "CombinationBuilder", "index_label"},
     "diagrams": {"Partition", "gl_dimension", "partitions"},
-    "errors": {"LimitExceeded"},
+    "config": {"check_limit"},
     "linalg": {"rank_of_rows"},
     "symalg": {"perm_sign"},
     "grothendieck": {"SimpleIndex"},

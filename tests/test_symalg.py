@@ -12,7 +12,7 @@ import pytest
 from tensorcat import symalg
 from tensorcat.crosscheck import symmetrizer_scalar_agrees
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
-from tensorcat.errors import GuardExceeded, LimitExceeded
+from tensorcat.errors import LimitExceeded
 from tensorcat.linalg import rank_of_rows
 from tensorcat.oracle import composite_orbit_rank, contract_orbit_rank
 from tensorcat.poset import QuadIndex
@@ -235,7 +235,7 @@ def test_quadratic_kernel_explicit_row_reduction():
 
 
 def test_quadratic_kernel_guard():
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(LimitExceeded, match="total boxes 9 exceeds the group-algebra guard 8"):
         quadratic_kernel_check(QuadIndex(3, 2, 2, 2))
     assert quadratic_kernel_check(QuadIndex(3, 2, 2, 2), guard=9)
 
@@ -438,3 +438,26 @@ def test_engine_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert not sites, sites
+
+
+def _identifier(node: ast.AST) -> str:
+    """The name a node reads or binds: a Name, an attribute, an imported alias or a definition."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None) or ""
+
+
+def test_every_refusal_is_raised_by_check_limit():
+    # every cap, guard and fixed limit refuses through config.check_limit, the one
+    # place a refusal is built, so each refusal has one type and one message form
+    sites, refusal_names = [], set()
+    for path in sorted(Path(symalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if _identifier(node).endswith("Exceeded"):
+                refusal_names.add(_identifier(node))
+            if isinstance(node, ast.Call) and _identifier(node.func).endswith("Exceeded"):
+                owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+                sites.append((f"{path.stem}.{owner}", node.lineno))
+    assert [site for site, _ in sites] == ["config.check_limit"], sites
+    assert refusal_names == {"LimitExceeded"}, refusal_names
