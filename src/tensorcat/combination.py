@@ -20,10 +20,17 @@ from .diagrams import Partition
 
 
 def index_key(index) -> tuple:
-    """Canonical order: a partition by (degree, parts), a tuple slot by slot."""
+    """Canonical order: a partition by (degree, parts), a tuple slot by slot.
+
+    A tuple's key is flat, (degree_1, part_1, degree_2, part_2, ...): it orders
+    exactly as the per-slot pairs would, and is cheaper to build and compare.
+    """
     if isinstance(index, Partition):
         return (index.degree, index)
-    return tuple([(part.degree, part) for part in index])
+    key = []
+    for part in index:
+        key += (sum(part), part)
+    return tuple(key)
 
 
 def index_label(index) -> str:

@@ -2,19 +2,22 @@
 
 The resolution has terms Lambda^j F (x) I whose socles are the exterior
 Cauchy pairs in the two thick slots.  In total degree d its layers form the
-Koszul complex Lambda^i F (x) S^{d-i} F, which is exact for d >= 1; kernel
-and image layers are its right and left tails, and its full signed sum is the
-Euler shadow.  Ext dimensions are closed-form exactly for purely thick
-targets, the unit (the thick target indexed by two empty diagrams) among
-them, and the sharpness of the defect grading supplies a vanishing test for
-every other pair.
+Koszul complex K(i) = Lambda^i F (x) S^{d-i} F, which is exact for d >= 1;
+kernel and image layers are its right and left tails, and its full signed sum
+is the Euler shadow.  Each degree's tails are summed once, by the running
+differences right[j] = K(j) - right[j+1] and left[j] = K(j-1) - left[j-1],
+and cached (``_koszul_tails``): every later layer of that degree is a lookup,
+while a one-shot layer pays for its whole degree.  Ext dimensions are
+closed-form exactly for purely thick targets, the unit (the thick target
+indexed by two empty diagrams) among them, and the sharpness of the defect
+grading supplies a vanishing test for every other pair.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .combination import Combination, CombinationBuilder
+from .combination import Combination
 from .config import check_cap
 from .diagrams import Partition, partitions
 from .grothendieck import SimpleIndex, thick_indices
@@ -23,18 +26,33 @@ from .poset import defect
 from .symfunc import lr_coefficient, slot_product
 
 
-@cache
 def _koszul_pairs(i: int, j: int) -> Combination:
-    """Pair expansion of Lambda^i F (x) S^j F, the Koszul term at (i, j)."""
+    """Pair expansion of Lambda^i F (x) S^j F, the Koszul term at (i, j).
+
+    Not cached: ``_koszul_tails`` reads each term once per degree and caches
+    the tails instead.
+    """
     return slot_product(cauchy_ext(i), cauchy_sym(j))
 
 
-def _koszul_sum(d: int, degrees: range, top: int) -> Combination:
-    """Sum of (-1)^(i-top) Lambda^i F (x) S^{d-i} F over i in degrees, on thick indices."""
-    out = CombinationBuilder()
-    for i in degrees:
-        out.add_all(_koszul_pairs(i, d - i), -1 if (i - top) % 2 else 1)
-    return thick_indices(out.build())
+@cache
+def _koszul_tails(d: int) -> tuple[tuple[Combination, ...], tuple[Combination, ...]]:
+    """Both signed tails of the degree-d Koszul complex K(i) = Lambda^i F (x) S^{d-i} F.
+
+    Returns (right, left) on thick indices, each indexed by j = 0..d:
+    right[j] = K(j) - right[j+1] (right[d+1] = 0) is the signed sum over
+    i = j..d, and left[j] = K(j-1) - left[j-1] (left[0] = 0) the one over
+    i = 0..j-1.  Each K(i) is read once, so a whole degree costs 2(d+1) term
+    visits; the trade is that a single layer pays for its whole degree.
+    """
+    terms = [_koszul_pairs(i, d - i) for i in range(d + 1)]
+    right = [Combination()] * (d + 2)
+    for j in range(d, -1, -1):
+        right[j] = terms[j] - right[j + 1]
+    left = [Combination()] * (d + 1)
+    for j in range(1, d + 1):
+        left[j] = terms[j - 1] - left[j - 1]
+    return tuple(map(thick_indices, right[:-1])), tuple(map(thick_indices, left))
 
 
 def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
@@ -47,7 +65,7 @@ def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
     if j < 0 or k < 0:
         raise ValueError("kernel layer indices must be non-negative")
     check_cap(2 * (j + k), cap)
-    return _koszul_sum(j + k, range(j, j + k + 1), top=j).require_nonnegative()
+    return _koszul_tails(j + k)[0][j].require_nonnegative()
 
 
 def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
@@ -59,7 +77,7 @@ def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
     if j < 1 or k < 0:
         raise ValueError("image layers exist for degree >= 1 and layer >= 0")
     check_cap(2 * (j + k), cap)
-    return _koszul_sum(j + k, range(j), top=j - 1).require_nonnegative()
+    return _koszul_tails(j + k)[1][j].require_nonnegative()
 
 
 def ext_to_thick(x: SimpleIndex, target: tuple[Partition, Partition], q: int) -> int:
@@ -112,4 +130,4 @@ def euler_shadow(d: int) -> Combination:
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return _koszul_sum(d, range(d + 1), top=0)
+    return _koszul_tails(d)[0][0]

@@ -1,0 +1,49 @@
+"""The interpreter sweep (tools/check_interpreters.py), driven with stub interpreters.
+
+A stub is an executable script that answers ``--version`` and, in place of
+the corpus check, prints a fixed sha; so the sweep's comparison is tested
+without running the corpus.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_interpreters.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("check_interpreters", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stub(directory: Path, name: str, sha: str, code: int = 0) -> str:
+    path = directory / name
+    path.write_text(
+        "#!/bin/sh\n"
+        f'if [ "$1" = --version ]; then echo "Python 0.0.{name}"; exit 0; fi\n'
+        f"echo {sha}\n"
+        f"exit {code}\n"
+    )
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_sweep_passes_on_one_sha_and_fails_on_two_or_a_failed_check(tmp_path, capsys):
+    tool = load_tool()
+    same = [stub(tmp_path, f"same{n}", "a" * 64) for n in (1, 2)]
+    other = stub(tmp_path, "other", "b" * 64)
+    broken = stub(tmp_path, "broken", "a" * 64, code=1)
+
+    assert tool.main(same) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[1:] for line in lines] == [
+        [mode, f"0.0.{name}", "a" * 64] for name in ("same1", "same2") for mode in ("plain", "-O seed=1")
+    ]
+    assert tool.main([same[0], other]) == 1
+    assert "b" * 64 in capsys.readouterr().out
+    assert tool.main([broken]) == 1
+    assert "FAILED" in capsys.readouterr().out

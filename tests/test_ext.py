@@ -147,10 +147,61 @@ def test_hook_row_peel_refuses_a_negative_multiplicity(monkeypatch):
 
     terms = ext._koszul_pairs
     monkeypatch.setattr(ext, "_koszul_pairs", lambda i, j: Combination() if (i, j) == (1, 1) else terms(i, j))
-    with pytest.raises(ArithmeticError, match="negative multiplicity"):
-        ext.kernel_layer(1, 1)
-    with pytest.raises(ArithmeticError, match="negative multiplicity"):
-        ext.image_layer(2, 0)
+    # the faulty degree-2 tails must not stay cached for later tests
+    ext._koszul_tails.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="negative multiplicity"):
+            ext.kernel_layer(1, 1)
+        with pytest.raises(ArithmeticError, match="negative multiplicity"):
+            ext.image_layer(2, 0)
+    finally:
+        ext._koszul_tails.cache_clear()
+
+
+def test_layers_equal_the_direct_signed_koszul_sums():
+    # each layer written as its signed sum of Lambda^i F (x) S^{d-i} F,
+    # term by term, with none of the running differences it checks
+    from tensorcat.plethysm import cauchy_ext, cauchy_sym
+    from tensorcat.symfunc import slot_product
+
+    def signed_sum(d, degrees, top):
+        total = Combination()
+        for i in degrees:
+            term = slot_product(cauchy_ext(i), cauchy_sym(d - i))
+            total = total - term if (i - top) % 2 else total + term
+        return thick_indices(total)
+
+    for d in range(9):
+        for j in range(d + 1):
+            assert kernel_layer(j, d - j, cap=16) == signed_sum(d, range(j, d + 1), j), (j, d - j)
+        for j in range(1, d + 1):
+            assert image_layer(j, d - j, cap=16) == signed_sum(d, range(j), j - 1), (j, d - j)
+        assert euler_shadow(d) == signed_sum(d, range(d + 1), 0), d
+
+
+def test_each_degree_reads_its_koszul_terms_once(monkeypatch):
+    from tensorcat import ext
+
+    calls = []
+    terms = ext._koszul_pairs
+
+    def counting(i, j):
+        calls.append((i, j))
+        return terms(i, j)
+
+    monkeypatch.setattr(ext, "_koszul_pairs", counting)
+    ext._koszul_tails.cache_clear()
+    ext.kernel_layer(2, 4)
+    assert sorted(calls) == [(i, 6 - i) for i in range(7)]
+    calls.clear()
+    for j in range(7):
+        ext.kernel_layer(j, 6 - j)
+    for j in range(1, 7):
+        ext.image_layer(j, 6 - j)
+    ext.euler_shadow(6)
+    assert calls == []
+    ext.image_layer(3, 2)
+    assert len(calls) == 6
 
 
 def test_euler_shadow_vanishes():

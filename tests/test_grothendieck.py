@@ -246,7 +246,7 @@ def test_one_cap_check_per_request(monkeypatch):
 
     for module in (grothendieck, ext, ospcat, symfunc):
         monkeypatch.setattr(module, "check_cap", counting)
-    ext._koszul_pairs.cache_clear()
+    ext._koszul_tails.cache_clear()
     for request in (
         lambda: decompose_j(QuadIndex(3, 2, 2, 3), 12),
         lambda: ext.kernel_layer(3, 3, 12),

@@ -75,6 +75,20 @@ def test_builder_matches_repeated_addition(items):
     assert lines == ([f"{term['mult']} {index_label(idx)}" for term, idx in zip(payload, indices)] or ["0"])
 
 
+def nested_key(index: tuple) -> tuple:
+    # the per-slot canonical key: one (degree, parts) pair per slot
+    return tuple((part.degree, part) for part in index)
+
+
+@SMALL
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(*[upto(4)] * n), min_size=2, max_size=8)))
+def test_flat_index_key_orders_as_the_nested_key(indices):
+    for a, b in itertools.product(indices, repeat=2):
+        assert (index_key(a) < index_key(b)) == (nested_key(a) < nested_key(b)), (a, b)
+        assert (index_key(a) == index_key(b)) == (a == b), (a, b)
+    assert sorted(indices, key=index_key) == sorted(indices, key=nested_key)
+
+
 @SMALL
 @given(upto(5), upto(5))
 def test_lr_symmetry_and_conjugation(mu, nu):
