@@ -3,6 +3,9 @@
 Every engine operation is exposed as a subcommand with canonical, byte-stable
 output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
+A subcommand is one ``@command`` declaration on its handler: its name and
+arguments go to ``COMMANDS``, from which ``build_parser`` builds the parser.
+A new command also needs a fuzz shape and golden cases (tests/test_cli.py).
 ``--output json`` emits one JSON document per invocation, validating against
 schema/output.json.  Handlers return lazy text lines and the engine's result,
 which ``json.dumps`` encodes with ``terms_json``: each call renders one form.
@@ -96,6 +99,21 @@ def layers_output(layers: list[Combination]) -> tuple[Iterator[str], list[dict]]
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (args, cfg) and returns (lazy text lines, result)
 
+COMMANDS = []  # (name, handler, [(flag, add_argument keywords)], add_parser keywords), in --help order
+INT = {"type": ascii_int}
+DEGREE = ("--degree", {"type": ascii_int, "required": True})
+
+
+def command(name: str, *arguments, **keywords):
+    """Declare the handler below as subcommand ``name`` (``"osp leq"`` in the osp group); each argument
+    is a bare name or a ``(flag, add_argument keywords)`` pair."""
+
+    def declare(handler):
+        COMMANDS.append((name, handler, [(a, {}) if isinstance(a, str) else a for a in arguments], keywords))
+        return handler
+
+    return declare
+
 
 def scalar_output(value) -> tuple[list[str], object]:
     """One-line result: a number, ``true``/``false``, or ``undefined`` for None."""
@@ -104,17 +122,23 @@ def scalar_output(value) -> tuple[list[str], object]:
     return [str(value) if value is not None else "undefined"], value
 
 
+@command("lr", "lam", "mu", "nu", help="Littlewood-Richardson coefficient")
 def cmd_lr(args, cfg):
     lam, mu, nu = parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
     check_cap(lam.degree, cfg.degree_cap)
     return scalar_output(symfunc.lr_coefficient(lam, mu, nu))
 
 
+@command("product", "mu", "nu", help="Schur-basis product of two Schur functions")
 def cmd_product(args, cfg):
     mu, nu = parse_partition(args.mu), parse_partition(args.nu)
     return terms_output(symfunc.schur_term_product(mu, nu, cfg.degree_cap))
 
 
+PLETHYSM_FAMILIES = ("cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2")
+
+
+@command("plethysm", ("family", {"choices": PLETHYSM_FAMILIES}), ("k", INT), help="closed-form power decompositions")
 def cmd_plethysm(args, cfg):
     check_cap(2 * args.k, cfg.degree_cap)
     family = args.family
@@ -126,18 +150,22 @@ def cmd_plethysm(args, cfg):
     return terms_output(inner(args.k, kind))
 
 
+@command("decompose", "quad", help="composition factors of a tensor word")
 def cmd_decompose(args, cfg):
     return terms_output(gr.decompose_j(parse_quad(args.quad), cfg.degree_cap))
 
 
+@command("socle", "quad", help="socle of the tensor word at a quadruple")
 def cmd_socle(args, cfg):
     return terms_output(gr.socle_of(parse_quad(args.quad), cfg.degree_cap))
 
 
+@command("layers", ("kmax", INT), help="filtration layers of the injective hull of the unit")
 def cmd_layers(args, cfg):
     return layers_output(gr.layers_of_i(args.kmax, cfg.degree_cap))
 
 
+@command("defect", "a", "b", help="defect between two quadruples")
 def cmd_defect(args, cfg):
     return scalar_output(poset.defect(parse_quad(args.a), parse_quad(args.b)))
 
@@ -145,6 +173,7 @@ def cmd_defect(args, cfg):
 CHAIN_LIMIT = 100_000
 
 
+@command("chains", "a", "b", help="all saturated chains between two quadruples")
 def cmd_chains(args, cfg):
     a, b = parse_quad(args.a), parse_quad(args.b)
     check_cap(poset.defect(a, b) or 0, cfg.degree_cap, what="chain length")
@@ -153,17 +182,20 @@ def cmd_chains(args, cfg):
     return (" -> ".join(map(str, path)) for path in found) if found else ["(none)"], found
 
 
+@command("covers", "a", ("--bound", {**INT, "required": True}), help="immediate successors within a bound")
 def cmd_covers(args, cfg):
     found = poset.covers(parse_quad(args.a), args.bound)
     return map(str, found) if found else ["(none)"], found
 
 
+@command("ext-trivial", "index", DEGREE, help="Ext dimension into the unit object")
 def cmd_ext_trivial(args, cfg):
     x = parse_simple_index(args.index)
     check_cap(x.degree, cfg.degree_cap)
     return scalar_output(ext_mod.ext_to_thick(x, (EMPTY, EMPTY), args.degree))
 
 
+@command("ext-thick", "index", "alpha", "beta", DEGREE, help="Ext dimension into a purely thick simple")
 def cmd_ext_thick(args, cfg):
     x = parse_simple_index(args.index)
     target = (parse_partition(args.alpha), parse_partition(args.beta))
@@ -172,17 +204,20 @@ def cmd_ext_thick(args, cfg):
     return scalar_output(ext_mod.ext_to_thick(x, target, args.degree))
 
 
+@command("ext-vanishes", "source", "target", DEGREE, help="guaranteed-vanishing test between simples")
 def cmd_ext_vanishes(args, cfg):
     s, t = parse_simple_index(args.source), parse_simple_index(args.target)
     return scalar_output(ext_mod.ext_vanishes(s, t, args.degree))
 
 
+@command("resolution", ("j", INT), help="resolution term and its socle")
 def cmd_resolution(args, cfg):
     socle = ext_mod.thick_target_socle(args.j, EMPTY, EMPTY, cfg.degree_cap)
     body = f"Lambda^{args.j}(F) (x) I"
     return chain([f"body: {body}"], term_lines(socle)), {"j": args.j, "body": body, "socle": socle}
 
 
+@command("kernel-layer", ("j", INT), ("k", INT), help="filtration layer of a resolution kernel")
 def cmd_kernel_layer(args, cfg):
     return terms_output(ext_mod.kernel_layer(args.j, args.k, cfg.degree_cap))
 
@@ -190,6 +225,8 @@ def cmd_kernel_layer(args, cfg):
 HOM_MOVES = {"end": (), "contract": ("contract",), "shift-left": ("left",), "shift-right": ("right",)}
 
 
+@command("homdim", "quad", ("flavor", {"choices": tuple(HOM_MOVES)}),
+         help="span of zero or one move out of J(q) in the move model")
 def cmd_homdim(args, cfg):
     from . import symalg
 
@@ -198,6 +235,8 @@ def cmd_homdim(args, cfg):
     return scalar_output(symalg.move_word_dimension(q, HOM_MOVES[args.flavor]))
 
 
+@command("quadkernel", "quad", ("--check", {"action": "store_true", "help": "also row-reduce the explicit right ideal"}),
+         help="quadratic-relation kernel dimension")
 def cmd_quadkernel(args, cfg):
     from . import symalg
 
@@ -216,24 +255,29 @@ def _parse_osp_pair(text: str) -> ospcat.PairIndex:
     return ospcat.PairIndex(*parse_naturals(text, text, 0, "entry"))
 
 
+@command("osp leq", "a", "b")
 def cmd_osp_leq(args, cfg):
     return scalar_output(ospcat.osp_leq(_parse_osp_pair(args.a), _parse_osp_pair(args.b)))
 
 
+@command("osp defect", "a", "b")
 def cmd_osp_defect(args, cfg):
     return scalar_output(ospcat.osp_defect(_parse_osp_pair(args.a), _parse_osp_pair(args.b)))
 
 
+@command("osp layers", ("kmax", INT))
 def cmd_osp_layers(args, cfg):
     return layers_output(ospcat.osp_layers_of_i(args.kind, args.kmax, cfg.degree_cap))
 
 
+@command("osp ext-trivial", "lam", "mu", DEGREE)
 def cmd_osp_ext_trivial(args, cfg):
     x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
     check_cap(x.degree, cfg.degree_cap)
     return scalar_output(ospcat.osp_ext_to_trivial(x, args.degree))
 
 
+@command("osp conjugate", "lam", "mu")
 def cmd_osp_conjugate(args, cfg):
     x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
     check_cap(x.degree, cfg.degree_cap)
@@ -266,13 +310,6 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def add_command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
-    """Declare one subcommand and the handler that ``execute`` runs for it."""
-    command = subparsers.add_parser(name, **kwargs)
-    command.set_defaults(handler=handler)
-    return command
-
-
 def build_parser() -> Parser:
     parser = Parser(
         prog="tensorcat",
@@ -289,94 +326,17 @@ def build_parser() -> Parser:
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--verify", action="store_true", help="re-run oracle cross-checks and exit")
 
-    sub = parser.add_subparsers(dest="command")
-
-    lr = add_command(sub, "lr", cmd_lr, help="Littlewood-Richardson coefficient")
-    lr.add_argument("lam")
-    lr.add_argument("mu")
-    lr.add_argument("nu")
-
-    product = add_command(sub, "product", cmd_product, help="Schur-basis product of two Schur functions")
-    product.add_argument("mu")
-    product.add_argument("nu")
-
-    plet = add_command(sub, "plethysm", cmd_plethysm, help="closed-form power decompositions")
-    plet.add_argument(
-        "family",
-        choices=("cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2"),
-    )
-    plet.add_argument("k", type=ascii_int)
-
-    decompose = add_command(sub, "decompose", cmd_decompose, help="composition factors of a tensor word")
-    decompose.add_argument("quad")
-
-    socle = add_command(sub, "socle", cmd_socle, help="socle of the tensor word at a quadruple")
-    socle.add_argument("quad")
-
-    layers = add_command(sub, "layers", cmd_layers, help="filtration layers of the injective hull of the unit")
-    layers.add_argument("kmax", type=ascii_int)
-
-    defect = add_command(sub, "defect", cmd_defect, help="defect between two quadruples")
-    defect.add_argument("a")
-    defect.add_argument("b")
-
-    chains = add_command(sub, "chains", cmd_chains, help="all saturated chains between two quadruples")
-    chains.add_argument("a")
-    chains.add_argument("b")
-
-    covers = add_command(sub, "covers", cmd_covers, help="immediate successors within a bound")
-    covers.add_argument("a")
-    covers.add_argument("--bound", type=ascii_int, required=True)
-
-    ext_trivial = add_command(sub, "ext-trivial", cmd_ext_trivial, help="Ext dimension into the unit object")
-    ext_trivial.add_argument("index")
-    ext_trivial.add_argument("--degree", type=ascii_int, required=True)
-
-    ext_thick = add_command(sub, "ext-thick", cmd_ext_thick, help="Ext dimension into a purely thick simple")
-    ext_thick.add_argument("index")
-    ext_thick.add_argument("alpha")
-    ext_thick.add_argument("beta")
-    ext_thick.add_argument("--degree", type=ascii_int, required=True)
-
-    ext_vanishes = add_command(sub, "ext-vanishes", cmd_ext_vanishes, help="guaranteed-vanishing test between simples")
-    ext_vanishes.add_argument("source")
-    ext_vanishes.add_argument("target")
-    ext_vanishes.add_argument("--degree", type=ascii_int, required=True)
-
-    resolution = add_command(sub, "resolution", cmd_resolution, help="resolution term and its socle")
-    resolution.add_argument("j", type=ascii_int)
-
-    kernel = add_command(sub, "kernel-layer", cmd_kernel_layer, help="filtration layer of a resolution kernel")
-    kernel.add_argument("j", type=ascii_int)
-    kernel.add_argument("k", type=ascii_int)
-
-    homdim = add_command(sub, "homdim", cmd_homdim, help="span of zero or one move out of J(q) in the move model")
-    homdim.add_argument("quad")
-    homdim.add_argument("flavor", choices=("end", "contract", "shift-left", "shift-right"))
-
-    quadkernel = add_command(sub, "quadkernel", cmd_quadkernel, help="quadratic-relation kernel dimension")
-    quadkernel.add_argument("quad")
-    quadkernel.add_argument("--check", action="store_true", help="also row-reduce the explicit right ideal")
-
-    osp = sub.add_parser("osp", help="orthogonal/symplectic variant")
-    osp.add_argument("--kind", choices=("o", "sp"), required=True)
-    osp_sub = osp.add_subparsers(dest="osp_command", required=True)
-    osp_leq = add_command(osp_sub, "leq", cmd_osp_leq)
-    osp_leq.add_argument("a")
-    osp_leq.add_argument("b")
-    osp_defect = add_command(osp_sub, "defect", cmd_osp_defect)
-    osp_defect.add_argument("a")
-    osp_defect.add_argument("b")
-    osp_layers = add_command(osp_sub, "layers", cmd_osp_layers)
-    osp_layers.add_argument("kmax", type=ascii_int)
-    osp_ext = add_command(osp_sub, "ext-trivial", cmd_osp_ext_trivial)
-    osp_ext.add_argument("lam")
-    osp_ext.add_argument("mu")
-    osp_ext.add_argument("--degree", type=ascii_int, required=True)
-    osp_conj = add_command(osp_sub, "conjugate", cmd_osp_conjugate)
-    osp_conj.add_argument("lam")
-    osp_conj.add_argument("mu")
-
+    groups = {"": parser.add_subparsers(dest="command")}
+    for name, handler, arguments, keywords in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:  # "osp", made where its first command comes in the listing
+            osp = groups[""].add_parser(group, help="orthogonal/symplectic variant")
+            osp.add_argument("--kind", choices=ospcat.KINDS, required=True)
+            groups[group] = osp.add_subparsers(dest="osp_command", required=True)
+        subparser = groups[group].add_parser(leaf, **keywords)
+        subparser.set_defaults(handler=handler)
+        for flag, spec in arguments:
+            subparser.add_argument(flag, **spec)
     return parser
 
 

@@ -33,6 +33,11 @@ SYMPLECTIC = "sp"
 KINDS = (ORTHOGONAL, SYMPLECTIC)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
 class OspIndex(NamedTuple):
     kind: str
     lam: Partition
@@ -44,8 +49,7 @@ class OspIndex(NamedTuple):
 
 
 def osp_index(kind: str, lam=(), mu=()) -> OspIndex:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
     return OspIndex(kind, Partition(lam), Partition(mu))
 
 
@@ -79,8 +83,7 @@ def osp_chains(a: PairIndex, b: PairIndex) -> list[list[PairIndex]]:
 
 def _square_power(kind: str):
     """The powers of the variant's square: symmetric (orthogonal) or alternating (symplectic)."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
     return power_of_sym2 if kind == ORTHOGONAL else power_of_ext2
 
 
@@ -104,8 +107,7 @@ def osp_ext_to_trivial(x: OspIndex, j: int) -> int:
     the square: special partitions of degree 2j for the symplectic variant,
     their conjugates for the orthogonal one.
     """
-    if x.kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {x.kind!r}")
+    _check_kind(x.kind)
     if j < 0 or x.mu:
         return 0
     if x.lam.degree != 2 * j:

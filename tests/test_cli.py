@@ -130,11 +130,8 @@ def test_chains_and_covers(capsys):
     assert out == "0,1,1,0\n"
 
 
-GOLDEN = {
-    tuple(case["argv"]): case["stdout"]
-    for case in json.loads((ROOT / "tests" / "golden_cli.json").read_text(encoding="utf-8"))
-    if not case["env"]
-}
+CORPUS = json.loads((ROOT / "tests" / "golden_cli.json").read_text(encoding="utf-8"))
+GOLDEN = {tuple(case["argv"]): case["stdout"] for case in CORPUS if not case["env"]}
 
 
 def test_each_output_mode_renders_only_what_it_prints(capsys, monkeypatch):
@@ -299,10 +296,22 @@ def test_non_ascii_digits_exit_one_with_position(capsys):
         assert f"at position {pos} in" in err, (argv, err)
 
 
-def test_argparse_usage_errors_exit_one():
-    with pytest.raises(SystemExit) as err:
-        main(["plethysm", "not-a-family", "2"])
-    assert err.value.code == 1
+def test_argparse_usage_errors_exit_one(capsys):
+    for argv in (
+        "plethysm not-a-family 2",
+        # the osp group and its commands are nested parsers: each exits 1 too
+        "osp",
+        "osp --kind x leq 1,0 0,1",
+        "osp --kind o nosuch",
+        "osp --kind o leq",
+        "covers 0,0,0,0",
+        "homdim 0,1,1,0 nope",
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert err.value.code == 1, argv
+        assert captured.out == "" and captured.err.startswith("usage: tensorcat"), argv
 
 
 def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
@@ -466,8 +475,8 @@ _WORDS = {
     "Q": st.lists(_N, min_size=4, max_size=4).map(",".join),  # a quadruple
     "R": st.lists(_N, min_size=2, max_size=2).map(",".join),  # an o/sp pair
     "S": st.lists(_P, min_size=4, max_size=4).map(",".join),  # a simple index
-    "F": st.sampled_from(["cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2"]),
-    "H": st.sampled_from(["end", "contract", "shift-left", "shift-right"]),
+    "F": st.sampled_from(cli.PLETHYSM_FAMILIES),
+    "H": st.sampled_from(list(cli.HOM_MOVES)),
     "K": st.sampled_from(["o", "sp"]),
 }
 _ARGVS = st.tuples(*(st.tuples(*(_WORDS.get(w, st.just(w)) for w in shape.split())) for shape in _SHAPES))
@@ -487,6 +496,19 @@ def test_grammar_fuzz_exits_cleanly(cap, mode, argvs):
         assert (out.getvalue() == "") == (code != 0), argv  # a failed call prints nothing on stdout
         if mode and not code:
             VALIDATOR.validate(json.loads(out.getvalue()))
+
+
+def test_every_declared_command_is_fuzzed_and_golden():
+    declared = {name for name, *_ in cli.COMMANDS}
+    assert len(declared) == len(cli.COMMANDS)
+    # a shape's lower-case words that are not options spell its command's name
+    fuzzed = {" ".join(w for w in shape.split() if w.islower() and not w.startswith("-")) for shape in _SHAPES}
+    assert fuzzed == declared
+    names = {handler: name for name, handler, *_ in cli.COMMANDS}
+    parser = cli.build_parser()
+    passed = (parser.parse_args(case["argv"]) for case in CORPUS if case["exit"] == 0)
+    golden = {(names[args.handler], args.output) for args in passed if args.command}  # --verify has no command
+    assert golden == {(name, mode) for name in declared for mode in ("text", "json")}
 
 
 def test_subprocess_byte_determinism():
