@@ -4,8 +4,11 @@ Every engine operation is exposed as a subcommand with canonical, byte-stable
 output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
 A subcommand is one ``@command`` declaration on its handler: its name and
-arguments go to ``COMMANDS``, from which ``build_parser`` builds the parser.
-A new command also needs a fuzz shape and golden cases (tests/test_cli.py).
+arguments go to ``COMMANDS``, from which ``build_parser`` builds the parser
+once per process.  An index argument names its reader (``diagrams`` holds the
+grammar), which ``execute`` applies after the configuration is resolved, so
+handlers get typed values.  A new command also needs a fuzz shape and golden
+cases (tests/test_cli.py).
 ``--output json`` emits one JSON document per invocation, validating against
 schema/output.json.  Handlers return lazy text lines and the engine's result,
 which ``json.dumps`` encodes with ``terms_json``: each call renders one form.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import chain
 
 from . import ext as ext_mod
@@ -27,43 +31,11 @@ from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symfunc
 from .combination import Combination, index_key, index_label
 from .config import check_cap, check_limit, resolve_config
-from .diagrams import EMPTY, Partition, ascii_int, parse_naturals, parse_partition
+from .diagrams import EMPTY, Partition, ascii_int, parse_partition
 from .diagrams import partitions  # noqa: F401  (perfbench's tracer test asserts cli binds it)
-from .errors import LimitExceeded, ParseError, TensorcatError
-from .grothendieck import SimpleIndex
+from .errors import LimitExceeded, TensorcatError
+from .grothendieck import SimpleIndex, parse_simple_index
 from .poset import parse_quad
-
-
-def parse_simple_index(text: str) -> SimpleIndex:
-    """Parse four partitions like ``[1],[],[],[1]`` (top-level commas split).
-
-    A bad partition raises ParseError at its position in the whole text.
-    """
-    pieces = []  # (offset in text, piece)
-    depth = 0
-    start = 0
-    for pos, ch in enumerate(text):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(text, pos, "unbalanced ']'")
-        elif ch == "," and depth == 0:
-            pieces.append((start, text[start:pos]))
-            start = pos + 1
-    pieces.append((start, text[start:]))
-    if depth != 0:
-        raise ParseError(text, len(text) - 1, "unbalanced '['")
-    if len(pieces) != 4:
-        raise ParseError(text, 0, f"expected four partitions, got {len(pieces)}")
-    parts = []
-    for offset, piece in pieces:
-        try:
-            parts.append(parse_partition(piece))
-        except ParseError as exc:
-            raise ParseError(text, offset + exc.pos, exc.message) from exc
-    return SimpleIndex(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +71,17 @@ def layers_output(layers: list[Combination]) -> tuple[Iterator[str], list[dict]]
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (args, cfg) and returns (lazy text lines, result)
 
-COMMANDS = []  # (name, handler, [(flag, add_argument keywords)], add_parser keywords), in --help order
+COMMANDS = []  # (name, handler, arguments, add_parser keywords), in --help order
 INT = {"type": ascii_int}
 DEGREE = ("--degree", {"type": ascii_int, "required": True})
 
 
 def command(name: str, *arguments, **keywords):
-    """Declare the handler below as subcommand ``name`` (``"osp leq"`` in the osp group); each argument
-    is a bare name or a ``(flag, add_argument keywords)`` pair."""
+    """Declare the handler below as subcommand ``name`` (``"osp leq"`` in the osp group); an argument is
+    an index's ``(name, reader)``, applied by ``execute``, or a ``(flag, add_argument keywords)`` pair."""
 
     def declare(handler):
-        COMMANDS.append((name, handler, [(a, {}) if isinstance(a, str) else a for a in arguments], keywords))
+        COMMANDS.append((name, handler, arguments, keywords))
         return handler
 
     return declare
@@ -122,17 +94,16 @@ def scalar_output(value) -> tuple[list[str], object]:
     return [str(value) if value is not None else "undefined"], value
 
 
-@command("lr", "lam", "mu", "nu", help="Littlewood-Richardson coefficient")
+@command("lr", ("lam", parse_partition), ("mu", parse_partition), ("nu", parse_partition),
+         help="Littlewood-Richardson coefficient")
 def cmd_lr(args, cfg):
-    lam, mu, nu = parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu)
-    check_cap(lam.degree, cfg.degree_cap)
-    return scalar_output(symfunc.lr_coefficient(lam, mu, nu))
+    check_cap(args.lam.degree, cfg.degree_cap)
+    return scalar_output(symfunc.lr_coefficient(args.lam, args.mu, args.nu))
 
 
-@command("product", "mu", "nu", help="Schur-basis product of two Schur functions")
+@command("product", ("mu", parse_partition), ("nu", parse_partition), help="Schur-basis product of two Schur functions")
 def cmd_product(args, cfg):
-    mu, nu = parse_partition(args.mu), parse_partition(args.nu)
-    return terms_output(symfunc.schur_term_product(mu, nu, cfg.degree_cap))
+    return terms_output(symfunc.schur_term_product(args.mu, args.nu, cfg.degree_cap))
 
 
 PLETHYSM_FAMILIES = ("cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2")
@@ -150,14 +121,14 @@ def cmd_plethysm(args, cfg):
     return terms_output(inner(args.k, kind))
 
 
-@command("decompose", "quad", help="composition factors of a tensor word")
+@command("decompose", ("quad", parse_quad), help="composition factors of a tensor word")
 def cmd_decompose(args, cfg):
-    return terms_output(gr.decompose_j(parse_quad(args.quad), cfg.degree_cap))
+    return terms_output(gr.decompose_j(args.quad, cfg.degree_cap))
 
 
-@command("socle", "quad", help="socle of the tensor word at a quadruple")
+@command("socle", ("quad", parse_quad), help="socle of the tensor word at a quadruple")
 def cmd_socle(args, cfg):
-    return terms_output(gr.socle_of(parse_quad(args.quad), cfg.degree_cap))
+    return terms_output(gr.socle_of(args.quad, cfg.degree_cap))
 
 
 @command("layers", ("kmax", INT), help="filtration layers of the injective hull of the unit")
@@ -165,49 +136,47 @@ def cmd_layers(args, cfg):
     return layers_output(gr.layers_of_i(args.kmax, cfg.degree_cap))
 
 
-@command("defect", "a", "b", help="defect between two quadruples")
+@command("defect", ("a", parse_quad), ("b", parse_quad), help="defect between two quadruples")
 def cmd_defect(args, cfg):
-    return scalar_output(poset.defect(parse_quad(args.a), parse_quad(args.b)))
+    return scalar_output(poset.defect(args.a, args.b))
 
 
 CHAIN_LIMIT = 100_000
 
 
-@command("chains", "a", "b", help="all saturated chains between two quadruples")
+@command("chains", ("a", parse_quad), ("b", parse_quad), help="all saturated chains between two quadruples")
 def cmd_chains(args, cfg):
-    a, b = parse_quad(args.a), parse_quad(args.b)
-    check_cap(poset.defect(a, b) or 0, cfg.degree_cap, what="chain length")
-    check_limit(poset.chain_count(a, b), CHAIN_LIMIT, "saturated chains")
-    found = poset.chains(a, b)
+    check_cap(poset.defect(args.a, args.b) or 0, cfg.degree_cap, what="chain length")
+    check_limit(poset.chain_count(args.a, args.b), CHAIN_LIMIT, "saturated chains")
+    found = poset.chains(args.a, args.b)
     return (" -> ".join(map(str, path)) for path in found) if found else ["(none)"], found
 
 
-@command("covers", "a", ("--bound", {**INT, "required": True}), help="immediate successors within a bound")
+@command("covers", ("a", parse_quad), ("--bound", {**INT, "required": True}),
+         help="immediate successors within a bound")
 def cmd_covers(args, cfg):
-    found = poset.covers(parse_quad(args.a), args.bound)
+    found = poset.covers(args.a, args.bound)
     return map(str, found) if found else ["(none)"], found
 
 
-@command("ext-trivial", "index", DEGREE, help="Ext dimension into the unit object")
+@command("ext-trivial", ("index", parse_simple_index), DEGREE, help="Ext dimension into the unit object")
 def cmd_ext_trivial(args, cfg):
-    x = parse_simple_index(args.index)
-    check_cap(x.degree, cfg.degree_cap)
-    return scalar_output(ext_mod.ext_to_thick(x, (EMPTY, EMPTY), args.degree))
+    check_cap(args.index.degree, cfg.degree_cap)
+    return scalar_output(ext_mod.ext_to_thick(args.index, (EMPTY, EMPTY), args.degree))
 
 
-@command("ext-thick", "index", "alpha", "beta", DEGREE, help="Ext dimension into a purely thick simple")
+@command("ext-thick", ("index", parse_simple_index), ("alpha", parse_partition), ("beta", parse_partition), DEGREE,
+         help="Ext dimension into a purely thick simple")
 def cmd_ext_thick(args, cfg):
-    x = parse_simple_index(args.index)
-    target = (parse_partition(args.alpha), parse_partition(args.beta))
-    check_cap(x.degree, cfg.degree_cap)
+    check_cap(args.index.degree, cfg.degree_cap)
     check_cap(args.degree, cfg.degree_cap)
-    return scalar_output(ext_mod.ext_to_thick(x, target, args.degree))
+    return scalar_output(ext_mod.ext_to_thick(args.index, (args.alpha, args.beta), args.degree))
 
 
-@command("ext-vanishes", "source", "target", DEGREE, help="guaranteed-vanishing test between simples")
+@command("ext-vanishes", ("source", parse_simple_index), ("target", parse_simple_index), DEGREE,
+         help="guaranteed-vanishing test between simples")
 def cmd_ext_vanishes(args, cfg):
-    s, t = parse_simple_index(args.source), parse_simple_index(args.target)
-    return scalar_output(ext_mod.ext_vanishes(s, t, args.degree))
+    return scalar_output(ext_mod.ext_vanishes(args.source, args.target, args.degree))
 
 
 @command("resolution", ("j", INT), help="resolution term and its socle")
@@ -225,44 +194,37 @@ def cmd_kernel_layer(args, cfg):
 HOM_MOVES = {"end": (), "contract": ("contract",), "shift-left": ("left",), "shift-right": ("right",)}
 
 
-@command("homdim", "quad", ("flavor", {"choices": tuple(HOM_MOVES)}),
+@command("homdim", ("quad", parse_quad), ("flavor", {"choices": tuple(HOM_MOVES)}),
          help="span of zero or one move out of J(q) in the move model")
 def cmd_homdim(args, cfg):
     from . import symalg
 
-    q = parse_quad(args.quad)
-    check_cap(sum(q), cfg.degree_cap)
-    return scalar_output(symalg.move_word_dimension(q, HOM_MOVES[args.flavor]))
+    check_cap(sum(args.quad), cfg.degree_cap)
+    return scalar_output(symalg.move_word_dimension(args.quad, HOM_MOVES[args.flavor]))
 
 
-@command("quadkernel", "quad", ("--check", {"action": "store_true", "help": "also row-reduce the explicit right ideal"}),
+@command("quadkernel", ("quad", parse_quad),
+         ("--check", {"action": "store_true", "help": "also row-reduce the explicit right ideal"}),
          help="quadratic-relation kernel dimension")
 def cmd_quadkernel(args, cfg):
     from . import symalg
 
-    q = parse_quad(args.quad)
-    check_cap(sum(q), cfg.degree_cap)
-    dim = symalg.quadratic_kernel_dim(q)
+    check_cap(sum(args.quad), cfg.degree_cap)
+    dim = symalg.quadratic_kernel_dim(args.quad)
     if not args.check:
         return scalar_output(dim)
-    verified = symalg.quadratic_kernel_check(q, cfg.group_guard)
+    verified = symalg.quadratic_kernel_check(args.quad, cfg.group_guard)
     return [str(dim), "check: ok" if verified else "check: FAIL"], {"dim": dim, "check": verified}
 
 
-def _parse_osp_pair(text: str) -> ospcat.PairIndex:
-    if text.count(",") != 1:
-        raise ParseError(text, 0, "expected two comma-separated entries")
-    return ospcat.PairIndex(*parse_naturals(text, text, 0, "entry"))
-
-
-@command("osp leq", "a", "b")
+@command("osp leq", ("a", ospcat.parse_pair), ("b", ospcat.parse_pair))
 def cmd_osp_leq(args, cfg):
-    return scalar_output(ospcat.osp_leq(_parse_osp_pair(args.a), _parse_osp_pair(args.b)))
+    return scalar_output(ospcat.osp_leq(args.a, args.b))
 
 
-@command("osp defect", "a", "b")
+@command("osp defect", ("a", ospcat.parse_pair), ("b", ospcat.parse_pair))
 def cmd_osp_defect(args, cfg):
-    return scalar_output(ospcat.osp_defect(_parse_osp_pair(args.a), _parse_osp_pair(args.b)))
+    return scalar_output(ospcat.osp_defect(args.a, args.b))
 
 
 @command("osp layers", ("kmax", INT))
@@ -270,16 +232,16 @@ def cmd_osp_layers(args, cfg):
     return layers_output(ospcat.osp_layers_of_i(args.kind, args.kmax, cfg.degree_cap))
 
 
-@command("osp ext-trivial", "lam", "mu", DEGREE)
+@command("osp ext-trivial", ("lam", parse_partition), ("mu", parse_partition), DEGREE)
 def cmd_osp_ext_trivial(args, cfg):
-    x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
+    x = ospcat.osp_index(args.kind, args.lam, args.mu)
     check_cap(x.degree, cfg.degree_cap)
     return scalar_output(ospcat.osp_ext_to_trivial(x, args.degree))
 
 
-@command("osp conjugate", "lam", "mu")
+@command("osp conjugate", ("lam", parse_partition), ("mu", parse_partition))
 def cmd_osp_conjugate(args, cfg):
-    x = ospcat.osp_index(args.kind, parse_partition(args.lam), parse_partition(args.mu))
+    x = ospcat.osp_index(args.kind, args.lam, args.mu)
     check_cap(x.degree, cfg.degree_cap)
     image = ospcat.osp_conjugate(x)
     return [f"{image.kind} {image.lam},{image.mu}"], image._asdict()
@@ -310,6 +272,7 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> Parser:
     parser = Parser(
         prog="tensorcat",
@@ -334,14 +297,16 @@ def build_parser() -> Parser:
             osp.add_argument("--kind", choices=ospcat.KINDS, required=True)
             groups[group] = osp.add_subparsers(dest="osp_command", required=True)
         subparser = groups[group].add_parser(leaf, **keywords)
-        subparser.set_defaults(handler=handler)
+        subparser.set_defaults(handler=handler, readers=[(flag, spec) for flag, spec in arguments if callable(spec)])
         for flag, spec in arguments:
-            subparser.add_argument(flag, **spec)
+            subparser.add_argument(flag, **({} if callable(spec) else spec))
     return parser
 
 
 def execute(args, cfg) -> tuple[Iterable[str], object]:
-    """Run one subcommand through the handler its parser declared."""
+    """Read each index argument with its declared reader, then run the handler its parser declared."""
+    for name, read in args.readers:
+        setattr(args, name, read(getattr(args, name)))
     return args.handler(args, cfg)
 
 
@@ -363,7 +328,7 @@ def main(argv=None) -> int:
         if args.command:
             print("tensorcat: error: --verify takes no subcommand", file=sys.stderr)
             return 1
-        args.command, args.handler = "verify", cmd_verify
+        args.command, args.handler, args.readers = "verify", cmd_verify, ()
     if not args.command:
         parser.print_usage(sys.stderr)
         print("tensorcat: error: a subcommand is required", file=sys.stderr)

@@ -5,12 +5,15 @@ tuples of positive integers; the empty partition is ``Partition()``.  Only
 printing orders them, by ``combination.index_key`` (degree, then parts).
 A ``Partition`` is a bare tuple: it has no instance dict, and its degree is
 computed from the parts when asked for, so each one costs what its tuple does.
+``read_fields`` is the one text grammar of indices (partitions, quadruples,
+pairs, simple indices): ASCII digits and whitespace only, and a ParseError
+gives its position in the whole text.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, partial
 from operator import ge, index as integer
 
 from .errors import ParseError
@@ -209,24 +212,6 @@ def standard_tableau_count(p: Partition) -> int:
     return result
 
 
-def parse_naturals(text: str, body: str, start: int, what: str) -> list[int]:
-    """Read body, a comma-separated list of ASCII decimal naturals in text.
-
-    start is where body begins in text; a bad token raises ParseError at the
-    token's own position.  Only ASCII whitespace around a token is skipped.
-    """
-    values = []
-    pos = start
-    for token in body.split(","):
-        pos = text.find(token, pos)
-        cleaned = token.strip(WHITESPACE)
-        if not (cleaned.isascii() and cleaned.isdigit()):
-            raise ParseError(text, pos + len(token) - len(token.lstrip(WHITESPACE)), f"bad {what} {cleaned!r}")
-        values.append(int(cleaned))
-        pos += len(token)
-    return values
-
-
 def ascii_int(text: str, what: str = "integer") -> int:
     """Read an optional '-' then ASCII decimal digits, and nothing else.
 
@@ -239,18 +224,51 @@ def ascii_int(text: str, what: str = "integer") -> int:
     return int(text)
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the text syntax ``[4,2,1]``, ASCII spaces allowed; the empty diagram is ``[]``."""
-    stripped = text.strip(WHITESPACE)
+def read_fields(text: str, read, count: int = 0, refusal: str = "", start: int = 0, end: int | None = None) -> list:
+    """Read text[start:end] split at its top-level commas (brackets nest), each field by
+    ``read(text, field_start, field_end)``.  Unbalanced brackets are refused, and so, given
+    a count, is any other number of fields, with ``refusal`` (``{got}``: the number found)."""
+    end = len(text) if end is None else end
+    starts, depth = [start], 0
+    for pos in range(start, end):
+        if text[pos] == "[":
+            depth += 1
+        elif text[pos] == "]":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(text, pos, "unbalanced ']'")
+        elif text[pos] == "," and not depth:
+            starts.append(pos + 1)
+    if depth:
+        raise ParseError(text, end - 1, "unbalanced '['")
+    if count and len(starts) != count:
+        raise ParseError(text, 0, refusal.format(got=len(starts)))
+    return [read(text, a, b - 1) for a, b in zip(starts, [*starts[1:], end + 1])]
+
+
+def read_natural(text: str, start: int, end: int, what: str = "entry") -> int:
+    """Read the field text[start:end]: ASCII decimal digits, only ASCII whitespace around them."""
+    field = text[start:end]
+    digits = field.strip(WHITESPACE)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(text, start + len(field) - len(field.lstrip(WHITESPACE)), f"bad {what} {digits!r}")
+    return int(digits)
+
+
+def parse_partition(text: str, start: int = 0, end: int | None = None) -> Partition:
+    """Parse the text syntax ``[4,2,1]``, ASCII spaces allowed; the empty diagram is ``[]``.
+    Given start and end, it reads the field text[start:end] of a longer text."""
+    end = len(text) if end is None else end
+    stripped = text[start:end].strip(WHITESPACE)
     if not stripped.startswith("["):
-        raise ParseError(text, 0, "expected '['")
+        raise ParseError(text, start, "expected '['")
     if not stripped.endswith("]"):
-        raise ParseError(text, len(text) - 1, "expected ']'")
-    inner = stripped[1:-1].strip(WHITESPACE)
-    if not inner:
+        raise ParseError(text, end - 1, "expected ']'")
+    first, last = text.index("[", start) + 1, text.rindex("]", start, end)
+    if not text[first:last].strip(WHITESPACE):
         return EMPTY
-    parts = parse_naturals(text, inner, text.index("[") + 1, "part")
+    parts = read_fields(text, partial(read_natural, what="part"), start=first, end=last)
     try:
         return Partition(parts)
     except ValueError as exc:
-        raise ParseError(text, 1, str(exc)) from exc
+        raise ParseError(text, start + 1, str(exc)) from exc

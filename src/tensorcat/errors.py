@@ -22,10 +22,10 @@ class LimitExceeded(TensorcatError):
 
 
 class ParseError(TensorcatError):
-    """Bad input text; carries the offending token and its position."""
+    """Bad input text; carries the offending token and its position inside the text."""
 
     def __init__(self, text: str, pos: int, message: str):
         self.text = text
-        self.pos = pos
+        self.pos = pos = min(pos, max(len(text) - 1, 0))  # an empty last field starts past the end
         self.message = message
         super().__init__(f"{message} at position {pos} in {text!r}")

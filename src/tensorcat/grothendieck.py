@@ -49,6 +49,7 @@ from typing import Iterable, NamedTuple
 from .combination import Combination, CombinationBuilder
 from .config import check_cap
 from .diagrams import EMPTY, Partition, add_box, partitions, remove_box, standard_tableau_count
+from .diagrams import parse_partition, read_fields
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import QuadIndex
 from .symfunc import lr_coefficient, slot_product  # noqa: F401
@@ -76,6 +77,11 @@ class SimpleIndex(NamedTuple):
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self)
+
+
+def parse_simple_index(text: str) -> SimpleIndex:
+    """Read four partitions like ``[1],[],[],[1]``, split at the top-level commas."""
+    return SimpleIndex(*read_fields(text, parse_partition, 4, "expected four partitions, got {got}"))
 
 
 UNIT = SimpleIndex(EMPTY, EMPTY, EMPTY, EMPTY)

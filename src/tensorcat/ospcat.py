@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .combination import Combination
 from .config import check_cap
-from .diagrams import Partition
+from .diagrams import Partition, read_fields, read_natural
 from .plethysm import EXTERIOR, SYMMETRIC, power_of_ext2, power_of_sym2
 from .poset import saturated_chains
 
@@ -56,6 +56,10 @@ def osp_index(kind: str, lam=(), mu=()) -> OspIndex:
 class PairIndex(NamedTuple):
     l: int
     m: int
+
+
+def parse_pair(text: str) -> PairIndex:
+    return PairIndex(*read_fields(text, read_natural, 2, "expected two comma-separated entries"))
 
 
 def osp_leq(a: PairIndex, b: PairIndex) -> bool:

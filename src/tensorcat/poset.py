@@ -20,8 +20,7 @@ from math import factorial
 from operator import index as integer
 from typing import NamedTuple
 
-from .diagrams import parse_naturals
-from .errors import ParseError
+from .diagrams import read_fields, read_natural
 
 
 class QuadIndex(NamedTuple):
@@ -42,9 +41,7 @@ def quad(l: int, m: int, n: int, p: int) -> QuadIndex:
 
 
 def parse_quad(text: str) -> QuadIndex:
-    if text.count(",") != 3:
-        raise ParseError(text, 0, "expected four comma-separated entries")
-    return quad(*parse_naturals(text, text, 0, "entry"))
+    return quad(*read_fields(text, read_natural, 4, "expected four comma-separated entries"))
 
 
 def invariant(q: QuadIndex) -> int:

@@ -1,12 +1,13 @@
-"""Indices shared by the test modules, imported as a plain module
-(``from quads import ...``): pytest puts this directory on ``sys.path``."""
+"""Indices and brute-force helpers shared by the test modules, imported as a
+plain module (``from quads import ...``): pytest puts this directory on ``sys.path``."""
 
 from __future__ import annotations
 
 import itertools
 
-from tensorcat.diagrams import Partition
+from tensorcat.diagrams import Partition, partitions
 from tensorcat.grothendieck import SimpleIndex
+from tensorcat.oracle import lr_tableaux_brute
 from tensorcat.poset import QuadIndex
 
 
@@ -20,6 +21,36 @@ def quads_with_sum_at_most(bound: int) -> list[QuadIndex]:
     return out
 
 
+def box(bound: int) -> list[QuadIndex]:
+    """Every quadruple with entries at most ``bound``."""
+    return [QuadIndex(*t) for t in itertools.product(range(bound + 1), repeat=4)]
+
+
 def simple(lam=(), mu=(), nu=(), pi=()) -> SimpleIndex:
     """The simple index (lam, mu, nu, pi) from four lists of parts; an omitted slot is empty."""
     return SimpleIndex(Partition(lam), Partition(mu), Partition(nu), Partition(pi))
+
+
+def all_indices_up_to(total_degree: int):
+    """Every simple index of total degree at most ``total_degree``."""
+    for total in range(total_degree + 1):
+        for dl in range(total + 1):
+            for dm in range(total - dl + 1):
+                for dn in range(total - dl - dm + 1):
+                    dp = total - dl - dm - dn
+                    for lam in partitions(dl):
+                        for mu in partitions(dm):
+                            for nu in partitions(dn):
+                                for pi in partitions(dp):
+                                    yield simple(lam, mu, nu, pi)
+
+
+def brute_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
+    """s_mu * s_nu by the oracle's cell-filling count over every lam of the degree."""
+    terms = {}
+    for lam in partitions(mu.degree + nu.degree):
+        if lam.contains(mu) and lam.contains(nu):
+            coeff = lr_tableaux_brute(lam, mu, nu)
+            if coeff:
+                terms[lam] = coeff
+    return terms

@@ -37,7 +37,7 @@ from tensorcat.symalg import (
     young_scalar,
 )
 from tensorcat.symfunc import schur_term_product
-from quads import quads_with_sum_at_most, simple
+from quads import all_indices_up_to, box, quads_with_sum_at_most
 
 P = Partition
 
@@ -80,7 +80,7 @@ def test_criterion_02_square_power_families_match_oracle():
 
 
 def test_criterion_03_defect_calculus():
-    elements = _quads_box(3)
+    elements = box(3)
     up_cache: dict[QuadIndex, list[QuadIndex]] = {}
 
     def longest_chain(a: QuadIndex, b: QuadIndex, memo: dict) -> int:
@@ -117,27 +117,10 @@ def test_criterion_03_defect_calculus():
     assert ok, failures[:5]
 
 
-def _quads_box(bound: int) -> list[QuadIndex]:
-    return [QuadIndex(*t) for t in itertools.product(range(bound + 1), repeat=4)]
-
-
-def _all_indices(total_degree: int):
-    for total in range(total_degree + 1):
-        for dl in range(total + 1):
-            for dm in range(total - dl + 1):
-                for dn in range(total - dl - dm + 1):
-                    dp = total - dl - dm - dn
-                    for lam in partitions(dl):
-                        for mu in partitions(dm):
-                            for nu in partitions(dn):
-                                for pi in partitions(dp):
-                                    yield simple(lam, mu, nu, pi)
-
-
 def test_criterion_04_ext_to_unit():
     failures = []
     socles = {j: thick_target_socle(j, EMPTY, EMPTY) for j in range(7)}
-    for x in _all_indices(6):
+    for x in all_indices_up_to(6):
         for j in range(7):
             value = ext_to_thick(x, (EMPTY, EMPTY), j)
             expected = int(

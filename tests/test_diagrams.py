@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import copy
 import itertools
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +224,17 @@ def test_parse_partition():
         parse_partition("[4,x]")
     with pytest.raises(ParseError):
         parse_partition("[1,2]")
+
+
+def test_parse_error_is_raised_only_by_diagrams():
+    # one input grammar: every index text is read by diagrams.read_fields and its
+    # field readers, so no other module builds a ParseError
+    sites = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tensorcat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "ParseError":
+                sites.append(path.stem)
+    assert sites and set(sites) == {"diagrams"}, sites
 
 
 def test_text_rendering_roundtrip():

@@ -15,7 +15,7 @@ from tensorcat.ext import (
 from tensorcat.grothendieck import thick_indices
 from tensorcat.poset import QuadIndex, defect
 from tensorcat.symfunc import lr_coefficient
-from quads import simple
+from quads import all_indices_up_to, simple
 
 P = Partition
 
@@ -23,19 +23,6 @@ P = Partition
 def ext_to_unit(x, j):
     # the unit is the thick target indexed by two empty diagrams
     return ext_to_thick(x, (EMPTY, EMPTY), j)
-
-
-def all_indices_up_to(total_degree: int):
-    for total in range(total_degree + 1):
-        for dl in range(total + 1):
-            for dm in range(total - dl + 1):
-                for dn in range(total - dl - dm + 1):
-                    dp = total - dl - dm - dn
-                    for lam in partitions(dl):
-                        for mu in partitions(dm):
-                            for nu in partitions(dn):
-                                for pi in partitions(dp):
-                                    yield simple(lam, mu, nu, pi)
 
 
 def test_resolution_term_socles():

@@ -2,7 +2,8 @@
 
 Every command below is run in-process through ``cli.main``, in text and in
 ``--output json``, with every ``TENSORCAT_*`` variable cleared; its stdout and
-exit code must equal the recorded values in ``golden_cli.json``.  The string
+exit code must equal the recorded values in ``golden_cli.json``.  The first
+cases are README's "Command line" examples, read from it.  The string
 ``{tmp}`` stands for a per-test scratch directory (it holds the config file).
 
 Check the corpus outside pytest (standard library only; exits 1 naming the
@@ -33,27 +34,15 @@ CORPUS_PATH = Path(__file__).with_name("golden_cli.json")
 CONFIG_TEXT = "degree_cap = 4\n# comment\n"
 CONF = "{tmp}/tensorcat.conf"
 
-_README = [
-    "lr [2,1] [1] [2]",
-    "product [2,1] [1]",
-    "plethysm ext-ext2 2",
-    "decompose 0,1,1,0",
-    "socle 0,1,1,0",
-    "layers 2",
-    "defect 1,0,0,1 0,1,1,0",
-    "chains 1,0,0,1 0,1,1,0",
-    "covers 0,0,0,0 --bound 2",
-    "ext-trivial [1],[],[],[1] --degree 1",
-    "ext-thick [2],[],[],[1,1] [1] [1] --degree 1",
-    "ext-vanishes [1],[],[],[1] [],[],[],[] --degree 2",
-    "resolution 2",
-    "kernel-layer 1 1",
-    "homdim 1,2,1,0 shift-left",
-    "quadkernel 0,2,2,0 --check",
-    "osp --kind o layers 2",
-    "osp --kind sp ext-trivial [2,1,1] [] --degree 2",
-    "--verify",
-]
+
+def _readme_examples() -> list[str]:
+    """The ``tensorcat ...`` lines of README's "Command line" block, comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [" ".join(line.partition("#")[0].split()[1:]) for line in block.splitlines()]
+
+
+_README = _readme_examples()  # README's examples are the corpus's first cases
 
 _TEST_CLI = [
     "product [1] [1]",

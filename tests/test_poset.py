@@ -17,10 +17,7 @@ from tensorcat.poset import (
     parse_quad,
     quad,
 )
-
-
-def box(bound: int) -> list[QuadIndex]:
-    return [QuadIndex(*t) for t in itertools.product(range(bound + 1), repeat=4)]
+from quads import box
 
 
 def test_leq_examples():

@@ -1,5 +1,6 @@
 """Property checks of the Z-combination type, the LR products on it, the
-input grammars and the poset defect.
+input grammars (round trips, and malformed text refused at a position inside
+it) and the poset defect.
 
 Hypothesis runs derandomized with bounded sizes, so every run draws the same
 examples: partitions of degree at most 5, coefficients in [-2, 2], quadruple
@@ -11,18 +12,21 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorcat import poset
-from tensorcat.cli import _parse_osp_pair, parse_simple_index, terms_json, terms_output
+from tensorcat.cli import parse_simple_index, terms_json, terms_output
 from tensorcat.combination import Combination, CombinationBuilder, index_key, index_label
 from tensorcat.crosscheck import chains_have_defect_length
 from tensorcat.diagrams import Partition, parse_partition, partitions
+from tensorcat.errors import ParseError
 from tensorcat.grothendieck import SimpleIndex
-from tensorcat.ospcat import PairIndex
+from tensorcat.ospcat import PairIndex, parse_pair
 from tensorcat.oracle import lr_tableaux_brute
 from tensorcat.symfunc import lr_coefficient, schur_term_product, slot_product
+from quads import box
 
 SMALL = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -109,7 +113,7 @@ def test_partition_quad_and_pair_text_round_trip(p, entries, pair):
     q = poset.QuadIndex(*entries)
     assert index_label(q) == str(q)
     assert poset.parse_quad(str(q)) == q
-    assert _parse_osp_pair(index_label(PairIndex(*pair))) == PairIndex(*pair)
+    assert parse_pair(index_label(PairIndex(*pair))) == PairIndex(*pair)
 
 
 @SMALL
@@ -119,7 +123,49 @@ def test_simple_index_text_round_trip(slots):
     assert parse_simple_index(index_label(x)) == x
 
 
-BOX = [poset.QuadIndex(*t) for t in itertools.product(range(3), repeat=4)]
+# digits, the grammar's punctuation, bad ASCII, and non-ASCII digits and spaces
+_CHARS = st.sampled_from([*"0123456789,,[[]] x-+_\t", "\u0661", "\u00b2", "\u00a0", "\u3000", "\u2028"])
+
+
+@st.composite
+def _malformed(draw) -> str:
+    """An index text with one to three characters inserted or replaced, or a random string."""
+    text = draw(st.sampled_from(["[2,1]", "[]", "1,0,0,1", "2,1", "[1],[],[],[1]", "[2,1],[1],[],[3]", ""]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_CHARS) + text[at + draw(st.integers(0, 1)):]
+    return draw(st.one_of(st.just(text), st.lists(_CHARS, max_size=12).map("".join)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_malformed())
+@example("[1],[],[],")  # an empty last field starts past the end of its text
+@example("1,1,1,")
+@example("")
+def test_every_parse_error_lies_inside_its_text(text):
+    for read in (parse_partition, poset.parse_quad, parse_pair, parse_simple_index):
+        try:
+            read(text)
+        except ParseError as err:
+            assert err.text == text, read
+            assert 0 <= err.pos < max(len(text), 1), (read, text, err.pos)
+
+
+def test_an_empty_field_is_reported_at_its_own_position():
+    for read, text, pos in (
+        (poset.parse_quad, "2,,1,0", 2),
+        (poset.parse_quad, ",1,1,0", 0),
+        (poset.parse_quad, "1,1,1,", 5),  # the last field starts past the end: its comma is shown
+        (parse_pair, "1, ", 2),  # a blank last field ends past the text: shown at its last character
+        (parse_partition, "[2,,1]", 3),
+        (parse_simple_index, "[1],[],,[]", 7),
+    ):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert err.value.pos == pos, text
+
+
+BOX = box(2)
 COMPARABLE = [(a, b) for a in BOX for b in BOX if poset.leq(a, b)]
 
 

@@ -15,6 +15,7 @@ from tensorcat.symfunc import (
     schur_term_product,
     slot_product,
 )
+from quads import brute_terms
 
 P = Partition
 
@@ -92,24 +93,13 @@ def test_product_refuses_past_cap():
     assert "13" in str(err.value)
 
 
-def _brute_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
-    """s_mu * s_nu by the oracle's cell-filling count over every lam of the degree."""
-    terms = {}
-    for lam in partitions(mu.degree + nu.degree):
-        if lam.contains(mu) and lam.contains(nu):
-            coeff = lr_tableaux_brute(lam, mu, nu)
-            if coeff:
-                terms[lam] = coeff
-    return terms
-
-
 def test_strip_route_matches_scan_route():
     pairs = 0
     for degree in range(11):
         for d1 in range(degree + 1):
             for mu in partitions(d1):
                 for nu in partitions(degree - d1):  # every ordered pair: both argument orders
-                    assert schur_term_product(mu, nu) == _brute_terms(mu, nu), (mu, nu)
+                    assert schur_term_product(mu, nu) == brute_terms(mu, nu), (mu, nu)
                     pairs += 1
     assert pairs == 1215
 
@@ -140,7 +130,7 @@ def test_product_keys_are_checked_partitions():
 def test_long_column_products_match_brute(mu, nu):
     # each pair is searched on its conjugates, which have fewer rows
     mu, nu = P(mu), P(nu)
-    assert schur_term_product(mu, nu, cap=13) == _brute_terms(mu, nu)
+    assert schur_term_product(mu, nu, cap=13) == brute_terms(mu, nu)
 
 
 @pytest.mark.parametrize(
@@ -157,12 +147,6 @@ def test_merged_search_states_match_brute(mu, nu, largest):
         for lam in partitions(degree):
             assert product.coefficient(lam) == lr_tableaux_brute(lam, mu, nu), (lam, first, second)
     assert max(product.values()) == largest
-
-
-def brute_terms(mu: Partition, nu: Partition) -> dict:
-    """The non-zero terms of s_mu * s_nu by the oracle's cell-filling count."""
-    candidates = partitions(mu.degree + nu.degree)
-    return {lam: c for lam in candidates if (c := lr_tableaux_brute(lam, mu, nu))}
 
 
 def test_products_do_not_scan(monkeypatch):
