@@ -3,6 +3,10 @@
 Every engine operation is exposed as a subcommand with canonical, byte-stable
 output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
+``main`` resolves the configuration, selects the handler (``--verify`` or the
+subcommand), reads its indices and runs it inside one ``try``, with one
+``except`` per exit code; only argparse's own usage errors exit before it.  A
+failed ``--verify`` prints its report like any result and exits 1.
 A subcommand is one ``@command`` declaration on its handler: its name and
 arguments go to ``COMMANDS``, from which ``build_parser`` builds the parser
 once per process.  An index argument names its reader (``diagrams`` holds the
@@ -30,6 +34,7 @@ from . import ext as ext_mod
 from . import grothendieck as gr
 from . import ospcat, plethysm, poset, symfunc
 from .combination import Combination, index_key, index_label
+from .config import DEFAULT_DEGREE_CAP, DEFAULT_GROUP_GUARD, ENV_CONFIG, ENV_DEGREE_CAP, ENV_GROUP_GUARD
 from .config import check_cap, check_limit, resolve_config
 from .diagrams import EMPTY, Partition, ascii_int, parse_partition
 from .diagrams import partitions  # noqa: F401  (perfbench's tracer test asserts cli binds it)
@@ -247,19 +252,12 @@ def cmd_osp_conjugate(args, cfg):
     return [f"{image.kind} {image.lam},{image.mu}"], image._asdict()
 
 
-class VerifyFailure(Exception):
-    """A failed cross-check; its args are the report's (text lines, result)."""
-
-
 def cmd_verify(args, cfg):
     from .crosscheck import CHECKS, failures
 
     checks = [{"name": name, "ok": not failures(predicate, cases)} for name, predicate, cases in CHECKS]
     lines = (f"check {check['name']}: {'ok' if check['ok'] else 'FAIL'}" for check in checks)
-    result = {"checks": checks, "ok": all(check["ok"] for check in checks)}
-    if not result["ok"]:
-        raise VerifyFailure(lines, result)
-    return lines, result
+    return lines, {"checks": checks, "ok": all(check["ok"] for check in checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +277,14 @@ def build_parser() -> Parser:
         description="Exact tensor-category calculator: decompositions, posets, Ext dimensions.",
         epilog=(
             "Configuration precedence: flag > environment > config file > default. "
-            "Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD, "
-            "TENSORCAT_CONFIG."
+            f"Environment variables: {ENV_DEGREE_CAP}, {ENV_GROUP_GUARD}, {ENV_CONFIG}."
         ),
     )
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--degree-cap", type=ascii_int, default=None, help="refuse work above this degree (default 12)")
-    parser.add_argument("--group-guard", type=ascii_int, default=None, help="explicit group-algebra size limit (default 8)")
+    parser.add_argument("--degree-cap", type=ascii_int, default=None,
+                        help=f"refuse work above this degree (default {DEFAULT_DEGREE_CAP})")
+    parser.add_argument("--group-guard", type=ascii_int, default=None,
+                        help=f"explicit group-algebra size limit (default {DEFAULT_GROUP_GUARD})")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--verify", action="store_true", help="re-run oracle cross-checks and exit")
 
@@ -311,38 +310,23 @@ def execute(args, cfg) -> tuple[Iterable[str], object]:
 
 
 def main(argv=None) -> int:
+    """One call: configuration, handler selection, index reading and the handler share one ``try``."""
     parser = build_parser()
     args = parser.parse_args(argv)
-
     try:
-        cfg = resolve_config(
-            degree_cap=args.degree_cap,
-            group_guard=args.group_guard,
-            config_file=args.config,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"tensorcat: error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.verify:
-        if args.command:
-            print("tensorcat: error: --verify takes no subcommand", file=sys.stderr)
-            return 1
-        args.command, args.handler, args.readers = "verify", cmd_verify, ()
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        print("tensorcat: error: a subcommand is required", file=sys.stderr)
-        return 1
-
-    code = 0
-    try:
+        cfg = resolve_config(degree_cap=args.degree_cap, group_guard=args.group_guard, config_file=args.config)
+        if args.verify:
+            if args.command:
+                raise ValueError("--verify takes no subcommand")
+            args.command, args.handler, args.readers = "verify", cmd_verify, ()
+        elif not args.command:
+            parser.print_usage(sys.stderr)
+            raise ValueError("a subcommand is required")
         lines, result = execute(args, cfg)
-    except VerifyFailure as failure:
-        (lines, result), code = failure.args, 1
     except LimitExceeded as exc:
         print(f"tensorcat: refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TensorcatError) as exc:
+    except (OSError, ValueError, TensorcatError) as exc:
         print(f"tensorcat: error: {exc}", file=sys.stderr)
         return 1
 
@@ -352,8 +336,4 @@ def main(argv=None) -> int:
         print(json.dumps({"command": args.command, "result": result}, sort_keys=True, default=terms_json))
     else:
         print("\n".join(lines))
-    return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 1 if args.verify and not result["ok"] else 0  # a failed cross-check still prints its report

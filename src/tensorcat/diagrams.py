@@ -20,6 +20,10 @@ from .errors import ParseError
 
 # ASCII whitespace: the value of string.whitespace, without importing string
 WHITESPACE = " \t\n\r\x0b\x0c"
+# The longest number read from text.  CPython's int()/str() refuse more digits than a
+# setting whose lowest value is 640, in words that differ between versions; 600 keeps
+# every input, and the few-term sums the commands print, under it.
+DIGITS_LIMIT = 600
 
 
 class Partition(tuple):
@@ -215,12 +219,14 @@ def standard_tableau_count(p: Partition) -> int:
 def ascii_int(text: str, what: str = "integer") -> int:
     """Read an optional '-' then ASCII decimal digits, and nothing else.
 
-    Unlike int(), this refuses '+', spaces, '_' separators and non-ASCII
-    digits; the ValueError names what was being read.
+    Unlike int(), this refuses '+', spaces, '_' separators, non-ASCII digits
+    and more than DIGITS_LIMIT digits; the ValueError names what was being read.
     """
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad {what} {text!r}")
+    if len(digits) > DIGITS_LIMIT:
+        raise ValueError(f"bad {what} {text!r}: more than {DIGITS_LIMIT} digits")
     return int(text)
 
 
@@ -247,11 +253,15 @@ def read_fields(text: str, read, count: int = 0, refusal: str = "", start: int =
 
 
 def read_natural(text: str, start: int, end: int, what: str = "entry") -> int:
-    """Read the field text[start:end]: ASCII decimal digits, only ASCII whitespace around them."""
+    """Read the field text[start:end]: at most DIGITS_LIMIT ASCII decimal digits, only ASCII whitespace
+    around them."""
     field = text[start:end]
     digits = field.strip(WHITESPACE)
+    pos = start + len(field) - len(field.lstrip(WHITESPACE))
     if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(text, start + len(field) - len(field.lstrip(WHITESPACE)), f"bad {what} {digits!r}")
+        raise ParseError(text, pos, f"bad {what} {digits!r}")
+    if len(digits) > DIGITS_LIMIT:
+        raise ParseError(text, pos, f"bad {what}: more than {DIGITS_LIMIT} digits")
     return int(digits)
 
 

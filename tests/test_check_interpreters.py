@@ -47,3 +47,19 @@ def test_sweep_passes_on_one_sha_and_fails_on_two_or_a_failed_check(tmp_path, ca
     assert "b" * 64 in capsys.readouterr().out
     assert tool.main([broken]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_sweep_fails_when_the_domain_check_fails(tmp_path, capsys):
+    tool = load_tool()
+    assert [path.name for path in tool.CHECKS] == ["test_golden_cli.py", "test_domain_digests.py"]
+    path = tmp_path / "nodomains"
+    path.write_text(
+        "#!/bin/sh\n"
+        'if [ "$1" = --version ]; then echo "Python 0.0.0"; exit 0; fi\n'
+        'case "$*" in *test_domain_digests.py*) echo mismatch >&2; exit 1;; esac\n'
+        f"echo {'a' * 64}\n"
+    )
+    path.chmod(0o755)
+    assert tool.main([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("FAILED") == 2 and "mismatch" in captured.err

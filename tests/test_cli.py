@@ -418,6 +418,47 @@ def test_config_file_size_is_bounded(tmp_path, capsys):
     assert code == 1 and out == "" and f"exceeds {CONFIG_FILE_LIMIT} bytes" in err
 
 
+def test_overlong_numbers_are_refused_in_tensorcat_s_own_words(tmp_path, capsys, monkeypatch):
+    # int() refuses very long texts in words that differ between interpreters;
+    # every number read from text is refused first, past 600 digits
+    ones = "1" * 5000
+    for argv, pos, what in (
+        (["decompose", f"{ones},0,0,0"], 0, "entry"),
+        (["decompose", f"0,{ones},0,0"], 2, "entry"),
+        (["lr", f"[{ones}]", "[1]", "[1]"], 1, "part"),
+        (["osp", "--kind", "o", "leq", f"1,{ones}1", "0,1"], 2, "entry"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"tensorcat: error: bad {what}: more than 600 digits at position {pos} in "), err[:80]
+    code, out, err = run(capsys, "decompose", "1" * 600 + ",0,0,0")  # the longest number is read, then capped
+    assert code == 2 and err.startswith("tensorcat: refused: degree 111")
+    monkeypatch.setenv("TENSORCAT_DEGREE_CAP", ones)
+    code, out, err = run(capsys, "layers", "1")
+    assert (code, out) == (1, "") and err.startswith("tensorcat: error: bad TENSORCAT_DEGREE_CAP '111")
+    assert err.endswith("': more than 600 digits\n")
+    monkeypatch.delenv("TENSORCAT_DEGREE_CAP")
+    config = tmp_path / "tensorcat.conf"
+    config.write_text(f"group_guard = {ones}\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), "layers", "1")
+    assert (code, out) == (1, "") and err.startswith("tensorcat: error: bad group_guard '111")
+    assert err.endswith("': more than 600 digits\n")
+    # the same words at CPython's lowest int() digit limit, where 640 digits would already be refused
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
+    done = subprocess.run(
+        [sys.executable, "-m", "tensorcat", "decompose", f"{ones},0,0,0"], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("tensorcat: error: bad entry: more than 600 digits at position 0 in ")
+    done = subprocess.run(
+        [sys.executable, "-m", "tensorcat", "decompose", ",".join(["9" * 600] * 4)], env=env,
+        capture_output=True, text=True, timeout=60,
+    )  # the refusal prints their 601-digit sum
+    assert done.returncode == 2 and done.stderr.startswith("tensorcat: refused: degree 3999"), done.stderr[-200:]
+
+
 def test_removed_cache_interface_is_rejected_or_ignored(tmp_path, capsys, monkeypatch):
     for argv in (["cache", "info"], ["--cache-dir", str(tmp_path), "lr", "[2,1]", "[1]", "[2]"]):
         with pytest.raises(SystemExit) as err:
@@ -436,6 +477,21 @@ def test_removed_cache_interface_is_rejected_or_ignored(tmp_path, capsys, monkey
 def test_missing_subcommand(capsys):
     code, out, err = run(capsys)
     assert code == 1 and "subcommand" in err
+
+
+def test_errors_keep_their_order_in_the_one_try(tmp_path, capsys, monkeypatch):
+    # the configuration is resolved before the handler is chosen: its error wins over both usage errors
+    monkeypatch.setenv("TENSORCAT_DEGREE_CAP", "x")
+    for argv in (["--verify", "layers", "1"], []):
+        assert run(capsys, *argv) == (1, "", "tensorcat: error: bad TENSORCAT_DEGREE_CAP 'x'\n"), argv
+    monkeypatch.delenv("TENSORCAT_DEGREE_CAP")
+    code, out, err = run(capsys, "--config", str(tmp_path / "missing.conf"), "lr", "[1]", "[1]", "[]")
+    assert (code, out) == (1, "") and err.startswith("tensorcat: error: ") and "missing.conf" in err
+    # then --verify is checked, and only a missing subcommand prints the usage line first
+    assert run(capsys, "--verify", "layers", "1") == (1, "", "tensorcat: error: --verify takes no subcommand\n")
+    code, out, err = run(capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: tensorcat") and err.endswith("\ntensorcat: error: a subcommand is required\n")
 
 
 def test_verify_mode(capsys):
