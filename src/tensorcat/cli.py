@@ -4,15 +4,15 @@ Every engine operation is exposed as a subcommand with canonical, byte-stable
 output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
 ``main`` resolves the configuration, selects the handler (``--verify`` or the
-subcommand), reads its indices and runs it inside one ``try``, with one
-``except`` per exit code; only argparse's own usage errors exit before it.  A
-failed ``--verify`` prints its report like any result and exits 1.
-A subcommand is one ``@command`` declaration on its handler: its name and
-arguments go to ``COMMANDS``, from which ``build_parser`` builds the parser
-once per process.  An index argument names its reader (``diagrams`` holds the
-grammar), which ``execute`` applies after the configuration is resolved, so
-handlers get typed values.  A new command also needs a fuzz shape and golden
-cases (tests/test_cli.py).
+subcommand), reads its arguments and runs it inside one ``try``, with one
+``except`` per exit code; argparse converts no value, and only its usage
+errors exit before the ``try``.  A failed ``--verify`` prints its report like
+any result and exits 1.  A subcommand is one ``@command`` on its handler: its
+name and arguments go to ``COMMANDS``, from which ``build_parser`` builds the
+parser once per process.  An index or integer argument names its reader
+(``diagrams`` holds the grammar and ``ascii_int``), which ``execute`` applies
+once the configuration is resolved, so handlers get typed values.  A new
+command also needs a fuzz shape and golden cases (tests/test_cli.py).
 ``--output json`` emits one JSON document per invocation, validating against
 schema/output.json.  Handlers return lazy text lines and the engine's result,
 which ``json.dumps`` encodes with ``terms_json``: each call renders one form.
@@ -77,13 +77,12 @@ def layers_output(layers: list[Combination]) -> tuple[Iterator[str], list[dict]]
 # subcommand handlers: each takes (args, cfg) and returns (lazy text lines, result)
 
 COMMANDS = []  # (name, handler, arguments, add_parser keywords), in --help order
-INT = {"type": ascii_int}
-DEGREE = ("--degree", {"type": ascii_int, "required": True})
+DEGREE = ("--degree", ascii_int)
 
 
 def command(name: str, *arguments, **keywords):
     """Declare the handler below as subcommand ``name`` (``"osp leq"`` in the osp group); an argument is
-    an index's ``(name, reader)``, applied by ``execute``, or a ``(flag, add_argument keywords)`` pair."""
+    ``(name, reader)``, required and read by ``execute``, or a ``(flag, add_argument keywords)`` pair."""
 
     def declare(handler):
         COMMANDS.append((name, handler, arguments, keywords))
@@ -114,7 +113,8 @@ def cmd_product(args, cfg):
 PLETHYSM_FAMILIES = ("cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2")
 
 
-@command("plethysm", ("family", {"choices": PLETHYSM_FAMILIES}), ("k", INT), help="closed-form power decompositions")
+@command("plethysm", ("family", {"choices": PLETHYSM_FAMILIES}), ("k", ascii_int),
+         help="closed-form power decompositions")
 def cmd_plethysm(args, cfg):
     check_cap(2 * args.k, cfg.degree_cap)
     family = args.family
@@ -136,7 +136,7 @@ def cmd_socle(args, cfg):
     return terms_output(gr.socle_of(args.quad, cfg.degree_cap))
 
 
-@command("layers", ("kmax", INT), help="filtration layers of the injective hull of the unit")
+@command("layers", ("kmax", ascii_int), help="filtration layers of the injective hull of the unit")
 def cmd_layers(args, cfg):
     return layers_output(gr.layers_of_i(args.kmax, cfg.degree_cap))
 
@@ -157,8 +157,7 @@ def cmd_chains(args, cfg):
     return (" -> ".join(map(str, path)) for path in found) if found else ["(none)"], found
 
 
-@command("covers", ("a", parse_quad), ("--bound", {**INT, "required": True}),
-         help="immediate successors within a bound")
+@command("covers", ("a", parse_quad), ("--bound", ascii_int), help="immediate successors within a bound")
 def cmd_covers(args, cfg):
     found = poset.covers(args.a, args.bound)
     return map(str, found) if found else ["(none)"], found
@@ -184,14 +183,14 @@ def cmd_ext_vanishes(args, cfg):
     return scalar_output(ext_mod.ext_vanishes(args.source, args.target, args.degree))
 
 
-@command("resolution", ("j", INT), help="resolution term and its socle")
+@command("resolution", ("j", ascii_int), help="resolution term and its socle")
 def cmd_resolution(args, cfg):
     socle = ext_mod.thick_target_socle(args.j, EMPTY, EMPTY, cfg.degree_cap)
     body = f"Lambda^{args.j}(F) (x) I"
     return chain([f"body: {body}"], term_lines(socle)), {"j": args.j, "body": body, "socle": socle}
 
 
-@command("kernel-layer", ("j", INT), ("k", INT), help="filtration layer of a resolution kernel")
+@command("kernel-layer", ("j", ascii_int), ("k", ascii_int), help="filtration layer of a resolution kernel")
 def cmd_kernel_layer(args, cfg):
     return terms_output(ext_mod.kernel_layer(args.j, args.k, cfg.degree_cap))
 
@@ -232,7 +231,7 @@ def cmd_osp_defect(args, cfg):
     return scalar_output(ospcat.osp_defect(args.a, args.b))
 
 
-@command("osp layers", ("kmax", INT))
+@command("osp layers", ("kmax", ascii_int))
 def cmd_osp_layers(args, cfg):
     return layers_output(ospcat.osp_layers_of_i(args.kind, args.kmax, cfg.degree_cap))
 
@@ -281,10 +280,8 @@ def build_parser() -> Parser:
         ),
     )
     parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--degree-cap", type=ascii_int, default=None,
-                        help=f"refuse work above this degree (default {DEFAULT_DEGREE_CAP})")
-    parser.add_argument("--group-guard", type=ascii_int, default=None,
-                        help=f"explicit group-algebra size limit (default {DEFAULT_GROUP_GUARD})")
+    parser.add_argument("--degree-cap", help=f"refuse work above this degree (default {DEFAULT_DEGREE_CAP})")
+    parser.add_argument("--group-guard", help=f"explicit group-algebra size limit (default {DEFAULT_GROUP_GUARD})")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--verify", action="store_true", help="re-run oracle cross-checks and exit")
 
@@ -296,21 +293,24 @@ def build_parser() -> Parser:
             osp.add_argument("--kind", choices=ospcat.KINDS, required=True)
             groups[group] = osp.add_subparsers(dest="osp_command", required=True)
         subparser = groups[group].add_parser(leaf, **keywords)
-        subparser.set_defaults(handler=handler, readers=[(flag, spec) for flag, spec in arguments if callable(spec)])
+        readers = [(flag.lstrip("-"), spec) for flag, spec in arguments if callable(spec)]  # (dest, reader)
+        subparser.set_defaults(handler=handler, readers=readers)
         for flag, spec in arguments:
-            subparser.add_argument(flag, **({} if callable(spec) else spec))
+            if callable(spec):  # an argument with a reader is required, as a positional always is
+                spec = {"required": True} if flag.startswith("-") else {}
+            subparser.add_argument(flag, **spec)
     return parser
 
 
 def execute(args, cfg) -> tuple[Iterable[str], object]:
-    """Read each index argument with its declared reader, then run the handler its parser declared."""
+    """Read each argument with its declared reader, then run the handler its parser declared."""
     for name, read in args.readers:
         setattr(args, name, read(getattr(args, name)))
     return args.handler(args, cfg)
 
 
 def main(argv=None) -> int:
-    """One call: configuration, handler selection, index reading and the handler share one ``try``."""
+    """One call: configuration, handler selection, argument reading and the handler share one ``try``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -3,9 +3,9 @@
 Settings are resolved as: explicit flag > environment variable > config file
 > built-in default.  The config file is plain ``key = value`` lines with ``#``
 comments; recognized keys are ``degree_cap`` and ``group_guard``, and other
-keys are ignored.  Values, from the environment or the file, are ASCII
-integers: an optional ``-`` then digits (``diagrams.ascii_int``); only ASCII
-whitespace is skipped, and a file over CONFIG_FILE_LIMIT bytes is refused.
+keys are ignored.  Each value, from a flag, the environment or the file, is
+read by ``diagrams.ascii_int``, which names its source; only ASCII whitespace
+is skipped; a file over CONFIG_FILE_LIMIT bytes, or not UTF-8, is refused.
 
 Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD,
 TENSORCAT_CONFIG (path of a config file).
@@ -60,8 +60,12 @@ def read_config_file(path: str) -> dict[str, str]:
         data = handle.read(CONFIG_FILE_LIMIT + 1)
     if len(data) > CONFIG_FILE_LIMIT:
         raise ValueError(f"config file {path} exceeds {CONFIG_FILE_LIMIT} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     values: dict[str, str] = {}
-    for raw in data.decode("utf-8").replace("\r", "\n").split("\n"):
+    for raw in text.replace("\r", "\n").split("\n"):
         line = raw.split("#", 1)[0].strip(WHITESPACE)
         if not line:
             continue
@@ -74,27 +78,22 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(
     *,
-    degree_cap: int | None = None,
-    group_guard: int | None = None,
+    degree_cap: str | None = None,
+    group_guard: str | None = None,
     config_file: str | None = None,
     env: dict[str, str] | None = None,
 ) -> Config:
-    """Build a Config honoring flag > env > file > default precedence."""
+    """Build a Config from the flags' text, honoring flag > env > file > default precedence."""
     env = os.environ if env is None else env
 
     file_path = config_file or env.get(ENV_CONFIG)
     file_values = read_config_file(file_path) if file_path else {}
 
-    def pick(flag, env_name, file_key, default):
-        if flag is not None:
-            return flag
-        if env_name in env:
-            return ascii_int(env[env_name], env_name)
-        if file_key in file_values:
-            return ascii_int(file_values[file_key], file_key)
+    def pick(flag, flag_name, env_name, file_key, default):
+        for name, text in ((flag_name, flag), (env_name, env.get(env_name)), (file_key, file_values.get(file_key))):
+            if text is not None:
+                return ascii_int(text, name)
         return default
 
-    return Config(
-        degree_cap=pick(degree_cap, ENV_DEGREE_CAP, "degree_cap", DEFAULT_DEGREE_CAP),
-        group_guard=pick(group_guard, ENV_GROUP_GUARD, "group_guard", DEFAULT_GROUP_GUARD),
-    )
+    return Config(degree_cap=pick(degree_cap, "--degree-cap", ENV_DEGREE_CAP, "degree_cap", DEFAULT_DEGREE_CAP),
+                  group_guard=pick(group_guard, "--group-guard", ENV_GROUP_GUARD, "group_guard", DEFAULT_GROUP_GUARD))

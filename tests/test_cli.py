@@ -315,24 +315,33 @@ def test_argparse_usage_errors_exit_one(capsys):
 
 
 def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
-    for argv in (
-        ["layers", "١"],
-        ["kernel-layer", "1", "1_0"],
-        ["layers", "+2"],
-        ["layers", " 1"],
-        ["--degree-cap", "١٢", "lr", "[2,1]", "[1]", "[2]"],
+    # argparse converts no integer: each is refused in the one try, in ascii_int's words, with no usage line
+    for argv, what, text in (
+        (["layers", "١"], "integer", "١"),
+        (["kernel-layer", "1", "1_0"], "integer", "1_0"),
+        (["layers", "+2"], "integer", "+2"),
+        (["layers", " 1"], "integer", " 1"),
+        (["covers", "0,0,0,0", "--bound", "+1"], "integer", "+1"),
+        (["osp", "--kind", "o", "ext-trivial", "[]", "[]", "--degree", "1_0"], "integer", "1_0"),
+        (["--degree-cap", "١٢", "lr", "[2,1]", "[1]", "[2]"], "--degree-cap", "١٢"),
+        (["--group-guard", "x", "quadkernel", "0,2,2,0", "--check"], "--group-guard", "x"),
     ):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 1, argv
-        captured = capsys.readouterr()
-        assert captured.out == "" and "invalid ascii_int value" in captured.err, argv
+        assert run(capsys, *argv) == (1, "", f"tensorcat: error: bad {what} {text!r}\n"), argv
     monkeypatch.setenv("TENSORCAT_DEGREE_CAP", "1_2")
     code, out, err = run(capsys, "lr", "[2,1]", "[1]", "[2]")
     assert code == 1 and out == "" and "bad TENSORCAT_DEGREE_CAP '1_2'" in err
     monkeypatch.setenv("TENSORCAT_DEGREE_CAP", "12")
     code, out, err = run(capsys, "--degree-cap", "-1", "lr", "[]", "[]", "[]")
     assert code == 2 and out == "" and "degree 0 exceeds the configured cap -1" in err
+
+
+def test_argparse_converts_no_value():
+    # every integer is read by ascii_int inside main's one try, so no add_argument call in cli passes type=
+    calls = [node for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    assert any(getattr(call.func, "attr", "") == "add_argument" for call in calls)
+    sites = [call.lineno for call in calls for keyword in call.keywords if keyword.arg == "type"]
+    assert sites == [], sites
 
 
 def test_output_determinism(capsys):
@@ -404,6 +413,14 @@ def test_config_file_values_are_strict_ascii(tmp_path, capsys):
     assert code == 2 and "degree 8 exceeds the configured cap 4" in err
 
 
+def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    config = tmp_path / "tensorcat.conf"
+    config.write_bytes(b"degree_cap = 4 # \xff\n")
+    assert run(capsys, "--config", str(config), "layers", "1") == (
+        1, "", f"tensorcat: error: config file {config} is not UTF-8: invalid start byte at byte 17\n"
+    )
+
+
 def test_config_file_size_is_bounded(tmp_path, capsys):
     from tensorcat.config import CONFIG_FILE_LIMIT
 
@@ -440,9 +457,14 @@ def test_overlong_numbers_are_refused_in_tensorcat_s_own_words(tmp_path, capsys,
     monkeypatch.delenv("TENSORCAT_DEGREE_CAP")
     config = tmp_path / "tensorcat.conf"
     config.write_text(f"group_guard = {ones}\n", encoding="utf-8")
-    code, out, err = run(capsys, "--config", str(config), "layers", "1")
-    assert (code, out) == (1, "") and err.startswith("tensorcat: error: bad group_guard '111")
-    assert err.endswith("': more than 600 digits\n")
+    for argv, what in (
+        (["--config", str(config), "layers", "1"], "group_guard"),
+        (["--degree-cap", ones, "layers", "1"], "--degree-cap"),
+        (["layers", ones], "integer"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(f"tensorcat: error: bad {what} '111"), argv
+        assert err.endswith("': more than 600 digits\n"), argv
     # the same words at CPython's lowest int() digit limit, where 640 digits would already be refused
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
@@ -523,7 +545,8 @@ _SHAPES = (
     "osp --kind K leq R R", "osp --kind K defect R R", "osp --kind K layers N",
     "osp --kind K ext-trivial P P --degree N", "osp --kind K conjugate P P",
 )
-_N = st.sampled_from([*range(8), 12, 13, 100, 10**6, -1]).map(str)  # the cap's edge, far past it, a negative
+# the cap's edge, far past it, a negative, then texts every integer reader refuses
+_N = st.sampled_from([*map(str, [*range(8), 12, 13, 100, 10**6, -1]), "+2", "1_0", "١", "1" * 601])
 _P = st.lists(st.integers(1, 8), max_size=5).map(lambda rows: str(sorted(rows, reverse=True)).replace(" ", ""))
 _WORDS = {
     "N": _N,  # an entry or count
