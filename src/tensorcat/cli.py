@@ -1,34 +1,28 @@
 """Command-line front end.
 
-Every engine operation is exposed as a subcommand with canonical, byte-stable
-output; results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 user error, 2 refusal by the degree cap, the group guard or a fixed limit.
-``main`` resolves the configuration, selects the handler (``--verify`` or the
-subcommand), reads its arguments and runs it inside one ``try``, with one
-``except`` per exit code; argparse converts no value, and only its usage
-errors exit before the ``try``.  A failed ``--verify`` prints its report like
-any result and exits 1.  A subcommand is one ``@command`` on its handler: its
-name and arguments go to ``COMMANDS``, from which ``build_parser`` builds the
-parser once per process.  An index or integer argument names its reader
-(``diagrams`` holds the grammar and ``ascii_int``), which ``execute`` applies
-once the configuration is resolved, so handlers get typed values.  A new
-command also needs a fuzz shape and golden cases (tests/test_cli.py).
-``--output json`` emits one JSON document per invocation, validating against
-schema/output.json.  Handlers return lazy text lines and the engine's result,
-which ``json.dumps`` encodes with ``terms_json``: each call renders one form.
-
-A call starts a fresh interpreter, so its imports are part of its cost: json,
-symalg (with fractions) and the cross-checks with their oracle are imported by
-the commands that use them, not at start-up.
+Every engine operation is a subcommand with canonical, byte-stable output on
+stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 user error, 2
+refusal by the degree cap, the group guard or a fixed limit.  ``main`` reads
+the words, resolves the configuration, selects the handler (``--verify`` or the
+subcommand), reads its arguments and runs it in one ``try``, with one
+``except`` per exit code, usage errors included: it never raises SystemExit.
+``COMMANDS`` (one ``@command`` per handler) and ``GROUPS`` are the whole
+grammar: ``read_argv`` reads the words against them, strictly, and ``--help``
+prints fixed text built from them.  An index or integer argument names its
+reader, which ``execute`` applies once the configuration is resolved.  A new
+command also needs a fuzz shape and golden cases (tests/test_cli.py).  Handlers
+return lazy text lines and the engine's result, which ``--output json`` encodes
+with ``terms_json``.  A call starts a fresh interpreter, so json, symalg and
+the cross-checks are imported only by the commands that use them.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import chain
+from types import SimpleNamespace
 
 from . import ext as ext_mod
 from . import grothendieck as gr
@@ -76,16 +70,16 @@ def layers_output(layers: list[Combination]) -> tuple[Iterator[str], list[dict]]
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes (args, cfg) and returns (lazy text lines, result)
 
-COMMANDS = []  # (name, handler, arguments, add_parser keywords), in --help order
+COMMANDS = []  # (name, handler, arguments, help line), in --help order
 DEGREE = ("--degree", ascii_int)
 
 
-def command(name: str, *arguments, **keywords):
-    """Declare the handler below as subcommand ``name`` (``"osp leq"`` in the osp group); an argument is
-    ``(name, reader)``, required and read by ``execute``, or a ``(flag, add_argument keywords)`` pair."""
+def command(name: str, *arguments, help: str = ""):
+    """Declare the handler below as subcommand ``name`` (``"osp leq"`` in the osp group).  An argument is
+    ``(name, reader)``, read by ``execute``, or ``(name, choices)``, both required, or a flag's name."""
 
     def declare(handler):
-        COMMANDS.append((name, handler, arguments, keywords))
+        COMMANDS.append((name, handler, arguments, help))
         return handler
 
     return declare
@@ -113,7 +107,7 @@ def cmd_product(args, cfg):
 PLETHYSM_FAMILIES = ("cauchy-sym", "cauchy-ext", "sym-sym2", "ext-sym2", "sym-ext2", "ext-ext2")
 
 
-@command("plethysm", ("family", {"choices": PLETHYSM_FAMILIES}), ("k", ascii_int),
+@command("plethysm", ("family", PLETHYSM_FAMILIES), ("k", ascii_int),
          help="closed-form power decompositions")
 def cmd_plethysm(args, cfg):
     check_cap(2 * args.k, cfg.degree_cap)
@@ -198,7 +192,7 @@ def cmd_kernel_layer(args, cfg):
 HOM_MOVES = {"end": (), "contract": ("contract",), "shift-left": ("left",), "shift-right": ("right",)}
 
 
-@command("homdim", ("quad", parse_quad), ("flavor", {"choices": tuple(HOM_MOVES)}),
+@command("homdim", ("quad", parse_quad), ("flavor", tuple(HOM_MOVES)),
          help="span of zero or one move out of J(q) in the move model")
 def cmd_homdim(args, cfg):
     from . import symalg
@@ -207,9 +201,7 @@ def cmd_homdim(args, cfg):
     return scalar_output(symalg.move_word_dimension(args.quad, HOM_MOVES[args.flavor]))
 
 
-@command("quadkernel", ("quad", parse_quad),
-         ("--check", {"action": "store_true", "help": "also row-reduce the explicit right ideal"}),
-         help="quadratic-relation kernel dimension")
+@command("quadkernel", ("quad", parse_quad), "--check", help="dimension of the quadratic kernel (--check: row-reduce)")
 def cmd_quadkernel(args, cfg):
     from . import symalg
 
@@ -221,29 +213,30 @@ def cmd_quadkernel(args, cfg):
     return [str(dim), "check: ok" if verified else "check: FAIL"], {"dim": dim, "check": verified}
 
 
-@command("osp leq", ("a", ospcat.parse_pair), ("b", ospcat.parse_pair))
+@command("osp leq", ("a", ospcat.parse_pair), ("b", ospcat.parse_pair), help="order between two pairs")
 def cmd_osp_leq(args, cfg):
     return scalar_output(ospcat.osp_leq(args.a, args.b))
 
 
-@command("osp defect", ("a", ospcat.parse_pair), ("b", ospcat.parse_pair))
+@command("osp defect", ("a", ospcat.parse_pair), ("b", ospcat.parse_pair), help="defect between two pairs")
 def cmd_osp_defect(args, cfg):
     return scalar_output(ospcat.osp_defect(args.a, args.b))
 
 
-@command("osp layers", ("kmax", ascii_int))
+@command("osp layers", ("kmax", ascii_int), help="filtration layers of the injective hull of the unit")
 def cmd_osp_layers(args, cfg):
     return layers_output(ospcat.osp_layers_of_i(args.kind, args.kmax, cfg.degree_cap))
 
 
-@command("osp ext-trivial", ("lam", parse_partition), ("mu", parse_partition), DEGREE)
+@command("osp ext-trivial", ("lam", parse_partition), ("mu", parse_partition), DEGREE,
+         help="Ext dimension into the unit object")
 def cmd_osp_ext_trivial(args, cfg):
     x = ospcat.osp_index(args.kind, args.lam, args.mu)
     check_cap(x.degree, cfg.degree_cap)
     return scalar_output(ospcat.osp_ext_to_trivial(x, args.degree))
 
 
-@command("osp conjugate", ("lam", parse_partition), ("mu", parse_partition))
+@command("osp conjugate", ("lam", parse_partition), ("mu", parse_partition), help="the simple of the other variant")
 def cmd_osp_conjugate(args, cfg):
     x = ospcat.osp_index(args.kind, args.lam, args.mu)
     check_cap(x.degree, cfg.degree_cap)
@@ -260,74 +253,121 @@ def cmd_verify(args, cfg):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument reading: one reader over the table above, and fixed --help texts
+
+# a word that leads to further commands ("" is the top level): its options and its help text
+GROUPS = {
+    "": ((("--output", ("text", "json")), ("--degree-cap", str), ("--group-guard", str), ("--config", str), "--verify"),
+         f"""Exact tensor-category calculator: decompositions, posets, Ext dimensions.
+--degree-cap refuses work above a degree (default {DEFAULT_DEGREE_CAP}), --group-guard bounds explicit group algebras
+(default {DEFAULT_GROUP_GUARD}), --config names a key=value file, and --verify re-runs the oracle cross-checks.
+Precedence: flag > environment ({ENV_DEGREE_CAP}, {ENV_GROUP_GUARD}, {ENV_CONFIG}) > config file > default."""),
+    "osp": ((("--kind", ospcat.KINDS),), "orthogonal/symplectic variant"),
+}
 
 
-class Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 on user error, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+class UsageError(ValueError):
+    """Words the grammar refuses while reading the command or group ``path``; ``main`` prints its usage line."""
+
+    def __init__(self, message: str, path: str):
+        super().__init__(message)
+        self.path = path
 
 
 @cache
-def build_parser() -> Parser:
-    parser = Parser(
-        prog="tensorcat",
-        description="Exact tensor-category calculator: decompositions, posets, Ext dimensions.",
-        epilog=(
-            "Configuration precedence: flag > environment > config file > default. "
-            f"Environment variables: {ENV_DEGREE_CAP}, {ENV_GROUP_GUARD}, {ENV_CONFIG}."
-        ),
-    )
-    parser.add_argument("--output", choices=("text", "json"), default="text")
-    parser.add_argument("--degree-cap", help=f"refuse work above this degree (default {DEFAULT_DEGREE_CAP})")
-    parser.add_argument("--group-guard", help=f"explicit group-algebra size limit (default {DEFAULT_GROUP_GUARD})")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--verify", action="store_true", help="re-run oracle cross-checks and exit")
+def declaration(path: str) -> tuple:
+    """({name: spec}, help, handler) of a command; a spec is None for a flag, choices or a reader.  A group has
+    handler None and its command word last (``command``, ``osp_command``)."""
+    if path in GROUPS:
+        prefix = f"{path} ".lstrip()
+        words = dict.fromkeys(name.removeprefix(prefix).split()[0] for name, *_ in COMMANDS if name.startswith(prefix))
+        (arguments, about), handler = GROUPS[path], None
+        arguments = (*arguments, (f"{path}_command".lstrip("_"), tuple(words)))
+    else:
+        arguments, about, handler = next((spec, about, f) for name, f, spec, about in COMMANDS if name == path)
+    return dict((argument, None) if isinstance(argument, str) else argument for argument in arguments), about, handler
 
-    groups = {"": parser.add_subparsers(dest="command")}
-    for name, handler, arguments, keywords in COMMANDS:
-        group, _, leaf = name.rpartition(" ")
-        if group not in groups:  # "osp", made where its first command comes in the listing
-            osp = groups[""].add_parser(group, help="orthogonal/symplectic variant")
-            osp.add_argument("--kind", choices=ospcat.KINDS, required=True)
-            groups[group] = osp.add_subparsers(dest="osp_command", required=True)
-        subparser = groups[group].add_parser(leaf, **keywords)
-        readers = [(flag.lstrip("-"), spec) for flag, spec in arguments if callable(spec)]  # (dest, reader)
-        subparser.set_defaults(handler=handler, readers=readers)
-        for flag, spec in arguments:
-            if callable(spec):  # an argument with a reader is required, as a positional always is
-                spec = {"required": True} if flag.startswith("-") else {}
-            subparser.add_argument(flag, **spec)
-    return parser
+
+def dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def usage(path: str) -> str:
+    declared, _, handler = declaration(path)
+    words = ["usage: tensorcat", *path.split(), "[-h]"]
+    for name, spec in list(declared.items())[: None if handler else -1]:  # a group's command word is COMMAND
+        value = "{" + ",".join(spec) + "}" if isinstance(spec, tuple) else dest(name).upper()
+        option = f"[{name}]" if spec is None else f"[{name} {value}]" if not path else f"{name} {value}"
+        words.append(option if name[0] == "-" else value if isinstance(spec, tuple) else name)
+    return " ".join(words if handler else [*words, "COMMAND ..."])
+
+
+def read_argv(words: list[str]) -> SimpleNamespace:
+    """Read the words against the table: a group's options up to its command word, then the command's options
+    (anywhere) and positionals (in declared order, whatever their first character).  An option is spelled in
+    full, given at most once, its value as ``--name value`` or ``--name=value``; ``--`` is no option."""
+    args, path, words = SimpleNamespace(help=None, handler=None), "", list(words)
+    while True:
+        declared, about, handler = declaration(path)
+        slot, slots, given = None if handler else list(declared)[-1], [name for name in declared if name[0] != "-"], {}
+        while words and (handler or slot not in given):
+            word = words.pop(0)
+            if word in ("-h", "--help"):  # ends the reading with a text that no terminal or interpreter changes
+                commands = () if handler else declared[slot]
+                listing = (f"  {command:<17} {declaration(f'{path} {command}'.lstrip())[1]}" for command in commands)
+                args.help = "\n".join([usage(path), "", about, *(["", "commands:", *listing] if commands else [])])
+                return args
+            if word.startswith("--"):
+                name, eq, value = word.partition("=")
+            else:  # a positional carries its value, as --name=value does; "" names no argument
+                name, eq, value = slots.pop(0) if slots else "", "=", word
+            if name not in declared or name in given or declared[name] is None and eq:
+                raise UsageError(f"{'repeated' if name in given else 'unrecognized'} argument {word!r}", path)
+            if declared[name] is not None and not eq:
+                if not words:
+                    raise UsageError(f"option {name} needs a value", path)
+                value = words.pop(0)
+            spec = declared[name]
+            if isinstance(spec, tuple) and value not in spec:
+                raise UsageError(f"invalid {name} {value!r} (choose from {', '.join(spec)})", path)
+            given[name] = True if spec is None else value
+        if missing := [name for name, spec in declared.items() if path and spec is not None and name not in given]:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}", path)
+        vars(args).update({dest(name): given.get(name) for name in declared})
+        args.handler, args.readers = handler, [(dest(name), read) for name, read in declared.items() if callable(read)]
+        if handler or slot not in given:
+            return args  # a missing command word: main refuses it once the configuration is resolved
+        path = f"{path} {given[slot]}".lstrip()
 
 
 def execute(args, cfg) -> tuple[Iterable[str], object]:
-    """Read each argument with its declared reader, then run the handler its parser declared."""
+    """Read each argument with its declared reader, then run the declared handler."""
     for name, read in args.readers:
         setattr(args, name, read(getattr(args, name)))
     return args.handler(args, cfg)
 
 
 def main(argv=None) -> int:
-    """One call: configuration, handler selection, argument reading and the handler share one ``try``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """One call: argument reading, configuration, handler selection and the handler share one ``try``."""
     try:
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+        if args.help:
+            print(args.help)
+            return 0
         cfg = resolve_config(degree_cap=args.degree_cap, group_guard=args.group_guard, config_file=args.config)
         if args.verify:
             if args.command:
                 raise ValueError("--verify takes no subcommand")
             args.command, args.handler, args.readers = "verify", cmd_verify, ()
         elif not args.command:
-            parser.print_usage(sys.stderr)
-            raise ValueError("a subcommand is required")
+            raise UsageError("a subcommand is required", "")
         lines, result = execute(args, cfg)
     except LimitExceeded as exc:
         print(f"tensorcat: refused: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, TensorcatError) as exc:
-        print(f"tensorcat: error: {exc}", file=sys.stderr)
+        head = usage(exc.path) + "\n" if isinstance(exc, UsageError) else ""
+        print(f"{head}tensorcat: error: {exc}", file=sys.stderr)
         return 1
 
     if args.output == "json":

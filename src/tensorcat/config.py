@@ -5,7 +5,8 @@ Settings are resolved as: explicit flag > environment variable > config file
 comments; recognized keys are ``degree_cap`` and ``group_guard``, and other
 keys are ignored.  Each value, from a flag, the environment or the file, is
 read by ``diagrams.ascii_int``, which names its source; only ASCII whitespace
-is skipped; a file over CONFIG_FILE_LIMIT bytes, or not UTF-8, is refused.
+is skipped; a file over CONFIG_FILE_LIMIT bytes, or not UTF-8, is refused, and
+so is an empty config path from the flag or the environment.
 
 Environment variables: TENSORCAT_DEGREE_CAP, TENSORCAT_GROUP_GUARD,
 TENSORCAT_CONFIG (path of a config file).
@@ -86,7 +87,9 @@ def resolve_config(
     """Build a Config from the flags' text, honoring flag > env > file > default precedence."""
     env = os.environ if env is None else env
 
-    file_path = config_file or env.get(ENV_CONFIG)
+    source, file_path = ("--config", config_file) if config_file is not None else (ENV_CONFIG, env.get(ENV_CONFIG))
+    if file_path == "":  # an empty path names no file; it does not fall through to the next source
+        raise ValueError(f"bad {source} '': empty path")
     file_values = read_config_file(file_path) if file_path else {}
 
     def pick(flag, flag_name, env_name, file_key, default):

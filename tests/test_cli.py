@@ -299,7 +299,7 @@ def test_non_ascii_digits_exit_one_with_position(capsys):
 def test_argparse_usage_errors_exit_one(capsys):
     for argv in (
         "plethysm not-a-family 2",
-        # the osp group and its commands are nested parsers: each exits 1 too
+        # the osp group and its commands are read by the same reader: each exits 1 too
         "osp",
         "osp --kind x leq 1,0 0,1",
         "osp --kind o nosuch",
@@ -307,11 +307,78 @@ def test_argparse_usage_errors_exit_one(capsys):
         "covers 0,0,0,0",
         "homdim 0,1,1,0 nope",
     ):
-        with pytest.raises(SystemExit) as err:
-            main(argv.split())
+        assert main(argv.split()) == 1, argv
         captured = capsys.readouterr()
-        assert err.value.code == 1, argv
         assert captured.out == "" and captured.err.startswith("usage: tensorcat"), argv
+
+
+def test_grammar_is_strict(capsys):
+    # an option is spelled in full and given once, "--" is no option; each is a usage error inside the one try
+    for argv in (
+        "--degree-c 3 lr [2,1] [1] [2]",
+        "--out json lr [2,1] [1] [2]",
+        "covers 0,0,0,0 --bou 2",
+        "osp --kin o leq 1,0 0,1",
+        "ext-trivial [1],[],[],[1] --degree 1 --degree 2",
+        "--output json --output=json lr [2,1] [1] [2]",
+        "quadkernel 0,2,2,0 --check --check",
+        "quadkernel 0,2,2,0 --check=yes",
+        "lr -- [2,1] [1] [2]",
+        "-- lr [2,1] [1] [2]",
+        "covers 0,0,0,0 --bound",
+    ):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, ""), argv
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: tensorcat") and error.startswith("tensorcat: error: "), argv
+    for joined in ("--degree-cap=5 decompose 2,2,2,2", "--output=json covers 0,0,0,0 --bound=2"):
+        split = [part for word in joined.split() for part in word.split("=")]
+        assert run(capsys, *joined.split()) == run(capsys, *split), joined
+    # a word in a positional slot reaches its reader, whatever its first character
+    assert run(capsys, "layers", "-1") == (1, "", "tensorcat: error: kmax must be non-negative\n")
+
+
+def test_help_is_fixed_text(capsys):
+    texts = {}
+    for argv in (["--help"], ["osp", "-h"], ["--output", "json", "osp", "--kind", "o", "leq", "--help"]):
+        code, texts[tuple(argv)], err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+    assert texts[("--help",)].startswith("usage: tensorcat [-h] [--output {text,json}]")
+    assert texts[("osp", "-h")].splitlines()[-1] == "  conjugate         the simple of the other variant"
+    # the same bytes on every terminal width, and no SystemExit from main
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for argv in (["--help"], ["homdim", "--help"], ["nosuch"]):
+        done = [subprocess.run([sys.executable, "-m", "tensorcat", *argv], capture_output=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": path, "COLUMNS": columns}) for columns in ("20", "300")]
+        assert done[0].stdout == done[1].stdout and done[0].stderr == done[1].stderr, argv
+        assert done[0].returncode == (1 if argv == ["nosuch"] else 0), argv
+
+
+def test_a_call_imports_no_argument_parser():
+    # the grammar is read without argparse, so a call loads neither it nor what it pulls in
+    script = (
+        "import sys, tensorcat.cli; tensorcat.cli.main(['decompose', '1,1,1,1']); "
+        "print(' '.join(sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules))) or '-')"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    assert out[-1] == "-", out
+
+
+def test_config_path_may_not_be_empty(tmp_path, capsys, monkeypatch):
+    # an empty path, from the flag or the environment, is refused in words naming its source
+    config = tmp_path / "tensorcat.conf"
+    config.write_text("degree_cap = 3\n", encoding="utf-8")
+    monkeypatch.setenv("TENSORCAT_CONFIG", str(config))
+    for argv in (["--config", ""], ["--config="]):
+        assert run(capsys, *argv, "decompose", "2,2,0,0") == (1, "", "tensorcat: error: bad --config '': empty path\n")
+    code, out, err = run(capsys, "decompose", "2,2,0,0")
+    assert code == 2 and "degree 4 exceeds the configured cap 3" in err
+    monkeypatch.setenv("TENSORCAT_CONFIG", "")
+    assert run(capsys, "decompose", "2,2,0,0") == (1, "", "tensorcat: error: bad TENSORCAT_CONFIG '': empty path\n")
 
 
 def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
@@ -336,11 +403,13 @@ def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
 
 
 def test_argparse_converts_no_value():
-    # every integer is read by ascii_int inside main's one try, so no add_argument call in cli passes type=
-    calls = [node for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call)]
-    assert any(getattr(call.func, "attr", "") == "add_argument" for call in calls)
-    sites = [call.lineno for call in calls for keyword in call.keywords if keyword.arg == "type"]
+    # cli reads its own grammar inside main's one try, so no module of the package imports argparse
+    sites = []
+    for path in (ROOT / "src" / "tensorcat").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            sites += [(path.name, node.lineno) for name in names if name.split(".")[0] == "argparse"]
     assert sites == [], sites
 
 
@@ -483,9 +552,7 @@ def test_overlong_numbers_are_refused_in_tensorcat_s_own_words(tmp_path, capsys,
 
 def test_removed_cache_interface_is_rejected_or_ignored(tmp_path, capsys, monkeypatch):
     for argv in (["cache", "info"], ["--cache-dir", str(tmp_path), "lr", "[2,1]", "[1]", "[2]"]):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 1, argv
+        assert main(argv) == 1, argv
     capsys.readouterr()
     cache_dir = tmp_path / "cache"
     config = tmp_path / "tensorcat.conf"
@@ -567,10 +634,7 @@ def test_grammar_fuzz_exits_cleanly(cap, mode, argvs):
     for argv in (["--degree-cap", cap, *mode, *words] for words in argvs):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exit_:  # argparse's usage error
-                code = exit_.code
+            code = main(argv)
         assert code in (0, 1, 2), argv
         assert (out.getvalue() == "") == (code != 0), argv  # a failed call prints nothing on stdout
         if mode and not code:
@@ -584,9 +648,8 @@ def test_every_declared_command_is_fuzzed_and_golden():
     fuzzed = {" ".join(w for w in shape.split() if w.islower() and not w.startswith("-")) for shape in _SHAPES}
     assert fuzzed == declared
     names = {handler: name for name, handler, *_ in cli.COMMANDS}
-    parser = cli.build_parser()
-    passed = (parser.parse_args(case["argv"]) for case in CORPUS if case["exit"] == 0)
-    golden = {(names[args.handler], args.output) for args in passed if args.command}  # --verify has no command
+    passed = (cli.read_argv(case["argv"]) for case in CORPUS if case["exit"] == 0)
+    golden = {(names[args.handler], args.output or "text") for args in passed if args.handler}  # not --verify, --help
     assert golden == {(name, mode) for name in declared for mode in ("text", "json")}
 
 

@@ -227,8 +227,6 @@ def digest(domain) -> dict:
             for mode in ([], ["--output", "json"]):
                 try:
                     code = main(mode + argv)
-                except SystemExit as exc:
-                    code = exc.code
                 except Exception as exc:  # an internal error changes the digest; the other calls still run
                     code = type(exc).__name__
                 sha.update(f"{code}\n{out.getvalue()}\0".encode("utf-8"))

@@ -92,15 +92,23 @@ _STATEFUL = [
 ]
 
 
+# --help at the top level, at osp and at each command: fixed text, whatever --output says
+_HELP = ["--help", "osp --help"] + [f"{command} --help" for command in (
+    "lr", "product", "plethysm", "decompose", "socle", "layers", "defect", "chains", "covers", "ext-trivial",
+    "ext-thick", "ext-vanishes", "resolution", "kernel-layer", "homdim", "quadkernel",
+    *(f"osp --kind o {leaf}" for leaf in ("leq", "defect", "layers", "ext-trivial", "conjugate")),
+)]
+
+
 def commands() -> list[tuple[list[str], dict[str, str]]]:
-    """Every corpus case, each in text and then in JSON."""
+    """Every corpus case, each in text and then in JSON; the help cases last, in text only."""
     plain = [(line, {}) for line in _README + _TEST_CLI + _LARGER] + _STATEFUL
     cases = []
     for line, env in plain:
         argv = line.split()
         cases.append((argv, env))
         cases.append((["--output", "json"] + argv, env))
-    return cases
+    return cases + [(line.split(), {}) for line in _HELP]
 
 
 def run(argv: list[str], env: dict[str, str], tmp: str) -> dict:
@@ -114,10 +122,7 @@ def run(argv: list[str], env: dict[str, str], tmp: str) -> dict:
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main([arg.replace("{tmp}", tmp) for arg in argv])
-            except SystemExit as exc:
-                code = exc.code
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
     finally:
         os.environ.clear()
         os.environ.update(saved)
