@@ -339,13 +339,13 @@ def test_grammar_is_strict(capsys):
 
 
 def test_help_is_fixed_text(capsys):
-    texts = {}
+    texts = {}  # main returns 0 for help, it raises no SystemExit
     for argv in (["--help"], ["osp", "-h"], ["--output", "json", "osp", "--kind", "o", "leq", "--help"]):
         code, texts[tuple(argv)], err = run(capsys, *argv)
         assert code == 0 and err == "", argv
     assert texts[("--help",)].startswith("usage: tensorcat [-h] [--output {text,json}]")
     assert texts[("osp", "-h")].splitlines()[-1] == "  conjugate         the simple of the other variant"
-    # the same bytes on every terminal width, and no SystemExit from main
+    # the same bytes on every terminal width
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     for argv in (["--help"], ["homdim", "--help"], ["nosuch"]):
         done = [subprocess.run([sys.executable, "-m", "tensorcat", *argv], capture_output=True, timeout=60,
@@ -382,7 +382,7 @@ def test_config_path_may_not_be_empty(tmp_path, capsys, monkeypatch):
 
 
 def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
-    # argparse converts no integer: each is refused in the one try, in ascii_int's words, with no usage line
+    # reading the words converts no integer: each is refused in the one try, in ascii_int's words, with no usage line
     for argv, what, text in (
         (["layers", "١"], "integer", "١"),
         (["kernel-layer", "1", "1_0"], "integer", "1_0"),

@@ -52,8 +52,8 @@ STARTUP = {  # name: interpreter arguments
     "python -m tensorcat decompose 1,1,1,1": CALL,
     "python -S -m tensorcat decompose 1,1,1,1": ["-S", *CALL],
 }
-COUNT = "import sys, tensorcat.cli; print(len(sys.modules)); tensorcat.cli.main(['decompose', '1,1,1,1']); " \
-        "print(len(sys.modules))"
+COUNT = ("import sys, tensorcat.cli; print(len(sys.modules)); tensorcat.cli.main(['decompose', '1,1,1,1']); "
+         "print(len(sys.modules))")
 TIMEOUT_S = 600
 
 
