@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from functools import cache
 from itertools import chain
 from types import SimpleNamespace
 
@@ -274,15 +273,16 @@ class UsageError(ValueError):
         self.path = path
 
 
-@cache
 def declaration(path: str) -> tuple:
-    """({name: spec}, help, handler) of a command; a spec is None for a flag, choices or a reader.  A group has
-    handler None and its command word last (``command``, ``osp_command``)."""
+    """({name: spec}, help, handler) of a command or group.  A spec is None for a flag, a tuple of choices, a
+    reader that ``execute`` applies, or ``str`` for a global option whose text goes to ``resolve_config``.  A
+    group has handler None and its command word (``command``, ``osp_command``) last."""
     if path in GROUPS:
         prefix = f"{path} ".lstrip()
         words = dict.fromkeys(name.removeprefix(prefix).split()[0] for name, *_ in COMMANDS if name.startswith(prefix))
-        (arguments, about), handler = GROUPS[path], None
+        arguments, about = GROUPS[path]
         arguments = (*arguments, (f"{path}_command".lstrip("_"), tuple(words)))
+        handler = None
     else:
         arguments, about, handler = next((spec, about, f) for name, f, spec, about in COMMANDS if name == path)
     return dict((argument, None) if isinstance(argument, str) else argument for argument in arguments), about, handler
@@ -295,47 +295,77 @@ def dest(name: str) -> str:
 def usage(path: str) -> str:
     declared, _, handler = declaration(path)
     words = ["usage: tensorcat", *path.split(), "[-h]"]
-    for name, spec in list(declared.items())[: None if handler else -1]:  # a group's command word is COMMAND
+    arguments = list(declared.items())
+    if not handler:
+        arguments.pop()  # a group's command word, written COMMAND ... below
+    for name, spec in arguments:
         value = "{" + ",".join(spec) + "}" if isinstance(spec, tuple) else dest(name).upper()
-        option = f"[{name}]" if spec is None else f"[{name} {value}]" if not path else f"{name} {value}"
-        words.append(option if name[0] == "-" else value if isinstance(spec, tuple) else name)
-    return " ".join(words if handler else [*words, "COMMAND ..."])
+        if name[0] != "-":
+            words.append(value if isinstance(spec, tuple) else name)
+        elif spec is None or not path:  # a flag or a global option is optional
+            words.append(f"[{name}]" if spec is None else f"[{name} {value}]")
+        else:
+            words.append(f"{name} {value}")
+    if not handler:
+        words.append("COMMAND ...")
+    return " ".join(words)
+
+
+def help_text(path: str) -> str:
+    """The usage line, the help line and a group's commands: a text that no terminal or interpreter changes."""
+    declared, about, handler = declaration(path)
+    lines = [usage(path), "", about]
+    if not handler:
+        lines += ["", "commands:"]
+        for command in list(declared.values())[-1]:  # the choices of the group's command word
+            lines.append(f"  {command:<17} {declaration(f'{path} {command}'.lstrip())[1]}")
+    return "\n".join(lines)
 
 
 def read_argv(words: list[str]) -> SimpleNamespace:
     """Read the words against the table: a group's options up to its command word, then the command's options
-    (anywhere) and positionals (in declared order, whatever their first character).  An option is spelled in
-    full, given at most once, its value as ``--name value`` or ``--name=value``; ``--`` is no option."""
-    args, path, words = SimpleNamespace(help=None, handler=None), "", list(words)
+    (anywhere) and positionals (in declared order).  ``-h`` or ``--help`` anywhere asks for help.  A word that
+    starts with ``--`` is an option, spelled in full and given at most once, its value as ``--name value`` or
+    ``--name=value``; ``--`` is no option.  Any other word, ``-1`` included, goes to the next positional."""
+    args = SimpleNamespace(help=None, handler=None)
+    path = ""
+    words = list(words)
     while True:
-        declared, about, handler = declaration(path)
-        slot, slots, given = None if handler else list(declared)[-1], [name for name in declared if name[0] != "-"], {}
+        declared, _, handler = declaration(path)
+        positionals = [name for name in declared if name[0] != "-"]
+        slot = None if handler else positionals[-1]  # a group's command word ends its reading
+        given = {}
         while words and (handler or slot not in given):
             word = words.pop(0)
-            if word in ("-h", "--help"):  # ends the reading with a text that no terminal or interpreter changes
-                commands = () if handler else declared[slot]
-                listing = (f"  {command:<17} {declaration(f'{path} {command}'.lstrip())[1]}" for command in commands)
-                args.help = "\n".join([usage(path), "", about, *(["", "commands:", *listing] if commands else [])])
+            if word in ("-h", "--help"):
+                args.help = help_text(path)
                 return args
             if word.startswith("--"):
                 name, eq, value = word.partition("=")
-            else:  # a positional carries its value, as --name=value does; "" names no argument
-                name, eq, value = slots.pop(0) if slots else "", "=", word
-            if name not in declared or name in given or declared[name] is None and eq:
-                raise UsageError(f"{'repeated' if name in given else 'unrecognized'} argument {word!r}", path)
-            if declared[name] is not None and not eq:
+            elif positionals:  # a positional carries its value, as --name=value does
+                name, eq, value = positionals.pop(0), "=", word
+            else:
+                raise UsageError(f"unrecognized argument {word!r}", path)
+            if name in given:
+                raise UsageError(f"repeated argument {word!r}", path)
+            if name not in declared or declared[name] is None and eq:
+                raise UsageError(f"unrecognized argument {word!r}", path)
+            spec = declared[name]
+            if spec is not None and not eq:
                 if not words:
                     raise UsageError(f"option {name} needs a value", path)
                 value = words.pop(0)
-            spec = declared[name]
             if isinstance(spec, tuple) and value not in spec:
                 raise UsageError(f"invalid {name} {value!r} (choose from {', '.join(spec)})", path)
             given[name] = True if spec is None else value
         if missing := [name for name, spec in declared.items() if path and spec is not None and name not in given]:
             raise UsageError(f"the following arguments are required: {', '.join(missing)}", path)
         vars(args).update({dest(name): given.get(name) for name in declared})
-        args.handler, args.readers = handler, [(dest(name), read) for name, read in declared.items() if callable(read)]
-        if handler or slot not in given:
+        if handler:
+            args.handler = handler
+            args.readers = [(dest(name), read) for name, read in declared.items() if callable(read)]
+            return args
+        if slot not in given:
             return args  # a missing command word: main refuses it once the configuration is resolved
         path = f"{path} {given[slot]}".lstrip()
 

@@ -334,8 +334,10 @@ def test_grammar_is_strict(capsys):
     for joined in ("--degree-cap=5 decompose 2,2,2,2", "--output=json covers 0,0,0,0 --bound=2"):
         split = [part for word in joined.split() for part in word.split("=")]
         assert run(capsys, *joined.split()) == run(capsys, *split), joined
-    # a word in a positional slot reaches its reader, whatever its first character
+    # a word that does not start with "--" (other than -h) reaches its positional's reader; "--5" is an option name
     assert run(capsys, "layers", "-1") == (1, "", "tensorcat: error: kmax must be non-negative\n")
+    assert run(capsys, "layers", "--5") == (1, "", "usage: tensorcat layers [-h] kmax\n"
+                                                   "tensorcat: error: unrecognized argument '--5'\n")
 
 
 def test_help_is_fixed_text(capsys):

@@ -2,17 +2,18 @@
 
 Usage, from anywhere (standard library only; the tier-1 step needs pytest):
 
-    python3 tools/bench_record.py LABEL [--commit REV] [--runs N] [--rounds R] [--python PYTHON]
+    python3 tools/bench_record.py LABEL [--commit REV]
 
 The commit (default HEAD) is unpacked with ``git archive`` into a temporary
 directory, so every record measures a tree made the same way: a copy with
 ``.git`` and caches read slower than an archive of the same code.  In it the
-unchanged ``perfbench/run.py`` runs the engine workload at seed 0 untraced N
-times (default 3) and traced once, and the cli workload at seed 0 once; each
-run's full record is read from ``.bench_out/result-*.json``.  Then the tier-1
-command runs once, timed, and the host's start-up is sampled: R alternating
-rounds (default 20) of each start-up command below.  The tool pins itself, and
-so everything it starts, to one CPU, as ``run.py`` does.
+unchanged ``perfbench/run.py``, under the interpreter running this tool, runs
+the engine workload at seed 0 untraced 3 times and traced once, and the cli
+workload at seed 0 once; each run's full record is read from
+``.bench_out/result-*.json``.  Then the tier-1 command runs once, timed, and the
+host's start-up is sampled: 20 alternating rounds of each start-up command
+below.  The tool pins itself, and so everything it starts, to one CPU, as
+``run.py`` does.
 
 Keys of the file:
 
@@ -55,6 +56,9 @@ STARTUP = {  # name: interpreter arguments
 COUNT = ("import sys, tensorcat.cli; print(len(sys.modules)); tensorcat.cli.main(['decompose', '1,1,1,1']); "
          "print(len(sys.modules))")
 TIMEOUT_S = 600
+RUNS = 3  # untraced engine runs
+ROUNDS = 20  # rounds of each start-up command
+PYTHON = sys.executable
 
 
 def median_metrics(runs: list[dict]) -> dict:
@@ -73,31 +77,30 @@ def aggregate(records: dict[str, list[dict]]) -> dict:
     }
 
 
-def bench(tree: Path, python: str, workload: str, trace: int) -> dict:
-    subprocess.run([python, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace", str(trace)],
+def bench(tree: Path, workload: str, trace: int) -> dict:
+    subprocess.run([PYTHON, "perfbench/run.py", "--workload", workload, "--seed", "0", "--trace", str(trace)],
                    cwd=tree, check=True, stdout=subprocess.DEVNULL, timeout=TIMEOUT_S)
     return json.loads((tree / ".bench_out" / f"result-{workload}-0-{trace}.json").read_text(encoding="utf-8"))
 
 
-def startup(tree: Path, python: str, rounds: int, env: dict) -> tuple[dict, dict]:
+def startup(tree: Path, env: dict) -> tuple[dict, dict]:
     """Median start-up wall times, by command, and the deterministic module counters."""
     times = {name: [] for name in STARTUP}
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         for name, args in STARTUP.items():
             t0 = time.perf_counter()  # no timeout: a wait with one polls the child at up to 50 ms intervals
-            subprocess.run([python, *args], cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+            subprocess.run([PYTHON, *args], cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
             times[name].append((time.perf_counter() - t0) * 1000)
-    out = subprocess.run([python, "-S", "-c", COUNT], cwd=tree, env=env, check=True, capture_output=True,
+    out = subprocess.run([PYTHON, "-S", "-c", COUNT], cwd=tree, env=env, check=True, capture_output=True,
                          text=True, timeout=60).stdout.split()
     counters = {"modules_after_import": int(out[0]), "modules_after_call": int(out[-1])}
     return {name: statistics.median(samples) for name, samples in times.items()}, counters
 
 
-def record(label: str, rev: str, runs: int, rounds: int, python: str) -> dict:
+def record(label: str, rev: str) -> dict:
     commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True,
                             text=True).stdout.strip()
-    version = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"], check=True,
-                             capture_output=True, text=True).stdout.strip()
+    version = sys.version.split()[0]
     loadavg_start = os.getloadavg()
     with tempfile.TemporaryDirectory() as scratch:
         tree, archive = Path(scratch) / "tree", Path(scratch) / "tree.tar"
@@ -105,16 +108,16 @@ def record(label: str, rev: str, runs: int, rounds: int, python: str) -> dict:
         subprocess.run(["git", "archive", f"--output={archive}", commit], cwd=ROOT, check=True)
         subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
         records = {
-            "engine": [bench(tree, python, "engine", 0) for _ in range(runs)],
-            "engine_traced": [bench(tree, python, "engine", 1)],
-            "cli": [bench(tree, python, "cli", 0)],
+            "engine": [bench(tree, "engine", 0) for _ in range(RUNS)],
+            "engine_traced": [bench(tree, "engine", 1)],
+            "cli": [bench(tree, "cli", 0)],
         }
         env = {k: v for k, v in os.environ.items() if not k.startswith("TENSORCAT_")}
         env["PYTHONPATH"] = str(tree / "src")
         t0 = time.perf_counter()
-        done = subprocess.run([python, *TIER1], cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        done = subprocess.run([PYTHON, *TIER1], cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         tier1 = {"wall_s": time.perf_counter() - t0, "summary": (done.stdout.strip().splitlines() or [""])[-1]}
-        startup_ms, counters = startup(tree, python, rounds, env)
+        startup_ms, counters = startup(tree, env)
     return {
         "label": label, "commit": commit, "python": version, "nproc": os.cpu_count(),
         "loadavg_start": loadavg_start, "loadavg_end": os.getloadavg(),
@@ -126,15 +129,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Record one commit's benchmark numbers in BENCH_<LABEL>.json.")
     parser.add_argument("label", help="names the file: BENCH_<LABEL>.json")
     parser.add_argument("--commit", default="HEAD", help="the revision to measure (default HEAD)")
-    parser.add_argument("--runs", type=int, default=3, help="untraced engine runs (default 3)")
-    parser.add_argument("--rounds", type=int, default=20, help="rounds of each start-up command (default 20)")
-    parser.add_argument("--python", default=sys.executable, help="the interpreter to measure with")
     args = parser.parse_args(argv)
     try:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     except (AttributeError, OSError):  # no affinity control on this platform
         pass
-    data = record(args.label, args.commit, args.runs, args.rounds, args.python)
+    data = record(args.label, args.commit)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path.name}: engine op_p50_ms {data['engine']['median']['op_p50_ms']:.4g}, "
