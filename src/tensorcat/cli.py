@@ -139,7 +139,7 @@ def cmd_defect(args, cfg):
     return scalar_output(poset.defect(args.a, args.b))
 
 
-CHAIN_LIMIT = 100_000
+CHAIN_LIMIT = 20_000
 
 
 @command("chains", ("a", parse_quad), ("b", parse_quad), help="all saturated chains between two quadruples")

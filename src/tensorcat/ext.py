@@ -107,9 +107,10 @@ def thick_target_socle(
 ) -> Combination:
     """Socle of resolution degree q after tensoring with the thick (alpha, beta).
 
-    Independent route to the same dimensions as ext_to_thick, via the exterior
-    Cauchy pairs multiplied into the target's two slots.  At the unit,
-    alpha = beta = (), it is the socle of the resolution term Lambda^q F (x) I.
+    The exterior Cauchy pairs multiplied into the target's two slots; at the
+    unit, alpha = beta = (), the socle of the resolution term Lambda^q F (x) I.
+    ext_to_thick gives the same dimensions coefficient by coefficient: both
+    read the LR expansions cached by symfunc._lr_strips, so they share one route.
     """
     if q < 0:
         raise ValueError("resolution degree must be non-negative")

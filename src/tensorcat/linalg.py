@@ -1,13 +1,12 @@
-"""Exact echelon basis and rank of sparse rational row vectors.
+"""Exact echelon basis and rank of sparse integer row vectors.
 
-One fraction-free elimination serves both.  Each row is cleared of
-denominators, then reduced against the rows already kept: while its leading
-column (first in ``columns`` order) holds a kept row, the two are
-cross-multiplied so that entry cancels, and the result is divided by the gcd
-of its entries.  A row that survives is kept.  The kept rows have distinct
-leading columns, each is a non-zero multiple of an input row minus a
-combination of earlier kept rows, so they are an echelon basis of the span of
-the input, and the rank is their number.  All arithmetic stays in the
+One fraction-free elimination serves both.  Each row is reduced against the
+rows already kept: while its leading column (first in ``columns`` order) holds
+a kept row, the two are cross-multiplied so that entry cancels, and the result
+is divided by the gcd of its entries.  A row that survives is kept.  The kept
+rows have distinct leading columns, each is a non-zero multiple of an input row
+minus a combination of earlier kept rows, so they are an echelon basis of the
+span of the input, and the rank is their number.  All arithmetic stays in the
 integers; see Bareiss, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 22 (1968).
 """
@@ -19,7 +18,7 @@ from collections.abc import Iterable
 
 
 def row_basis(rows: Iterable[dict], columns: list) -> list[dict]:
-    """Echelon basis of the span of sparse rational rows keyed by `columns`.
+    """Echelon basis of the span of sparse integer rows keyed by `columns`.
 
     The basis rows are integer vectors, keyed by the same column objects, in
     order of their leading column.  Rows are drawn one at a time, and none is
@@ -28,8 +27,7 @@ def row_basis(rows: Iterable[dict], columns: list) -> list[dict]:
     col_index = {c: i for i, c in enumerate(columns)}
     kept: dict[int, dict[int, int]] = {}  # leading column -> kept row
     for row in rows:
-        den = math.lcm(*(v.denominator for v in row.values()))
-        vec = {col_index[c]: v.numerator * den // v.denominator for c, v in row.items() if v}
+        vec = {col_index[c]: v for c, v in row.items() if v}
         while vec and (lead := min(vec)) in kept:
             pivot = kept[lead]
             g = math.gcd(vec[lead], pivot[lead])
@@ -47,5 +45,5 @@ def row_basis(rows: Iterable[dict], columns: list) -> list[dict]:
 
 
 def rank_of_rows(rows: list[dict], columns: list) -> int:
-    """Rank of sparse rational row vectors whose keys come from `columns`."""
+    """Rank of sparse integer row vectors whose keys come from `columns`."""
     return len(row_basis(rows, columns))

@@ -226,7 +226,10 @@ def test_exit_codes(capsys):
     code, out, err = run(capsys, "--group-guard", "3", "quadkernel", "0,2,2,0", "--check")
     assert code == 2 and out == "" and "total boxes 4 exceeds the group-algebra guard 3" in err
     code, out, err = run(capsys, "chains", "6,0,0,6", "0,6,6,0")
-    assert code == 2 and out == "" and "saturated chains 853776 exceeds the fixed limit 100000" in err
+    assert code == 2 and out == "" and "saturated chains 853776 exceeds the fixed limit 20000" in err
+    # the fewest chains over the limit at the default cap
+    code, out, err = run(capsys, "chains", "3,0,0,4", "0,6,7,0")
+    assert code == 2 and out == "" and "saturated chains 25200 exceeds the fixed limit 20000" in err
     code, out, err = run(capsys, "chains", "7,0,0,7", "0,7,7,0")
     assert code == 2 and out == "" and "chain length 14 exceeds the configured cap 12" in err
     code, out, err = run(capsys, "chains", "4,0,0,4", "0,4,4,0")
@@ -235,7 +238,7 @@ def test_exit_codes(capsys):
     code, out, err = run(capsys, "--degree-cap", "2000", "chains", "1000,0,0,0", "0,1000,0,0")
     assert code == 0 and len(out.splitlines()) == 1 and out.count(" -> ") == 1000 and err == ""
     code, out, err = run(capsys, "--degree-cap", "2000", "chains", "400,0,0,400", "0,400,400,0")
-    assert code == 2 and out == "" and "exceeds the fixed limit 100000" in err
+    assert code == 2 and out == "" and "exceeds the fixed limit 20000" in err
     for argv in (
         ["ext-trivial", "[3],[],[],[1,1]", "--degree", "3"],
         ["osp", "--kind", "sp", "ext-trivial", "[5]", "[]", "--degree", "2"],

@@ -4,12 +4,12 @@ import ast
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
 
-from tensorcat import symalg
+from tensorcat import linalg, symalg
 from tensorcat.crosscheck import symmetrizer_scalar_agrees
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
 from tensorcat.errors import LimitExceeded
@@ -99,10 +99,17 @@ def test_distinct_projectors_give_independent_corners():
         assert (c2 * GroupAlgebraElement((2,), {(g,): 1}) * c11).coeffs == {}, g
 
 
+def _integer_row(row: dict) -> dict:
+    """A Fraction row scaled by the lcm of its denominators, which keeps the rank of any rows it is among."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {key: int(v * den) for key, v in row.items()}
+
+
 def _sandwich_rank(c) -> int:
     """Rank of {c g c} over all group elements g, each product built in full."""
     elements = [(g,) for g in itertools.permutations(range(c.sizes[0]))]
-    return rank_of_rows([(c * GroupAlgebraElement(c.sizes, {g: 1}) * c).coeffs for g in elements], elements)
+    rows = [_integer_row((c * GroupAlgebraElement(c.sizes, {g: 1}) * c).coeffs) for g in elements]
+    return rank_of_rows(rows, elements)
 
 
 def test_corner_rank_matches_the_full_sandwich_rank():
@@ -142,7 +149,7 @@ def _two_factor_corner_rank(c, d) -> int:
         {(g[0], h[0]): cg * ch for g, cg in c.coeffs.items() for h, ch in d.coeffs.items()},
     )
     elements = list(itertools.product(*(itertools.permutations(range(n)) for n in sizes)))
-    rows = [(corner * GroupAlgebraElement(sizes, {g: 1}) * corner).coeffs for g in elements]
+    rows = [_integer_row((corner * GroupAlgebraElement(sizes, {g: 1}) * corner).coeffs) for g in elements]
     return rank_of_rows(rows, elements)
 
 
@@ -157,6 +164,30 @@ def test_corner_rank_factorizes():
     ]:
         assert (_corner_rank(c), _corner_rank(d)) == ranks
         assert _two_factor_corner_rank(c, d) == ranks[0] * ranks[1]
+
+
+def test_every_row_ranked_by_the_engine_and_the_oracle_is_an_int_row(monkeypatch):
+    """linalg ranks integer rows only: each rank route must build its rows from ints."""
+    calls = []
+
+    def spy(binding, original):
+        def wrapped(rows, columns):
+            rows = list(rows)
+            assert [row for row in rows if any(type(v) is not int for v in row.values())] == [], binding
+            calls.append(binding)
+            return original(rows, columns)
+
+        return wrapped
+
+    monkeypatch.setattr(linalg, "row_basis", spy("linalg", linalg.row_basis))  # rank_of_rows goes through it
+    monkeypatch.setattr(symalg, "row_basis", spy("symalg", symalg.row_basis))  # _corner_rank's own binding
+    for q in ((0, 2, 2, 0), (1, 2, 2, 0), (0, 3, 2, 1)):
+        assert quadratic_kernel_check(QuadIndex(*q))
+    for lam, pi in (([2, 1], [1]), ([2, 2], [1, 1]), ([3, 1], [])):
+        assert corner_algebra_dimension(P(lam), P(pi)) == 1
+    assert composite_orbit_rank(0, 1, 1, 0, moves=("contract",)) == 1
+    assert composite_orbit_rank(0, 2, 2, 0, moves=("left", "right")) > 0
+    assert set(calls) == {"linalg", "symalg"}
 
 
 def test_end_dimension():

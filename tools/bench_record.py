@@ -97,16 +97,23 @@ def startup(tree: Path, env: dict) -> tuple[dict, dict]:
     return {name: statistics.median(samples) for name, samples in times.items()}, counters
 
 
-def record(label: str, rev: str) -> dict:
+def unpack(rev: str, tree: Path) -> str:
+    """Unpack the ``git archive`` of `rev` into the new directory `tree`, the archive beside it; return the sha."""
     commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True,
                             text=True).stdout.strip()
+    archive = tree.with_suffix(".tar")
+    tree.mkdir()
+    subprocess.run(["git", "archive", f"--output={archive}", commit], cwd=ROOT, check=True)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
+    return commit
+
+
+def record(label: str, rev: str) -> dict:
     version = sys.version.split()[0]
     loadavg_start = os.getloadavg()
     with tempfile.TemporaryDirectory() as scratch:
-        tree, archive = Path(scratch) / "tree", Path(scratch) / "tree.tar"
-        tree.mkdir()
-        subprocess.run(["git", "archive", f"--output={archive}", commit], cwd=ROOT, check=True)
-        subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
+        tree = Path(scratch) / "tree"
+        commit = unpack(rev, tree)
         records = {
             "engine": [bench(tree, "engine", 0) for _ in range(RUNS)],
             "engine_traced": [bench(tree, "engine", 1)],
