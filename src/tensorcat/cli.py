@@ -139,13 +139,17 @@ def cmd_defect(args, cfg):
     return scalar_output(poset.defect(args.a, args.b))
 
 
-CHAIN_LIMIT = 20_000
+CHAINS_TEXT_LIMIT = 2_500_000
 
 
 @command("chains", ("a", parse_quad), ("b", parse_quad), help="all saturated chains between two quadruples")
 def cmd_chains(args, cfg):
-    check_cap(poset.defect(args.a, args.b) or 0, cfg.degree_cap, what="chain length")
-    check_limit(poset.chain_count(args.a, args.b), CHAIN_LIMIT, "saturated chains")
+    d = poset.defect(args.a, args.b) or 0
+    check_cap(d, cfg.degree_cap, what="chain length")
+    # every element lies coordinatewise between a and b, so no element prints wider than this
+    width = sum(len(str(max(x, y))) for x, y in zip(args.a, args.b)) + 3
+    text_bytes = poset.chain_count(args.a, args.b) * ((d + 1) * width + 4 * d + 1)
+    check_limit(text_bytes, CHAINS_TEXT_LIMIT, "chains text bytes")
     found = poset.chains(args.a, args.b)
     return (" -> ".join(map(str, path)) for path in found) if found else ["(none)"], found
 

@@ -5,8 +5,8 @@ functor on each of two objects), a tuple of partitions such as a simple
 index (lam, mu, nu, pi), or a tuple of integer exponents (a monomial: the
 oracle's polynomials are Combinations of exponent tuples).  A Combination is
 immutable, drops zero coefficients and keeps its terms in the order they
-were first added; a CombinationBuilder accumulates terms in place and
-builds the Combination once, so sums of many pieces cost linear time.
+were first added.  It is built one way, from a plain dict of exact ints, so
+a sum of many pieces is accumulated in a local dict and built once.
 Canonical order (:func:`index_key`, defined for partition indices) is a
 rendering step: the CLI sorts terms when it prints them.
 """
@@ -14,7 +14,6 @@ rendering step: the CLI sorts terms when it prints them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import index as integer
 
 from .diagrams import Partition
 
@@ -43,13 +42,10 @@ def index_label(index) -> str:
 class Combination(Mapping):
     """Immutable finite Z-combination; maps each index to a non-zero integer.
 
-    A coefficient that is not an integer (a float, a Fraction) raises
-    TypeError instead of being truncated.  Two routes build ``terms``: a
-    plain dict whose values are all exact ``int`` (what the engine and
-    CombinationBuilder hand over) is copied as it is, and filtered only if
-    it holds a zero; any other input (a Mapping, an iterable of pairs, a
-    dict with a bool or Fraction value) is converted term by term with
-    ``operator.index``.  Either way the Combination owns its own dict.
+    ``terms`` must be a plain dict whose values are all exact ``int``; any
+    other input (a Mapping, an iterable of pairs, a float, Fraction or bool
+    coefficient) raises TypeError instead of being converted or truncated.
+    The Combination keeps its own copy of the dict, with the zeros dropped.
 
     ``terms`` is a plain dict in insertion order.  Equality is that of
     mappings, so a Combination also compares equal to a dict with the same
@@ -58,12 +54,13 @@ class Combination(Mapping):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=()):
-        if type(terms) is dict and set(map(type, terms.values())) <= {int}:
-            self.terms: dict = {i: c for i, c in terms.items() if c} if 0 in terms.values() else dict(terms)
-        else:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            self.terms = {index: value for index, coeff in items if (value := integer(coeff))}
+    def __init__(self, terms: dict = {}):  # the default is only read: the Combination copies it
+        if type(terms) is not dict:
+            raise TypeError(f"a Combination is built from a dict, not a {type(terms).__name__}")
+        if not set(map(type, terms.values())) <= {int}:
+            odd = next(coeff for coeff in terms.values() if type(coeff) is not int)
+            raise TypeError(f"coefficients must be exact int, not {type(odd).__name__}")
+        self.terms: dict = {i: c for i, c in terms.items() if c} if 0 in terms.values() else dict(terms)
 
     def __getitem__(self, index) -> int:
         return self.terms[index]
@@ -81,13 +78,19 @@ class Combination(Mapping):
         return self.terms.get(index, 0)
 
     def scale(self, factor: int) -> "Combination":
-        return CombinationBuilder().add_all(self, factor).build()
+        return Combination({index: factor * coeff for index, coeff in self.terms.items()})
 
     def __add__(self, other: "Combination") -> "Combination":
-        return CombinationBuilder().add_all(self).add_all(other).build()
+        out = dict(self.terms)
+        for index, coeff in other.items():
+            out[index] = out.get(index, 0) + coeff
+        return Combination(out)
 
     def __sub__(self, other: "Combination") -> "Combination":
-        return CombinationBuilder().add_all(self).add_all(other, -1).build()
+        out = dict(self.terms)
+        for index, coeff in other.items():
+            out[index] = out.get(index, 0) - coeff
+        return Combination(out)
 
     def require_nonnegative(self) -> "Combination":
         """Return self; raise ArithmeticError if any coefficient is negative."""
@@ -99,25 +102,3 @@ class Combination(Mapping):
     def __repr__(self) -> str:
         body = " + ".join(f"{coeff}*{index_label(index)}" for index, coeff in self.terms.items())
         return f"Combination({body or 0})"
-
-
-class CombinationBuilder:
-    """Mutable accumulator of index -> coefficient; ``build`` freezes it."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self):
-        self._terms: dict = {}
-
-    def add(self, index, coeff: int = 1) -> "CombinationBuilder":
-        self._terms[index] = self._terms.get(index, 0) + coeff
-        return self
-
-    def add_all(self, other: Mapping, factor: int = 1) -> "CombinationBuilder":
-        terms = self._terms
-        for index, coeff in other.items():
-            terms[index] = terms.get(index, 0) + factor * coeff
-        return self
-
-    def build(self) -> Combination:
-        return Combination(self._terms)

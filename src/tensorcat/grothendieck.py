@@ -46,7 +46,7 @@ from math import comb, factorial, prod
 from operator import index as integer
 from typing import Iterable, NamedTuple
 
-from .combination import Combination, CombinationBuilder
+from .combination import Combination
 from .config import check_cap
 from .diagrams import EMPTY, Partition, add_box, partitions, remove_box, standard_tableau_count
 from .diagrams import parse_partition, read_fields
@@ -166,18 +166,20 @@ def tensor_simple(s: SimpleIndex, g: Generator) -> Combination:
     if g.tag in ("SkF", "LkF"):
         return _tensor_f_power(s, g.tag, g.k)
     if g.tag == "SkQ":
-        out = CombinationBuilder()
+        out = {}
         for j in range(g.k + 1):
-            out.add_all(_tensor_f_power(s, "SkF", j))
-        return out.build()
+            for idx, mult in _tensor_f_power(s, "SkF", j).items():
+                out[idx] = out.get(idx, 0) + mult
+        return Combination(out)
     raise AssertionError(g.tag)
 
 
 def tensor_decomposition(dec: Combination, g: Generator) -> Combination:
-    out = CombinationBuilder()
+    out = {}
     for idx, mult in dec.items():
-        out.add_all(tensor_simple(idx, g), mult)
-    return out.build()
+        for factor, c in tensor_simple(idx, g).items():
+            out[factor] = out.get(factor, 0) + mult * c
+    return Combination(out)
 
 
 def generator_word(q: QuadIndex) -> list[Generator]:

@@ -30,7 +30,7 @@ import itertools
 from functools import cache, reduce
 from math import comb
 
-from .combination import Combination, CombinationBuilder, index_label
+from .combination import Combination, index_label
 from .config import check_limit
 from .diagrams import Partition, gl_dimension, partitions
 from .linalg import rank_of_rows
@@ -84,11 +84,12 @@ def expand_schur(lam: Partition, nvars: int) -> Combination:
     cells = [(i, j) for i, length in enumerate(lam) for j in range(length)]
     rows = [[0] * length for length in lam]
     weight = [0] * nvars
-    out = CombinationBuilder()
+    out = {}
 
     def fill(k: int) -> None:
         if k == len(cells):
-            out.add(tuple(weight))
+            key = tuple(weight)
+            out[key] = out.get(key, 0) + 1
             return
         i, j = cells[k]
         low = max(rows[i][j - 1] if j else 1, rows[i - 1][j] + 1 if i else 1)
@@ -99,7 +100,7 @@ def expand_schur(lam: Partition, nvars: int) -> Combination:
             weight[v - 1] -= 1
 
     fill(0)
-    return out.build()
+    return Combination(out)
 
 
 def _peel_schur(poly: Combination, sizes: tuple[int, ...], expect_nonnegative: bool = False) -> Combination:
@@ -117,7 +118,7 @@ def _peel_schur(poly: Combination, sizes: tuple[int, ...], expect_nonnegative: b
         raise ValueError(f"exponent tuples do not have {nvars} entries")
     slices = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     remaining = poly
-    out = CombinationBuilder()
+    out = {}
     while remaining:
         lead = max(remaining, key=lambda m: tuple(k for s in slices for k in (sum(m[s]), m[s])))
         blocks = [lead[s] for s in slices]
@@ -129,13 +130,13 @@ def _peel_schur(poly: Combination, sizes: tuple[int, ...], expect_nonnegative: b
             raise ArithmeticError(
                 f"negative coefficient {coeff} at {index_label(shape)} in a claimed decomposition"
             )
-        out.add(shape, coeff)
+        out[shape] = out.get(shape, 0) + coeff
         factors = [
             _embed(expand_schur(lam, s.stop - s.start), s.start, nvars - s.stop)
             for lam, s in zip(shape, slices)
         ]
         remaining = remaining - reduce(poly_product, factors).scale(coeff)
-    return out.build()
+    return Combination(out)
 
 
 def decompose_into_schur(poly: Combination, expect_nonnegative: bool = False) -> Combination:
@@ -149,7 +150,7 @@ def decompose_into_schur(poly: Combination, expect_nonnegative: bool = False) ->
         raise ValueError("polynomial is not symmetric")
     nvars = len(next(iter(poly), ()))
     peeled = _peel_schur(poly, (nvars,), expect_nonnegative)
-    return Combination((lam, c) for (lam,), c in peeled.items())
+    return Combination({lam: c for (lam,), c in peeled.items()})
 
 
 def decompose_pair_into_schur(poly: Combination, a: int, b: int) -> Combination:
@@ -179,14 +180,15 @@ def _power_character(outer: str, k: int, weights: list[Monomial], nvars: int) ->
         chooser = itertools.combinations
     else:
         raise ValueError(f"unknown outer power {outer!r}")
-    out = CombinationBuilder()
+    out = {}
     for multiset in chooser(range(len(weights)), k):
         total = [0] * nvars
         for idx in multiset:
             for pos, e in enumerate(weights[idx]):
                 total[pos] += e
-        out.add(tuple(total))
-    return out.build()
+        key = tuple(total)
+        out[key] = out.get(key, 0) + 1
+    return Combination(out)
 
 
 def brute_force_plethysm(outer: str, k: int, inner: str, nvars: int) -> Combination:
@@ -247,7 +249,7 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination
     # x^(mono+rho) alternates to 0 when mono+rho repeats an entry, else to
     # the sign of its sorting permutation times a_(sorted mono+rho).
     rho = range(nvars - 1, -1, -1)
-    result = CombinationBuilder()
+    result = {}
     for mono, c in character.items():
         shifted = [e + r for e, r in zip(mono, rho)]
         if len(set(shifted)) < nvars:
@@ -256,8 +258,8 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination
         w = [shifted[i] - r for i, r in zip(order, rho)]
         nu = Partition(e for e in w if e > 0)
         mu = Partition(-e for e in reversed(w) if e < 0)
-        result.add((mu, nu), c * perm_sign(tuple(order)))
-    return result.build().require_nonnegative()
+        result[mu, nu] = result.get((mu, nu), 0) + c * perm_sign(tuple(order))
+    return Combination(result).require_nonnegative()
 
 
 def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:
@@ -353,7 +355,7 @@ def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> Combination:
     thick slots by brute standard-tableau counting.
     """
     _require_nonnegative(l=l, m=m, n=n, p=p)
-    out = CombinationBuilder()
+    out = {}
     for a in range(m + 1):
         for b in range(n + 1):
             split_ways = comb(m, a) * comb(n, b)
@@ -367,8 +369,9 @@ def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> Combination:
             for lam, fl in left.items():
                 for (mu, nu), ft in thin.items():
                     for pi, fr in right.items():
-                        out.add(SimpleIndex(lam, mu, nu, pi), split_ways * fl * ft * fr)
-    return out.build()
+                        key = SimpleIndex(lam, mu, nu, pi)
+                        out[key] = out.get(key, 0) + split_ways * fl * ft * fr
+    return Combination(out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .combination import Combination, CombinationBuilder
+from .combination import Combination
 from .config import check_cap
 from .diagrams import Partition, conjugate_rows
 from .diagrams import partitions  # noqa: F401  (perfbench's tracer test asserts symfunc binds it)
@@ -159,11 +159,12 @@ def slot_product(a: Combination, b: Combination) -> Combination:
     s_x2 * s_y2 in the second, once per pair, and takes the outer product.
     No degree cap is applied: callers check their own.
     """
-    out = CombinationBuilder()
+    out = {}
     for (x1, x2), cx in a.items():
         for (y1, y2), cy in b.items():
             second = _lr_terms(x2, y2)
             for lam, cl in _lr_terms(x1, y1).items():
                 for pi, cp in second.items():
-                    out.add((lam, pi), cx * cy * cl * cp)
-    return out.build()
+                    key = lam, pi
+                    out[key] = out.get(key, 0) + cx * cy * cl * cp
+    return Combination(out)

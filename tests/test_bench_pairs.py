@@ -63,8 +63,28 @@ def test_verdicts_against_the_bound(monkeypatch):
     _, rows = summary(monkeypatch, wide, [1.3 * v for v in wide])
     assert rows["run_s"]["verdict"] == "unresolved"
     # unless every change run beats every parent run
-    _, rows = summary(monkeypatch, wide, [0.5] * 10)
+    _, rows = summary(monkeypatch, wide, [0.58] * 10)
     assert rows["run_s"]["verdict"] == "within bound" and rows["run_s"]["wins"] == 10
+
+
+def test_better_needs_nine_wins_and_a_gap_past_the_parent_spread(monkeypatch):
+    steady = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]  # q3 - q1 = 0.02
+    tool, rows = summary(monkeypatch, steady, [0.8 * v for v in steady])
+    assert (rows["run_s"]["wins"], rows["run_s"]["verdict"]) == (10, "better")
+    _, rows = summary(monkeypatch, steady, steady, change_ok=[1.5] * 10)
+    assert rows["ok_ratio"]["verdict"] == "better"  # higher is better for a ratio
+    # 8 wins are not enough, however wide the gap
+    _, rows = summary(monkeypatch, steady, [0.8 * v for v in steady[:8]] + [1.1, 1.1])
+    assert (rows["run_s"]["wins"], rows["run_s"]["verdict"]) == (8, "within bound")
+    # 10 wins with a median gap (1.0 - 0.58) inside the parent's spread (1.225 - 0.775)
+    wide = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 1.0, 1.0, 0.9, 1.1]
+    _, rows = summary(monkeypatch, wide, [0.58] * 10)
+    assert (rows["run_s"]["wins"], rows["run_s"]["verdict"]) == (10, "within bound")
+    _, rows = summary(monkeypatch, wide, [0.5] * 10)
+    assert rows["run_s"]["verdict"] == "better"
+    # ties count for neither side
+    _, rows = summary(monkeypatch, steady, [0.5] * 8 + steady[8:])
+    assert (rows["run_s"]["wins"], rows["run_s"]["verdict"]) == (8, "within bound")
 
 
 def test_main_takes_exactly_two_revisions(monkeypatch, capsys):
@@ -72,3 +92,18 @@ def test_main_takes_exactly_two_revisions(monkeypatch, capsys):
     assert tool.main(["HEAD"]) == 2 and tool.main(["HEAD", "HEAD", "--pairs"]) == 2
     assert capsys.readouterr().err.count("usage: python3 tools/bench_pairs.py PARENT CHANGE") == 2
     assert tool.PAIRS == 10
+
+
+def test_exit_code_is_one_only_on_worse(monkeypatch, capsys):
+    tool = load_tool(monkeypatch)
+    names = ("setup_s", "run_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")  # ok_ratio stays 1
+    monkeypatch.setattr(tool, "unpack", lambda rev, tree: rev)
+    for factor, code, verdicts in ((0.5, 0, {"better", "within bound"}), (1.0, 0, {"within bound"}),
+                                   (1.5, 1, {"worse", "within bound"})):
+        def bench(tree, workload, seed):
+            return stub(**dict.fromkeys(names, factor if tree.name == "change" else 1.0), ok_ratio=1.0)
+
+        monkeypatch.setattr(tool, "bench", bench)
+        assert tool.main(["PARENT", "CHANGE"]) == code, factor
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert {row.split(" | ")[-1].rstrip(" |") for row in rows} == verdicts, factor

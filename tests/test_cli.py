@@ -197,6 +197,21 @@ def test_osp_commands(capsys):
     assert out == "sp [1,1],[]\n"
 
 
+def test_chains_text_is_bounded_before_any_chain_is_listed(capsys, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("chains were listed")
+
+    monkeypatch.setattr(cli.poset, "chains", refuse)
+    # 18,150 chains of 12 elements: 2,341,350 bytes with one-digit entries, admitted;
+    # with 100-digit first entries the same chains print 23,903,550 bytes, refused
+    huge = 10**99
+    code, out, err = run(capsys, "chains", f"{huge + 7},0,0,9", f"{huge},2,4,0")
+    assert code == 2 and out == "" and "chains text bytes 23903550 exceeds the fixed limit 2500000" in err
+    monkeypatch.setattr(cli.poset, "chains", lambda a, b: [])
+    code, out, err = run(capsys, "chains", "7,0,0,9", "0,2,4,0")
+    assert (code, out, err) == (0, "(none)\n", "")
+
+
 def test_exit_codes(capsys):
     code, out, err = run(capsys, "lr", "bogus", "[1]", "[2]")
     assert code == 1 and out == "" and "position 0" in err
@@ -226,19 +241,21 @@ def test_exit_codes(capsys):
     code, out, err = run(capsys, "--group-guard", "3", "quadkernel", "0,2,2,0", "--check")
     assert code == 2 and out == "" and "total boxes 4 exceeds the group-algebra guard 3" in err
     code, out, err = run(capsys, "chains", "6,0,0,6", "0,6,6,0")
-    assert code == 2 and out == "" and "saturated chains 853776 exceeds the fixed limit 20000" in err
-    # the fewest chains over the limit at the default cap
+    assert code == 2 and out == "" and "chains text bytes 119528640 exceeds the fixed limit 2500000" in err
+    # the least text over the limit at the default cap: 18,150 chains of 12 elements, one entry of two digits
+    code, out, err = run(capsys, "chains", "12,0,0,4", "10,7,9,0")
+    assert code == 2 and out == "" and "chains text bytes 2559150 exceeds the fixed limit 2500000" in err
     code, out, err = run(capsys, "chains", "3,0,0,4", "0,6,7,0")
-    assert code == 2 and out == "" and "saturated chains 25200 exceeds the fixed limit 20000" in err
+    assert code == 2 and out == "" and "chains text bytes 2973600 exceeds the fixed limit 2500000" in err
     code, out, err = run(capsys, "chains", "7,0,0,7", "0,7,7,0")
     assert code == 2 and out == "" and "chain length 14 exceeds the configured cap 12" in err
     code, out, err = run(capsys, "chains", "4,0,0,4", "0,4,4,0")
-    assert code == 0 and len(out.splitlines()) == 4900
+    assert code == 0 and len(out.splitlines()) == 4900 and len(out) == 470400  # the bound, to the byte
     # long chains: counted in closed form and listed without deep recursion
     code, out, err = run(capsys, "--degree-cap", "2000", "chains", "1000,0,0,0", "0,1000,0,0")
     assert code == 0 and len(out.splitlines()) == 1 and out.count(" -> ") == 1000 and err == ""
     code, out, err = run(capsys, "--degree-cap", "2000", "chains", "400,0,0,400", "0,400,400,0")
-    assert code == 2 and out == "" and "exceeds the fixed limit 20000" in err
+    assert code == 2 and out == "" and "exceeds the fixed limit 2500000" in err
     for argv in (
         ["ext-trivial", "[3],[],[],[1,1]", "--degree", "3"],
         ["osp", "--kind", "sp", "ext-trivial", "[5]", "[]", "--degree", "2"],

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcat import combination, config, ext, grothendieck, ospcat, symfunc
-from tensorcat.combination import Combination, CombinationBuilder
+from tensorcat import config, ext, grothendieck, ospcat, symfunc
+from tensorcat.combination import Combination
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
 from tensorcat.errors import LimitExceeded
 from tensorcat.grothendieck import (
@@ -24,6 +24,7 @@ from tensorcat.grothendieck import (
     generator_word,
     layers_of_i,
     socle_of,
+    tensor_decomposition,
     tensor_simple,
 )
 from tensorcat.crosscheck import tensor_word_agrees
@@ -75,6 +76,14 @@ def test_sym_q_is_truncated_sum_of_f_powers():
     for j in range(3):
         total = total + tensor_simple(s, Generator("SkF", j))
     assert tensor_simple(s, Generator("SkQ", 2)) == total
+
+
+def test_tensor_decomposition_drops_cancelled_terms():
+    # [2] - [1,1] tensored with W_*: both sides give [2,1], which sums to 0
+    dec = Combination({simple(lam=[2]): 1, simple(lam=[1, 1]): -1})
+    out = tensor_decomposition(dec, W_STAR)
+    assert out == Combination({simple(lam=[3]): 1, simple(lam=[1, 1, 1]): -1})
+    assert simple(lam=[2, 1]) not in out.terms
 
 
 def test_decompose_j_examples():
@@ -269,37 +278,32 @@ def test_decomposition_container():
         negative.require_nonnegative()
 
 
-def test_non_integral_coefficients_are_refused(monkeypatch):
+def test_non_integral_coefficients_are_refused():
     # int() would store 1*[1] + 0*[2], a zero against the container's invariant
     one, two, three = Partition([1]), Partition([2]), Partition([3])
     for terms in (
         {one: Fraction(3, 2), two: 0.5},
         {one: 1, two: 0.0},
-        [(one, Fraction(2, 1))],
-        {one: 1, two: Fraction(1, 2)},  # an int first does not send the dict down the int route
+        {one: 1, two: Fraction(1, 2)},  # an int first does not let the rest through
+        {one: True, two: 0},  # a bool is not an exact int coefficient
     ):
         with pytest.raises(TypeError):
             Combination(terms)
-    with pytest.raises(TypeError):
-        CombinationBuilder().add(one, 0.5).build()
-    assert Combination({one: True, two: 0}) == {one: 1}
-    # the exact-int route drops only the zero, and keeps its own copy of the dict
+    # the one input is a plain dict: pairs and other mappings are refused, not converted
+    for terms in ([(one, 1)], ((one, 1),), Combination({one: 1}), None):
+        with pytest.raises(TypeError) as err:
+            Combination(terms)
+        assert type(terms).__name__ in str(err.value)
+    with pytest.raises(TypeError, match="Fraction"):
+        Combination({one: 1, two: Fraction(2, 1)})
+    # only the zero is dropped, and the Combination keeps its own copy of the dict
     for terms in ({one: 2, two: 0, three: -1}, {one: 2, three: -1}):
         built = Combination(terms)
         assert list(built.items()) == [(one, 2), (three, -1)]
         terms[one] = 5
         terms[two] = 7
         assert list(built.items()) == [(one, 2), (three, -1)]
-
-    # exact-int dicts never reach the per-term conversion; other inputs still do
-    def refuse(value):
-        raise AssertionError("converted term by term")
-
-    monkeypatch.setattr(combination, "integer", refuse)
-    assert Combination({one: 3, two: 0}) == {one: 3}
-    assert CombinationBuilder().add(one, 2).build() == {one: 2}
-    with pytest.raises(AssertionError, match="term by term"):
-        Combination({one: 1, two: Fraction(1, 2)})
+    assert Combination() == {} and not Combination({one: 0})
 
 
 def test_record_types_compare_hash_and_freeze_by_field():

@@ -202,7 +202,7 @@ def test_rational_dimension():
 
 # the oracle may share data types and primitives with the engine, never a route
 ORACLE_MAY_IMPORT = {
-    "combination": {"Combination", "CombinationBuilder", "index_label"},
+    "combination": {"Combination", "index_label"},
     "diagrams": {"Partition", "gl_dimension", "partitions"},
     "config": {"check_limit"},
     "linalg": {"rank_of_rows"},

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tensorcat import poset
 from tensorcat.cli import parse_simple_index, terms_json, terms_output
-from tensorcat.combination import Combination, CombinationBuilder, index_key, index_label
+from tensorcat.combination import Combination, index_key, index_label
 from tensorcat.crosscheck import chains_have_defect_length
 from tensorcat.diagrams import Partition, parse_partition, partitions
 from tensorcat.errors import ParseError
@@ -44,11 +44,17 @@ def slot_degrees(c: Combination) -> set[tuple[int, int]]:
     return {(lam.degree, pi.degree) for lam, pi in c}
 
 
+E, ONE = Partition(()), Partition((1,))
+
+
 @SMALL
 @given(pair_combinations(5), pair_combinations(5))
+# ([1],[]) * ([],[1]) cancels against -([],[1]) * ([1],[]) at ([1],[1])
+@example(Combination({(ONE, E): 1, (E, ONE): -1}), Combination({(E, ONE): 1, (ONE, E): 1}))
 def test_slot_product_commutes_and_adds_degrees(a, b):
     product = slot_product(a, b)
     assert product == slot_product(b, a)
+    assert 0 not in product.terms.values()
     sums = {(x1 + y1, x2 + y2) for x1, x2 in slot_degrees(a) for y1, y2 in slot_degrees(b)}
     assert slot_degrees(product) <= sums
 
@@ -61,17 +67,18 @@ def test_slot_product_is_associative(a, b, c):
 
 @SMALL
 @given(st.lists(st.tuples(st.tuples(upto(5), upto(5)), st.integers(-2, 2)), max_size=8))
+@example([((ONE, E), 2), ((E, ONE), 1), ((ONE, E), -2)])  # a term that sums to 0 is dropped
 def test_builder_matches_repeated_addition(items):
-    built = CombinationBuilder()
+    forwards, backwards = {}, {}
     for index, coeff in items:
-        built.add(index, coeff)
-    summed = reduce(lambda acc, kv: acc + Combination({kv[0]: kv[1]}), items, Combination())
-    assert built.build() == summed
-    assert 0 not in summed.terms.values()
-    backwards = CombinationBuilder()
+        forwards[index] = forwards.get(index, 0) + coeff
     for index, coeff in reversed(items):
-        backwards.add(index, coeff)
-    rendered = [(list(text), terms_json(terms)) for text, terms in map(terms_output, (summed, backwards.build()))]
+        backwards[index] = backwards.get(index, 0) + coeff
+    summed = reduce(lambda acc, kv: acc + Combination({kv[0]: kv[1]}), items, Combination())
+    assert Combination(forwards) == summed == Combination(backwards)
+    assert 0 not in summed.terms.values()
+    assert not summed - Combination(backwards) and not summed.scale(0)
+    rendered = [(list(text), terms_json(terms)) for text, terms in map(terms_output, (summed, Combination(backwards)))]
     assert rendered[0] == rendered[1]  # insertion order never shows
     lines, payload = rendered[0]
     indices = [tuple(Partition(part) for part in term["pair"]) for term in payload]

@@ -10,11 +10,15 @@ in each tree the unchanged ``perfbench/run.py`` runs every workload named in
 pairs; the parent runs first in even pairs and the change first in odd ones.
 For each workload and end-to-end metric one table row gives the parent's
 median and quartiles, the change's median, their ratio, the pairs the change
-wins (strictly better in the metric's direction) and a verdict against the
-metric's relative ``bound``:
+wins (strictly better in the metric's direction; a tie counts for neither
+side) and a verdict against the metric's relative ``bound``:
 
-- ``within bound`` when every change run beats every parent run, or when the
-  change's median is not worse than the parent's by more than the bound;
+- ``better`` when the change wins at least ``CLAIM_WINS`` (9) of the pairs and
+  its median beats the parent's by more than the parent's quartile spread
+  (q3 - q1): the rule a claimed gain must meet;
+- ``within bound`` otherwise when every change run beats every parent run, or
+  when the change's median is not worse than the parent's by more than the
+  bound;
 - ``unresolved`` when the parent's quartile spread is wider than the bound (and
   not every change run beats every parent run): the runs cannot tell;
 - ``worse`` otherwise.
@@ -33,21 +37,26 @@ from pathlib import Path
 from bench_record import ROOT, bench, unpack
 
 PAIRS = 10
+CLAIM_WINS = 9
 
 
 def beats(a: float, b: float, better: str) -> bool:
     return a < b if better == "lower" else a > b
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+def verdict(parent: list[float], change: list[float], better: str, bound: float, wins: int) -> str:
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    loss = statistics.median(change) - statistics.median(parent)
+    if better == "higher":
+        loss = -loss
+    if wins >= CLAIM_WINS and -loss > q3 - q1:
+        return "better"
     if all(beats(c, p, better) for c in change for p in parent):
         return "within bound"
-    q1, _, q3 = statistics.quantiles(parent, n=4)
     base = abs(statistics.median(parent)) or 1.0
     if (q3 - q1) / base > bound:
         return "unresolved"
-    loss = statistics.median(change) - statistics.median(parent)
-    return "worse" if (loss if better == "lower" else -loss) / base > bound else "within bound"
+    return "worse" if loss / base > bound else "within bound"
 
 
 def summarize(records: dict[str, dict[str, list[dict]]], metrics: list[dict]) -> list[dict]:
@@ -59,11 +68,11 @@ def summarize(records: dict[str, dict[str, list[dict]]], metrics: list[dict]) ->
             parent, change = ([rec["metrics"][name]["value"] for rec in sides[side]] for side in ("parent", "change"))
             q1, _, q3 = statistics.quantiles(parent, n=4)
             p50, c50 = statistics.median(parent), statistics.median(change)
+            wins = sum(beats(c, p, better) for p, c in zip(parent, change))
             rows.append({
                 "workload": workload, "metric": name, "parent": p50, "q1": q1, "q3": q3,
-                "change": c50, "ratio": c50 / p50 if p50 else None,
-                "wins": sum(beats(c, p, better) for p, c in zip(parent, change)), "pairs": len(parent),
-                "verdict": verdict(parent, change, better, metric["bound"]),
+                "change": c50, "ratio": c50 / p50 if p50 else None, "wins": wins, "pairs": len(parent),
+                "verdict": verdict(parent, change, better, metric["bound"], wins),
             })
     return rows
 
