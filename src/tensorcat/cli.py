@@ -49,12 +49,25 @@ def terms_json(value) -> list[dict]:
     return [{kinds.get(type(idx), "pair"): idx, "mult": mult} for idx, mult in ordered]
 
 
+class _Texts(dict):
+    """``str`` of each slot, rendered on its first lookup and kept for the rest of one call."""
+
+    def __missing__(self, slot) -> str:
+        text = self[slot] = str(slot)
+        return text
+
+
 def term_lines(terms: Combination, indent: str = "") -> Iterator[str]:
-    """Text lines of a combination, one per term in canonical order; ``0`` if it is empty."""
+    """Text lines of a combination, one per term in canonical order; ``0`` if it is empty.
+
+    Each distinct partition is rendered once per call: a large result repeats
+    a few thousand shapes over its terms.
+    """
     if not terms:
         yield indent + "0"
+    text = _Texts().__getitem__
     for idx, mult in sorted(terms.items(), key=lambda kv: index_key(kv[0])):
-        yield f"{indent}{mult} {index_label(idx)}"
+        yield f"{indent}{mult} {index_label(idx, text)}"
 
 
 def terms_output(terms: Combination) -> tuple[Iterator[str], Combination]:

@@ -32,11 +32,15 @@ def index_key(index) -> tuple:
     return tuple(key)
 
 
-def index_label(index) -> str:
-    """Text form: ``[2,1]`` for a partition, slots joined by commas otherwise."""
+def index_label(index, text=str) -> str:
+    """Text form: ``[2,1]`` for a partition, slots joined by commas otherwise.
+
+    ``text`` renders one partition or slot; a caller printing many indices
+    passes a memo of ``str`` so that each distinct slot is rendered once.
+    """
     if isinstance(index, Partition):
-        return str(index)
-    return ",".join(map(str, index))
+        return text(index)
+    return ",".join(map(text, index))
 
 
 class Combination(Mapping):

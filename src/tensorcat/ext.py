@@ -7,7 +7,8 @@ kernel and image layers are its right and left tails, and its full signed sum
 is the Euler shadow.  Each degree's tails are summed once, by the running
 differences right[j] = K(j) - right[j+1] and left[j] = K(j-1) - left[j-1],
 and cached (``_koszul_tails``): every later layer of that degree is a lookup,
-while a one-shot layer pays for its whole degree.  Ext dimensions are
+while a one-shot layer pays for its whole degree.  Each degree's thick
+indices are built once, and all its tails share them.  Ext dimensions are
 closed-form exactly for purely thick targets, the unit (the thick target
 indexed by two empty diagrams) among them, and the sharpness of the defect
 grading supplies a vanishing test for every other pair.
@@ -19,7 +20,7 @@ from functools import cache
 
 from .combination import Combination
 from .config import check_cap
-from .diagrams import Partition, partitions
+from .diagrams import EMPTY, Partition, partitions
 from .grothendieck import SimpleIndex, thick_indices
 from .plethysm import cauchy_ext, cauchy_sym
 from .poset import defect
@@ -44,6 +45,8 @@ def _koszul_tails(d: int) -> tuple[tuple[Combination, ...], tuple[Combination, .
     i = j..d, and left[j] = K(j-1) - left[j-1] (left[0] = 0) the one over
     i = 0..j-1.  Each K(i) is read once, so a whole degree costs 2(d+1) term
     visits; the trade is that a single layer pays for its whole degree.
+    Each thick index (lam, (), (), pi) is built once, from the pairs of the
+    K(i), and all 2(d+1) tails share it.
     """
     terms = [_koszul_pairs(i, d - i) for i in range(d + 1)]
     right = [Combination()] * (d + 2)
@@ -52,7 +55,12 @@ def _koszul_tails(d: int) -> tuple[tuple[Combination, ...], tuple[Combination, .
     left = [Combination()] * (d + 1)
     for j in range(1, d + 1):
         left[j] = terms[j - 1] - left[j - 1]
-    return tuple(map(thick_indices, right[:-1])), tuple(map(thick_indices, left))
+    index = {(lam, pi): SimpleIndex(lam, EMPTY, EMPTY, pi) for term in terms for lam, pi in term}
+
+    def thick(tail: Combination) -> Combination:
+        return Combination({index[pair]: mult for pair, mult in tail.items()})
+
+    return tuple(map(thick, right[:-1])), tuple(map(thick, left))
 
 
 def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:

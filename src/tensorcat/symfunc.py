@@ -11,13 +11,16 @@ state, not one tableau at a time: a state is the shape so far and the prefix
 counts of the label just laid, and fillings that reach the same state are
 added up before the next label is laid.  It searches whichever of (mu, nu)
 and (mu', nu') has the shorter content factor, because
-c^lam_{mu,nu} = c^{lam'}_{mu',nu'}, and builds each shape it finds as one
-Partition with ``Partition._unchecked(rows)``, which takes no degree and
-skips a second validation; a shape found on the conjugate pair is
-transposed as raw rows, never built twice.  Its expansion is
-cached per ordered factor pair, and every LR caller reads that cache:
-``schur_term_product`` returns it, and ``lr_coefficient`` looks one lam up
-in it.
+c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  Each shape it finds, transposed as raw
+rows when found on the conjugate pair, is looked up in one module-level
+table, ``_SHAPES``, and built with ``Partition._unchecked(rows)`` (no
+degree, no second validation) only if it is not there yet: every cached
+expansion shares one Partition object per shape, so the cache costs what
+its dicts do.  The table holds only shapes that a cached expansion names,
+and no expansion is evicted, so it adds no growth of its own.  The
+expansion is cached per ordered factor pair, and every LR caller reads that
+cache: ``schur_term_product`` returns it, and ``lr_coefficient`` looks one
+lam up in it.
 
 ``slot_product`` reads the same cache through ``_lr_terms``, which asks
 ``lr_coefficient`` once for each shape of the cached expansion and scans no
@@ -61,6 +64,10 @@ def _lr_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
     return {lam: lr_coefficient(lam, mu, nu) for lam in _lr_strips(mu, nu)}
 
 
+# Every shape in a cached expansion, keyed by itself: a tuple of rows finds its one Partition.
+_SHAPES: dict[Partition, Partition] = {}
+
+
 @cache
 def _lr_strips(mu: Partition, nu: Partition) -> Combination:
     """The expansion of s_mu * s_nu, from the LR tableaux themselves; no
@@ -85,8 +92,9 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
     conjugates instead and conjugates each shape it finds:
     c^lam_{mu,nu} = c^{lam'}_{mu',nu'} (Fulton, ch. 5).  The search
     builds only weakly decreasing rows, so each shape becomes a Partition
-    without being validated again, and only once: a conjugated shape is
-    transposed as raw rows first.
+    without being validated again, and only on its first finding in any
+    expansion: a conjugated shape is transposed as raw rows first, and
+    ``_SHAPES`` hands back the object built before.
     """
     flip = bool(mu and nu) and min(mu[0], nu[0]) < min(len(mu), len(nu))
     if flip:
@@ -140,8 +148,12 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
         rows = height
         while not shape[rows - 1]:
             rows -= 1
-        shape = shape[:rows]
-        lams[Partition._unchecked(conjugate_rows(shape) if flip else shape)] = c
+        shape = tuple(conjugate_rows(shape[:rows])) if flip else shape[:rows]
+        lam = _SHAPES.get(shape)
+        if lam is None:
+            lam = Partition._unchecked(shape)
+            lam = _SHAPES.setdefault(lam, lam)  # atomic: racing threads keep one object
+        lams[lam] = c
     return Combination(lams)
 
 

@@ -322,3 +322,14 @@ def test_sharpness_against_trivial_table():
         for q in range(6):
             if ext_to_unit(x, q):
                 assert not ext_vanishes(x, origin, q)
+
+
+def test_each_degree_shares_one_index_object_per_shape():
+    # the kernel and image layers of one degree are tails of one Koszul
+    # complex, and every tail reads its thick indices from one table
+    for d in range(7):
+        layers = [kernel_layer(j, d - j) for j in range(d + 1)] + [image_layer(j, d - j) for j in range(1, d + 1)]
+        seen = {}
+        for layer in layers:
+            for x in layer:
+                assert seen.setdefault(x, x) is x, (d, x)

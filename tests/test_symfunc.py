@@ -227,24 +227,38 @@ def test_concurrent_inserts_are_idempotent():
 
 def test_lr_cache_memory_per_term():
     # a Partition is a bare tuple; an instance dict on each found shape
-    # would add about 170 B per cached term
+    # would add about 170 B per cached term.  Up to degree 12 the 20,780
+    # terms name at most 272 shapes, and the shape table holds one object
+    # for each: a copy per term would add about 80 B per term.
     import tracemalloc
 
-    pairs = [
-        (mu, nu)
-        for d1 in range(9)
-        for d2 in range(9 - d1)
-        for mu in partitions(d1)
-        for nu in partitions(d2)
-    ]
-    assert len(pairs) == 434
-    symfunc._lr_strips.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        terms = sum(len(symfunc._lr_strips(mu, nu)) for mu, nu in pairs)
-        used = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert terms == 1330
-    assert used / terms < 300, used / terms
+    for cap, count, total, bound in ((8, 434, 1330, 300), (12, 3132, 20780, 100)):
+        pairs = [
+            (mu, nu)
+            for d1 in range(cap + 1)
+            for d2 in range(cap + 1 - d1)
+            for mu in partitions(d1)
+            for nu in partitions(d2)
+        ]
+        assert len(pairs) == count
+        symfunc._lr_strips.cache_clear()
+        symfunc._SHAPES.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            terms = sum(len(symfunc._lr_strips(mu, nu)) for mu, nu in pairs)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert terms == total
+        assert used / terms < bound, (cap, used / terms)
+
+
+def test_equal_shapes_are_one_object():
+    # s_[1]*s_[1,1], s_[2]*s_[1] and s_[1,1]*s_[1] all find [2,1]; the
+    # conjugate search (s_[1,1]*s_[1,1]) finds [2,2] as s_[2,1]*s_[1] does
+    seen = {}
+    for mu, nu in [([1], [1, 1]), ([2], [1]), ([1, 1], [1]), ([1, 1], [1, 1]), ([2, 1], [1])]:
+        for lam in symfunc._lr_strips(P(mu), P(nu)):
+            assert seen.setdefault(lam, lam) is lam, (mu, nu, lam)
+    assert P([2, 1]) in seen and P([2, 2]) in seen
