@@ -1,23 +1,26 @@
 """Command-line front end.
 
 Every engine operation is a subcommand with canonical, byte-stable output on
-stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 user error, 2
-refusal by the degree cap, the group guard or a fixed limit.  ``main`` reads
-the words, resolves the configuration, selects the handler (``--verify`` or the
-subcommand), reads its arguments and runs it in one ``try``, with one
-``except`` per exit code, usage errors included: it never raises SystemExit.
-``COMMANDS`` (one ``@command`` per handler) and ``GROUPS`` are the whole
-grammar: ``read_argv`` reads the words against them, strictly, and ``--help``
-prints fixed text built from them.  An index or integer argument names its
-reader, which ``execute`` applies once the configuration is resolved.  A new
-command also needs a fuzz shape and golden cases (tests/test_cli.py).  Handlers
-return lazy text lines and the engine's result, which ``--output json`` encodes
-with ``terms_json``.  A call starts a fresh interpreter, so json, symalg and
-the cross-checks are imported only by the commands that use them.
+stdout; diagnostics go to stderr.  Exit codes: 0 success, 1 user error or a
+failed write, 2 refusal by the degree cap, the group guard or a fixed limit.
+``call(words, env, write)`` reads the words, the configuration from ``env``,
+selects and runs the handler and writes its output in one ``try``, with one
+``except`` per exit code, usage errors and failed writes included: it never
+raises SystemExit, and a closed pipe exits 1 quietly.  ``main`` is ``call``
+on the process's words, environment and stdout.  ``COMMANDS`` (one
+``@command`` per handler) and ``GROUPS`` are the whole grammar: ``read_argv``
+reads the words against them, strictly, and ``--help`` prints fixed text
+built from them.  An index or integer argument names its reader, which
+``execute`` applies once the configuration is resolved.  A new command also
+needs a fuzz shape and golden cases (tests/test_cli.py).  Handlers return lazy
+text lines and the engine's result, which ``--output json`` encodes with
+``terms_json``.  A tensorcat process runs one call, so json, symalg and the
+cross-checks are imported only by the commands that use them.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -283,7 +286,7 @@ Precedence: flag > environment ({ENV_DEGREE_CAP}, {ENV_GROUP_GUARD}, {ENV_CONFIG
 
 
 class UsageError(ValueError):
-    """Words the grammar refuses while reading the command or group ``path``; ``main`` prints its usage line."""
+    """Words the grammar refuses while reading the command or group ``path``; ``call`` prints its usage line."""
 
     def __init__(self, message: str, path: str):
         super().__init__(message)
@@ -383,7 +386,7 @@ def read_argv(words: list[str]) -> SimpleNamespace:
             args.readers = [(dest(name), read) for name, read in declared.items() if callable(read)]
             return args
         if slot not in given:
-            return args  # a missing command word: main refuses it once the configuration is resolved
+            return args  # a missing command word: call refuses it once the configuration is resolved
         path = f"{path} {given[slot]}".lstrip()
 
 
@@ -394,21 +397,34 @@ def execute(args, cfg) -> tuple[Iterable[str], object]:
     return args.handler(args, cfg)
 
 
-def main(argv=None) -> int:
-    """One call: argument reading, configuration, handler selection and the handler share one ``try``."""
+def call(words, env, write, flush=lambda: None) -> int:
+    """One call: reading the words, the configuration (from the mapping ``env``), handler selection, the handler
+    and the output (each line to ``write``, then ``flush``) share one ``try``, with one ``except`` per exit code."""
     try:
-        args = read_argv(sys.argv[1:] if argv is None else argv)
+        args = read_argv(words)
         if args.help:
-            print(args.help)
-            return 0
-        cfg = resolve_config(degree_cap=args.degree_cap, group_guard=args.group_guard, config_file=args.config)
-        if args.verify:
-            if args.command:
-                raise ValueError("--verify takes no subcommand")
-            args.command, args.handler, args.readers = "verify", cmd_verify, ()
-        elif not args.command:
-            raise UsageError("a subcommand is required", "")
-        lines, result = execute(args, cfg)
+            output, code = [args.help], 0
+        else:
+            cfg = resolve_config(degree_cap=args.degree_cap, group_guard=args.group_guard, config_file=args.config,
+                                 env=env)
+            if args.verify:
+                if args.command:
+                    raise ValueError("--verify takes no subcommand")
+                args.command, args.handler, args.readers = "verify", cmd_verify, ()
+            elif not args.command:
+                raise UsageError("a subcommand is required", "")
+            output, result = execute(args, cfg)
+            if args.output == "json":
+                import json
+
+                output = [json.dumps({"command": args.command, "result": result}, sort_keys=True, default=terms_json)]
+            code = 1 if args.verify and not result["ok"] else 0  # a failed cross-check still prints its report
+        for line in output:
+            write(line + "\n")
+        flush()
+        return code
+    except BrokenPipeError:  # the reader has gone (``| head -1``): exit 1, and nothing to say
+        return 1
     except LimitExceeded as exc:
         print(f"tensorcat: refused: {exc}", file=sys.stderr)
         return 2
@@ -417,10 +433,14 @@ def main(argv=None) -> int:
         print(f"{head}tensorcat: error: {exc}", file=sys.stderr)
         return 1
 
-    if args.output == "json":
-        import json
 
-        print(json.dumps({"command": args.command, "result": result}, sort_keys=True, default=terms_json))
-    else:
-        print("\n".join(lines))
-    return 1 if args.verify and not result["ok"] else 0  # a failed cross-check still prints its report
+def main(argv=None) -> int:
+    """``call`` on the process's words, environment and stdout.  A failed write leaves its text in stdout's buffer,
+    which the interpreter would retry, and report, at exit: stdout then goes to the null device."""
+    code = call(sys.argv[1:] if argv is None else argv, os.environ, sys.stdout.write, sys.stdout.flush)
+    try:
+        sys.stdout.flush()  # nothing is left to flush unless a write in ``call`` failed
+    except OSError:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+    return code

@@ -18,7 +18,7 @@ the program go through it, so each raises ``errors.LimitExceeded``.
 
 from __future__ import annotations
 
-import os
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .diagrams import WHITESPACE, ascii_int
@@ -82,11 +82,9 @@ def resolve_config(
     degree_cap: str | None = None,
     group_guard: str | None = None,
     config_file: str | None = None,
-    env: dict[str, str] | None = None,
+    env: Mapping[str, str],
 ) -> Config:
-    """Build a Config from the flags' text, honoring flag > env > file > default precedence."""
-    env = os.environ if env is None else env
-
+    """Build a Config from the flags' text and ``env``, honoring flag > env > file > default precedence."""
     source, file_path = ("--config", config_file) if config_file is not None else (ENV_CONFIG, env.get(ENV_CONFIG))
     if file_path == "":  # an empty path names no file; it does not fall through to the next source
         raise ValueError(f"bad {source} '': empty path")

@@ -142,6 +142,7 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
                 new[r] = here
 
             row(i, part, 0)
+            del row  # the closure holds itself through its cell: dropping the name frees it without the collector
         states = out
     lams = {}
     for shape, c in states.items():

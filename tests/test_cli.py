@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import errno
 import io
 import json
 import os
@@ -686,3 +687,75 @@ def test_subprocess_byte_determinism():
     assert first.returncode == 0 == optimized.returncode
     assert first.stdout == second.stdout == optimized.stdout
     assert first.stdout.endswith(b"\n")
+
+
+SHORT, LONG = ["defect", "0,1,0,0", "1,0,0,0"], ["decompose", "0,6,6,0"]  # one line; 6,051 lines, 162 kB
+JSON = ["--output", "json"]
+
+
+def _tensorcat(argv: list[str], buffered: bool, **streams) -> subprocess.Popen:
+    """``python -m tensorcat`` on ``argv``, with stdout block-buffered (the default) or not (``-u``)."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    flags = [] if buffered else ["-u"]
+    return subprocess.Popen([sys.executable, *flags, "-m", "tensorcat", *argv], env={**env, "PYTHONPATH": path},
+                            stderr=subprocess.PIPE, **streams)
+
+
+def test_a_closed_pipe_ends_the_call_quietly_with_exit_one():
+    for buffered in (True, False):
+        for argv in (SHORT, LONG, JSON + SHORT, JSON + LONG):
+            # the reader is gone before the first byte: no write can succeed
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = _tensorcat(argv, buffered, stdout=write)
+            finally:
+                os.close(write)
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b""), (argv, buffered)
+            proc.stderr.close()
+            # the reader takes the first line and goes, as ``head -1`` does: only a longer output is cut off
+            proc = _tensorcat(argv, buffered, stdout=subprocess.PIPE)
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            cut = argv == LONG
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (int(cut), b""), (argv, buffered)
+            proc.stderr.close()
+            assert first.endswith(b"\n") and first.startswith(b"720 [],[],[],[]" if cut else b""), argv
+
+
+def test_a_full_device_is_an_error_exit():
+    for buffered in (True, False):
+        for argv in (SHORT, JSON + LONG, ["--help"]):
+            with open("/dev/full", "wb") as full:
+                proc = _tensorcat(argv, buffered, stdout=full)
+            assert proc.wait(timeout=60) == 1, (argv, buffered)
+            assert proc.stderr.read() == b"tensorcat: error: [Errno 28] No space left on device\n", (argv, buffered)
+            proc.stderr.close()
+
+
+def test_a_failed_write_is_an_error_exit(capsys):
+    def fail(error):
+        def write(*text):
+            raise error
+
+        return write
+
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    for argv in (SHORT, JSON + LONG, ["--help"], ["osp", "-h"]):
+        out = []
+        assert cli.call(argv, {}, fail(full)) == 1, argv
+        assert cli.call(argv, {}, out.append, fail(full)) == 1, argv  # the flush after the last write
+        assert capsys.readouterr() == ("", "tensorcat: error: [Errno 28] No space left on device\n" * 2), argv
+        assert cli.call(argv, {}, fail(BrokenPipeError(errno.EPIPE, "Broken pipe"))) == 1, argv
+        assert capsys.readouterr() == ("", ""), argv  # a closed pipe says nothing
+
+
+def test_call_reads_its_env_not_the_process_environment(capsys, monkeypatch):
+    monkeypatch.setenv("TENSORCAT_DEGREE_CAP", "1")
+    out = []
+    assert cli.call(["decompose", "1,1,1,1"], {}, out.append) == 0
+    assert (out[0], len(out)) == ("1 [1],[],[],[1]\n", 10)
+    assert cli.call(["decompose", "1,1,1,1"], {"TENSORCAT_DEGREE_CAP": "1"}, out.append) == 2
+    assert main(["decompose", "1,1,1,1"]) == 2  # main passes the process's environment
+    assert capsys.readouterr() == ("", "tensorcat: refused: degree 4 exceeds the configured cap 1\n" * 2)

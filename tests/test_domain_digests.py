@@ -3,10 +3,11 @@
 The golden corpus (``test_golden_cli.py``) pins chosen calls byte for byte.
 This check pins every call of each command on a small domain, written below
 as one generator per command.  Each call runs in-process through
-``cli.main``, in text and in ``--output json``, with every ``TENSORCAT_*``
-variable cleared; the sha256 over the exit codes and stdouts of a command's
-calls must equal the one recorded in ``domain_digests.json``, beside the
-generator's name and the number of calls, so a changed domain shows too.
+``cli.call``, in text and in ``--output json``, with an env holding only the
+case's variables (none here); the sha256 over the exit codes and stdouts of
+a command's calls must equal the one recorded in ``domain_digests.json``,
+beside the generator's name and the number of calls, so a changed domain
+shows too.
 
 Check the digests outside pytest (standard library only; exits 1 naming each
 command that differs, else prints one sha256 over all the digests, which
@@ -27,7 +28,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from itertools import product
 from pathlib import Path
@@ -219,32 +219,24 @@ DOMAINS = {
 
 def digest(domain) -> dict:
     """Run every call of one domain in text and in JSON; its generator's name, call count and sha256."""
-    from tensorcat.cli import main
+    from tensorcat.cli import call
 
-    sha, calls, out = hashlib.sha256(), 0, io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    sha, calls = hashlib.sha256(), 0
+    with contextlib.redirect_stderr(io.StringIO()):
         for argv in domain():
             for mode in ([], ["--output", "json"]):
+                out = []
                 try:
-                    code = main(mode + argv)
+                    code = call(mode + argv, {}, out.append)
                 except Exception as exc:  # an internal error changes the digest; the other calls still run
                     code = type(exc).__name__
-                sha.update(f"{code}\n{out.getvalue()}\0".encode("utf-8"))
-                out.seek(0)
-                out.truncate()
+                sha.update(f"{code}\n{''.join(out)}\0".encode("utf-8"))
             calls += 1
     return {"domain": domain.__name__, "calls": calls, "sha256": sha.hexdigest()}
 
 
 def digest_all() -> dict[str, dict]:
-    saved = dict(os.environ)
-    for key in [k for k in os.environ if k.startswith("TENSORCAT_")]:
-        del os.environ[key]
-    try:
-        return {name: digest(domain) for name, domain in DOMAINS.items()}
-    finally:
-        os.environ.clear()
-        os.environ.update(saved)
+    return {name: digest(domain) for name, domain in DOMAINS.items()}
 
 
 def differences(actual: dict[str, dict], expected: dict[str, dict]) -> list[str]:

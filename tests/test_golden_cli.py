@@ -1,9 +1,9 @@
 """Byte-for-byte CLI regression corpus.
 
-Every command below is run in-process through ``cli.main``, in text and in
-``--output json``, with every ``TENSORCAT_*`` variable cleared; its stdout and
-exit code must equal the recorded values in ``golden_cli.json``.  The first
-cases are README's "Command line" examples, read from it.  The string
+Every command below is run in-process through ``cli.call``, in text and in
+``--output json``, with an env holding only the case's variables; its stdout
+and exit code must equal the recorded values in ``golden_cli.json``.  The
+first cases are README's "Command line" examples, read from it.  The string
 ``{tmp}`` stands for a per-test scratch directory (it holds the config file).
 
 Check the corpus outside pytest (standard library only; exits 1 naming the
@@ -113,20 +113,13 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
 
 def run(argv: list[str], env: dict[str, str], tmp: str) -> dict:
     """Run one command in-process; returns its argv, env, exit code and stdout."""
-    from tensorcat.cli import main
+    from tensorcat.cli import call
 
-    saved = dict(os.environ)
-    for key in [k for k in os.environ if k.startswith("TENSORCAT_")]:
-        del os.environ[key]
-    os.environ.update({key: value.replace("{tmp}", tmp) for key, value in env.items()})
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main([arg.replace("{tmp}", tmp) for arg in argv])
-    finally:
-        os.environ.clear()
-        os.environ.update(saved)
-    return {"argv": argv, "env": env, "exit": code, "stdout": out.getvalue().replace(tmp, "{tmp}")}
+    out = []
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = call([arg.replace("{tmp}", tmp) for arg in argv],
+                    {key: value.replace("{tmp}", tmp) for key, value in env.items()}, out.append)
+    return {"argv": argv, "env": env, "exit": code, "stdout": "".join(out).replace(tmp, "{tmp}")}
 
 
 def run_all(tmp: str) -> list[dict]:

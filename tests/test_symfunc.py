@@ -262,3 +262,20 @@ def test_equal_shapes_are_one_object():
         for lam in symfunc._lr_strips(P(mu), P(nu)):
             assert seen.setdefault(lam, lam) is lam, (mu, nu, lam)
     assert P([2, 1]) in seen and P([2, 2]) in seen
+
+
+def test_cold_expansions_leave_no_reference_cycles():
+    # each search state's recursive closure must be freed by reference counting, not by the collector
+    import gc
+
+    pairs = [(mu, nu) for d1 in range(9) for d2 in range(9 - d1) for mu in partitions(d1) for nu in partitions(d2)]
+    assert len(pairs) == 434
+    symfunc._lr_strips.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for mu, nu in pairs:
+            symfunc._lr_strips(mu, nu)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
