@@ -4,7 +4,7 @@ Submodules:
 
 * diagrams: Young-diagram arithmetic (conjugation, boxes, hooks, dimensions)
 * combination: Combination, the one immutable Z-combination type for
-  decompositions, Schur expansions and plethysms, and its builder
+  decompositions, Schur expansions and plethysms
 * symfunc: Littlewood-Richardson coefficients, Schur-basis products and the
   slot-wise LR product on pairs of partitions
 * plethysm: closed-form powers of squares and tensor products
@@ -12,7 +12,7 @@ Submodules:
 * poset: the quadruple index order, chains and the defect
 * ext: injective-resolution terms, kernel layers, Ext dimensions
 * symalg: symmetric-group-algebra constructions
-* linalg: exact echelon basis and rank of sparse rational rows
+* linalg: exact echelon basis and rank of sparse integer rows
   (fraction-free elimination)
 * ospcat: the orthogonal/symplectic variant
 * oracle: independent brute-force verifiers

@@ -6,8 +6,9 @@ failed write, 2 refusal by the degree cap, the group guard or a fixed limit.
 ``call(words, env, write)`` reads the words, the configuration from ``env``,
 selects and runs the handler and writes its output in one ``try``, with one
 ``except`` per exit code, usage errors and failed writes included: it never
-raises SystemExit, and a closed pipe exits 1 quietly.  ``main`` is ``call``
-on the process's words, environment and stdout.  ``COMMANDS`` (one
+raises SystemExit, a closed pipe exits 1 quietly, and a diagnostic that
+cannot be written keeps the exit code.  ``main`` is ``call`` on the
+process's words, environment and stdout.  ``COMMANDS`` (one
 ``@command`` per handler) and ``GROUPS`` are the whole grammar: ``read_argv``
 reads the words against them, strictly, and ``--help`` prints fixed text
 built from them.  An index or integer argument names its reader, which
@@ -399,7 +400,8 @@ def execute(args, cfg) -> tuple[Iterable[str], object]:
 
 def call(words, env, write, flush=lambda: None) -> int:
     """One call: reading the words, the configuration (from the mapping ``env``), handler selection, the handler
-    and the output (each line to ``write``, then ``flush``) share one ``try``, with one ``except`` per exit code."""
+    and the output (each line to ``write``, then ``flush``) share one ``try``, with one ``except`` per exit code; the
+    diagnostic it picks goes to stderr after them, and a failed write of it is ignored."""
     try:
         args = read_argv(words)
         if args.help:
@@ -426,21 +428,25 @@ def call(words, env, write, flush=lambda: None) -> int:
     except BrokenPipeError:  # the reader has gone (``| head -1``): exit 1, and nothing to say
         return 1
     except LimitExceeded as exc:
-        print(f"tensorcat: refused: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"tensorcat: refused: {exc}"
     except (OSError, ValueError, TensorcatError) as exc:
         head = usage(exc.path) + "\n" if isinstance(exc, UsageError) else ""
-        print(f"{head}tensorcat: error: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"{head}tensorcat: error: {exc}"
+    try:
+        sys.stderr.write(message + "\n")
+    except OSError:  # a diagnostic that cannot be written leaves the exit code as it is
+        pass
+    return code
 
 
 def main(argv=None) -> int:
-    """``call`` on the process's words, environment and stdout.  A failed write leaves its text in stdout's buffer,
-    which the interpreter would retry, and report, at exit: stdout then goes to the null device."""
+    """``call`` on the process's words, environment and stdout.  A failed write leaves its text in the stream's
+    buffer, which the interpreter would retry, and report, at exit: that stream then goes to the null device."""
     code = call(sys.argv[1:] if argv is None else argv, os.environ, sys.stdout.write, sys.stdout.flush)
-    try:
-        sys.stdout.flush()  # nothing is left to flush unless a write in ``call`` failed
-    except OSError:
-        with open(os.devnull, "wb") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()  # nothing is left to flush unless a write in ``call`` failed
+        except OSError:
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
     return code

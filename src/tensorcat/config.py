@@ -18,8 +18,8 @@ the program go through it, so each raises ``errors.LimitExceeded``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from typing import NamedTuple
 
 from .diagrams import WHITESPACE, ascii_int
 from .errors import LimitExceeded
@@ -34,9 +34,7 @@ ENV_GROUP_GUARD = ENV_PREFIX + "GROUP_GUARD"
 ENV_CONFIG = ENV_PREFIX + "CONFIG"
 
 
-class Config(NamedTuple):
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    group_guard: int = DEFAULT_GROUP_GUARD
+Config = namedtuple("Config", "degree_cap group_guard", defaults=(DEFAULT_DEGREE_CAP, DEFAULT_GROUP_GUARD))
 
 
 def check_limit(value: int, limit: int, what: str, bound: str = "the fixed limit") -> None:

@@ -42,9 +42,10 @@ A request checks the degree cap once, before any work (``decompose_word``,
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterable
 from math import comb, factorial, prod
 from operator import index as integer
-from typing import Iterable, NamedTuple
 
 from .combination import Combination
 from .config import check_cap
@@ -58,11 +59,8 @@ from .symfunc import lr_coefficient, slot_product  # noqa: F401
 # tracer rebinds copies made by "from .symfunc import ..." through this name.
 
 
-class SimpleIndex(NamedTuple):
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    pi: Partition
+class SimpleIndex(namedtuple("SimpleIndex", "lam mu nu pi")):
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -92,12 +90,7 @@ def thick_indices(pairs: Combination, mu: Partition = EMPTY, nu: Partition = EMP
     return Combination({SimpleIndex(lam, mu, nu, pi): mult for (lam, pi), mult in pairs.items()})
 
 
-class _GeneratorFields(NamedTuple):
-    tag: str
-    k: int = 0
-
-
-class Generator(_GeneratorFields):
+class Generator(namedtuple("Generator", "tag k", defaults=(0,))):
     """One of the tensoring objects; k is the power for the graded families."""
 
     __slots__ = ()

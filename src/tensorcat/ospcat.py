@@ -20,7 +20,7 @@ socles by conjugates of special partitions or by special partitions.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .combination import Combination
 from .config import check_cap
@@ -38,10 +38,8 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-class OspIndex(NamedTuple):
-    kind: str
-    lam: Partition
-    mu: Partition
+class OspIndex(namedtuple("OspIndex", "kind lam mu")):
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -53,9 +51,7 @@ def osp_index(kind: str, lam=(), mu=()) -> OspIndex:
     return OspIndex(kind, Partition(lam), Partition(mu))
 
 
-class PairIndex(NamedTuple):
-    l: int
-    m: int
+PairIndex = namedtuple("PairIndex", "l m")
 
 
 def parse_pair(text: str) -> PairIndex:
@@ -63,26 +59,23 @@ def parse_pair(text: str) -> PairIndex:
 
 
 def osp_leq(a: PairIndex, b: PairIndex) -> bool:
-    a, b = PairIndex(*a), PairIndex(*b)
     return a.l >= b.l and a.m <= b.m and (a.l + a.m) % 2 == (b.l + b.m) % 2
 
 
 def osp_defect(a: PairIndex, b: PairIndex) -> int | None:
-    a, b = PairIndex(*a), PairIndex(*b)
     if not osp_leq(a, b):
         return None
     return ((a.l - b.l) + (b.m - a.m)) // 2
 
 
 def osp_up_moves(a: PairIndex) -> list[PairIndex]:
-    a = PairIndex(*a)
     candidates = [(a.l - 1, a.m + 1), (a.l, a.m + 2), (a.l - 2, a.m)]
     return [PairIndex(*c) for c in candidates if min(c) >= 0]
 
 
 def osp_chains(a: PairIndex, b: PairIndex) -> list[list[PairIndex]]:
     """All saturated chains from a up to b."""
-    return saturated_chains(PairIndex(*a), PairIndex(*b), osp_up_moves, osp_leq)
+    return saturated_chains(a, b, osp_up_moves, osp_leq)
 
 
 def _square_power(kind: str):

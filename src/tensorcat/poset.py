@@ -16,18 +16,15 @@ length is the defect.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial
 from operator import index as integer
-from typing import NamedTuple
 
 from .diagrams import read_fields, read_natural
 
 
-class QuadIndex(NamedTuple):
-    l: int
-    m: int
-    n: int
-    p: int
+class QuadIndex(namedtuple("QuadIndex", "l m n p")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.l},{self.m},{self.n},{self.p}"

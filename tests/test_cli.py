@@ -425,15 +425,32 @@ def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
     assert code == 2 and out == "" and "degree 0 exceeds the configured cap -1" in err
 
 
-def test_argparse_converts_no_value():
-    # cli reads its own grammar inside main's one try, so no module of the package imports argparse
+def _import_sites(module: str) -> list[tuple[str, int]]:
+    """(file, line) of each import of the top-level ``module`` in the package's source."""
     sites = []
     for path in (ROOT / "src" / "tensorcat").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
             names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-            sites += [(path.name, node.lineno) for name in names if name.split(".")[0] == "argparse"]
-    assert sites == [], sites
+            sites += [(path.name, node.lineno) for name in names if name.split(".")[0] == module]
+    return sites
+
+
+def test_argparse_converts_no_value():
+    # cli reads its own grammar inside main's one try, so no module of the package imports argparse
+    assert _import_sites("argparse") == []
+
+
+def test_cli_import_loads_neither_typing_nor_re():
+    # the records are collections.namedtuple types: no module imports typing, and nothing else pulls in re
+    assert _import_sites("typing") == []
+    script = "import sys, tensorcat.cli; print(' '.join(sorted({'typing', 're'} & set(sys.modules))) or '-')"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.splitlines()
+    assert out[-1] == "-", out
 
 
 def test_output_determinism(capsys):
@@ -699,7 +716,7 @@ def _tensorcat(argv: list[str], buffered: bool, **streams) -> subprocess.Popen:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     flags = [] if buffered else ["-u"]
     return subprocess.Popen([sys.executable, *flags, "-m", "tensorcat", *argv], env={**env, "PYTHONPATH": path},
-                            stderr=subprocess.PIPE, **streams)
+                            **{"stderr": subprocess.PIPE, **streams})
 
 
 def test_a_closed_pipe_ends_the_call_quietly_with_exit_one():
@@ -749,6 +766,37 @@ def test_a_failed_write_is_an_error_exit(capsys):
         assert capsys.readouterr() == ("", "tensorcat: error: [Errno 28] No space left on device\n" * 2), argv
         assert cli.call(argv, {}, fail(BrokenPipeError(errno.EPIPE, "Broken pipe"))) == 1, argv
         assert capsys.readouterr() == ("", ""), argv  # a closed pipe says nothing
+
+
+REFUSED = ["--degree-cap", "1", "decompose", "1,1,1,1"]
+
+
+def test_a_full_diagnostic_device_keeps_the_exit_code():
+    # stderr on a full device: a refusal still exits 2, a usage error 1, and a good call 0 with its stdout intact
+    for buffered in (True, False):
+        for argv, code, text in ((REFUSED, 2, b""), (["nosuch"], 1, b""), (SHORT, 0, b"undefined\n")):
+            with open("/dev/full", "wb") as full:
+                proc = _tensorcat(argv, buffered, stdout=subprocess.PIPE, stderr=full)
+            with proc.stdout:
+                assert (proc.stdout.read(), proc.wait(timeout=60)) == (text, code), (argv, buffered)
+        with open("/dev/full", "wb") as full:  # both streams full: the failed result write is an error exit
+            assert _tensorcat(SHORT, buffered, stdout=full, stderr=full).wait(timeout=60) == 1, buffered
+
+
+def test_a_failed_diagnostic_write_keeps_the_exit_code(monkeypatch):
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fail(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stderr", Full())
+    out = []
+    assert cli.call(REFUSED, {}, out.append) == 2
+    assert cli.call(["nosuch"], {}, out.append) == 1
+    assert cli.call(SHORT, {}, fail) == 1  # the result's write fails, and then its diagnostic's
+    assert (cli.call(SHORT, {}, out.append), out) == (0, ["undefined\n"])
 
 
 def test_call_reads_its_env_not_the_process_environment(capsys, monkeypatch):

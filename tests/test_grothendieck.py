@@ -307,14 +307,34 @@ def test_non_integral_coefficients_are_refused():
 
 
 def test_record_types_compare_hash_and_freeze_by_field():
-    assert repr(Generator("SkF", 2)) == "Generator(tag='SkF', k=2)"
-    assert repr(config.Config()) == "Config(degree_cap=12, group_guard=8)"
+    osp = ospcat.osp_index("o", [2], [1])
+    for record, text in (
+        (Generator("SkF", 2), "Generator(tag='SkF', k=2)"),
+        (config.Config(), "Config(degree_cap=12, group_guard=8)"),
+        (QuadIndex(1, 0, 2, 3), "QuadIndex(l=1, m=0, n=2, p=3)"),
+        (SimpleIndex(P([1]), P([]), P([2, 1]), P([])),
+         "SimpleIndex(lam=Partition([1]), mu=Partition([]), nu=Partition([2, 1]), pi=Partition([]))"),
+        (osp, "OspIndex(kind='o', lam=Partition([2]), mu=Partition([1]))"),
+        (ospcat.PairIndex(1, 2), "PairIndex(l=1, m=2)"),
+    ):
+        assert repr(record) == text
     for a, b, c in (
         (Generator("V*"), Generator("V*", 0), Generator("V*", 1)),
         (config.Config(), config.Config(12, 8), config.Config(group_guard=9)),
+        (QuadIndex(1, 0, 2, 3), QuadIndex(*[1, 0, 2, 3]), QuadIndex(1, 0, 3, 2)),
+        (simple(lam=[1], pi=[1]), SimpleIndex(P([1]), P([]), P([]), P([1])), simple(lam=[1], nu=[1])),
+        (osp, ospcat.OspIndex("o", P([2]), P([1])), ospcat.osp_conjugate(osp)),
+        (ospcat.PairIndex(1, 2), ospcat.parse_pair("1,2"), ospcat.PairIndex(2, 1)),
     ):
         assert a == b and hash(a) == hash(b) and a != c
-    for record, field in ((Generator("SkF", 2), "k"), (config.Config(), "degree_cap")):
+    for record, field in (
+        (Generator("SkF", 2), "k"),
+        (config.Config(), "degree_cap"),
+        (QuadIndex(1, 0, 2, 3), "l"),
+        (simple(lam=[1]), "lam"),
+        (osp, "kind"),
+        (ospcat.PairIndex(1, 2), "m"),
+    ):
         with pytest.raises(AttributeError):
             setattr(record, field, 3)
         with pytest.raises(AttributeError):
