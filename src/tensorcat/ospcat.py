@@ -73,9 +73,20 @@ def osp_up_moves(a: PairIndex) -> list[PairIndex]:
     return [PairIndex(*c) for c in candidates if min(c) >= 0]
 
 
+def _osp_inside(x: PairIndex, b: PairIndex) -> bool:
+    """x lies in b's box: l no smaller than b's, m no larger."""
+    return x.l >= b.l and x.m <= b.m
+
+
 def osp_chains(a: PairIndex, b: PairIndex) -> list[list[PairIndex]]:
-    """All saturated chains from a up to b."""
-    return saturated_chains(a, b, osp_up_moves, osp_leq)
+    """All saturated chains from a up to b.
+
+    Every move keeps the parity of l + m, so it is compared once, here; the
+    walk then prunes by b's box alone and never calls ``osp_leq``.
+    """
+    if (a.l + a.m) % 2 != (b.l + b.m) % 2:
+        return []
+    return saturated_chains(a, b, osp_up_moves, _osp_inside)
 
 
 def _square_power(kind: str):

@@ -90,9 +90,11 @@ def covers(a: QuadIndex, bound: int) -> list[QuadIndex]:
 def saturated_chains(a, b, up_moves, order) -> list[list]:
     """All saturated chains from a up to b, sorted.
 
-    up_moves(x) lists the elements covering x and order(x, y) tests x below y;
-    only covers that still lie below b are followed.  The walk keeps its own
-    stack, so a long chain needs no deep recursion.
+    up_moves(x) lists the elements covering x.  order(x, b) must tell
+    whether x lies below b for a and for every element reached from a, and
+    only covers it admits are followed.  Where the moves keep an invariant
+    that the caller has compared once, a test of b's box alone does that.
+    The walk keeps its own stack, so a long chain needs no deep recursion.
     """
     if not order(a, b):
         return []
@@ -124,11 +126,21 @@ def chain_count(a: QuadIndex, b: QuadIndex) -> int:
     )
 
 
+def _inside(x: QuadIndex, b: QuadIndex) -> bool:
+    """x lies in b's box: l and p no smaller than b's, m and n no larger."""
+    return x.l >= b.l and x.m <= b.m and x.n <= b.n and x.p >= b.p
+
+
 def chains(a: QuadIndex, b: QuadIndex) -> list[list[QuadIndex]]:
     """All saturated chains from a up to b.
 
-    Intermediate elements are automatically confined to the box spanned by a
-    and b (l, p only decrease upward; m, n only increase), so no external
-    bound is needed.
+    Every up-move keeps ``invariant``, so it is compared once, here; an
+    element with a's invariant lies below b exactly when it lies in b's box.
+    The walk prunes by that box alone and never calls ``leq``, so the chains
+    are a route to the defect that does not share the order's test.  Upward,
+    l and p only decrease and m and n only increase, so the walk stays in
+    the box spanned by a and b and needs no external bound.
     """
-    return saturated_chains(a, b, _up_moves, leq)
+    if invariant(a) != invariant(b):
+        return []
+    return saturated_chains(a, b, _up_moves, _inside)

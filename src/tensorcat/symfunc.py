@@ -7,20 +7,21 @@ Tableaux*, LMS Student Texts 35, 1997, ch. 5).  One enumerator,
 ``_lr_strips``, counts them: it lays the rows of nu on the outside of mu one
 label at a time, label i starting at row i, and so expands the whole product
 s_mu * s_nu without naming a candidate lam.  It counts fillings per search
-state, not one tableau at a time: a state is the shape so far and the prefix
-counts of the label just laid, and fillings that reach the same state are
-added up before the next label is laid.  It searches whichever of (mu, nu)
-and (mu', nu') has the shorter content factor, because
-c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  Each shape it finds, transposed as raw
-rows when found on the conjugate pair, is looked up in one module-level
-table, ``_SHAPES``, and built with ``Partition._unchecked(rows)`` (no
-degree, no second validation) only if it is not there yet: every cached
-expansion shares one Partition object per shape, so the cache costs what
-its dicts do.  The table holds only shapes that a cached expansion names,
-and no expansion is evicted, so it adds no growth of its own.  The
-expansion is cached per ordered factor pair, and every LR caller reads that
-cache: ``schur_term_product`` returns it, and ``lr_coefficient`` looks one
-lam up in it.
+state, not one tableau at a time: a state is two shapes, the shape so far and
+the shape before the label just laid, so the strip between them holds that
+label's boxes.  Fillings that reach the same state are added up before the
+next label is laid, and one module-level walker, ``_lay_strip``, lays each
+strip row by row.  It searches whichever of (mu, nu) and (mu', nu') has the
+shorter content factor, because c^lam_{mu,nu} = c^{lam'}_{mu',nu'}.  Each
+shape it finds, transposed as raw rows when found on the conjugate pair, is
+looked up in one module-level table, ``_SHAPES``, and built with
+``Partition._unchecked(rows)`` (no degree, no second validation) only if it
+is not there yet: every cached expansion shares one Partition object per
+shape, so the cache costs what its dicts do.  The table holds only shapes
+that a cached expansion names, and no expansion is evicted, so it adds no
+growth of its own.  The expansion is cached per ordered factor pair, and
+every LR caller reads that cache: ``schur_term_product`` returns it, and
+``lr_coefficient`` looks one lam up in it.
 
 ``slot_product`` reads the same cache through ``_lr_terms``, which asks
 ``lr_coefficient`` once for each shape of the cached expansion and scans no
@@ -73,19 +74,12 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
     """The expansion of s_mu * s_nu, from the LR tableaux themselves; no
     degree cap.  Cached per ordered pair for the life of the process.
 
-    Row i of nu is laid onto the current shape as a horizontal strip of
-    label i, row by row from the top: row r grows to at most the old length
-    of row r - 1.  The lattice condition bounds it too: label i in rows
-    0..r may not outnumber label i - 1 in rows 0..r - 1.  So label i starts
-    at row i, because the rows above it hold no box of label i - 1.  A row
-    with no room and no forced boxes is stepped over.  The factor with fewer
-    rows plays nu, which keeps the search shallow.
-
-    Fillings are counted per search state, one pass per label over a dict
-    from state to its number of fillings.  A state is the shape so far and
-    the prefix counts of the label just laid (its boxes in rows 0..r - 1,
-    for each r), which is all the next label's strips depend on.  After the
-    last label the shape alone is the key, and its count is c^lam_{mu,nu}.
+    Row i of nu is laid as a horizontal strip of label i by ``_lay_strip``,
+    one pass per label over a dict from search state to its number of
+    fillings.  A state is the shape so far and the shape before the label
+    just laid: the strip between them is all the next label's lattice bound
+    reads.  After the last label the shape alone is the key, and its count
+    is c^lam_{mu,nu}.  The factor with fewer rows plays nu (shallower search).
 
     When a conjugate factor has fewer rows than both factors, that is when
     min(mu_1, nu_1) < min(len(mu), len(nu)), the search runs on the
@@ -104,45 +98,14 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
     if not nu:
         return Combination({mu: 1})
     height = len(mu) + len(nu)
-    last = len(nu) - 1
-    # (shape, prefix counts of the label just laid) -> fillings; label 0 has no lattice bound
-    states = {(tuple(mu) + (0,) * len(nu), (nu[0],) * (height + 1)): 1}
+    start = tuple(mu) + (0,) * len(nu)
+    states = {(start, start): 1}  # (shape, shape before the label just laid) -> fillings
     for i, part in enumerate(nu):
         out = {}
-        for (old, prev), fillings in states.items():
-            new = list(old)
-            prefix = [0] * (height + 1)  # prefix[r]: count of label i in rows 0..r - 1
-
-            def row(r: int, left: int, placed: int) -> None:
-                while True:  # step over rows with no room and no forced boxes
-                    here = old[r]
-                    room = left
-                    if r and old[r - 1] - here < room:
-                        room = old[r - 1] - here
-                    if prev[r] - placed < room:
-                        room = prev[r] - placed
-                    # the rows below row r can take at most old[r] boxes of this strip
-                    low = left - here
-                    if room > 0 or low > 0:
-                        break
-                    r += 1
-                    prefix[r] = placed
-                if low < 0:
-                    low = 0
-                for extra in range(room, low - 1, -1):
-                    new[r] = here + extra
-                    if extra < left:
-                        prefix[r + 1] = placed + extra
-                        row(r + 1, left - extra, placed + extra)
-                        continue
-                    key = tuple(new)
-                    if i < last:  # rows r + 1.. hold no box of label i
-                        key = (key, tuple(prefix[: r + 1]) + (part,) * (height - r))
-                    out[key] = out.get(key, 0) + fillings
-                new[r] = here
-
-            row(i, part, 0)
-            del row  # the closure holds itself through its cell: dropping the name frees it without the collector
+        for (old, base), fillings in states.items():
+            # label i starts at row i, and label i - 1 has no box above row i - 1; label 0 has no bound
+            spare = old[i - 1] - base[i - 1] if i else part
+            _lay_strip(out, old, base, list(old), i, part, spare, fillings, i == len(nu) - 1)
         states = out
     lams = {}
     for shape, c in states.items():
@@ -156,6 +119,41 @@ def _lr_strips(mu: Partition, nu: Partition) -> Combination:
             lam = _SHAPES.setdefault(lam, lam)  # atomic: racing threads keep one object
         lams[lam] = c
     return Combination(lams)
+
+
+def _lay_strip(out, old, base, new, r, left, spare, fillings, final) -> None:
+    """Lay the last ``left`` boxes of a horizontal strip on rows r.. of ``old``.
+
+    ``new`` is ``old`` with the rows above r grown.  Row r grows to at most
+    the old length of row r - 1, and by at most ``spare``, the lattice bound:
+    the previous label's boxes (``old`` minus ``base``) in rows 0..r - 1,
+    less this label's there.  A row with no room and no forced boxes is
+    stepped over.  Each finished shape adds ``fillings`` to ``out`` under
+    its next state: (shape, ``old``), or the shape alone if ``final``.
+    """
+    while True:
+        here = old[r]
+        room = left
+        if r and old[r - 1] - here < room:
+            room = old[r - 1] - here
+        if spare < room:
+            room = spare
+        # the rows below row r can take at most old[r] boxes of this strip
+        low = left - here
+        if room > 0 or low > 0:
+            break
+        spare += here - base[r]
+        r += 1
+    if low < 0:
+        low = 0
+    for extra in range(room, low - 1, -1):
+        new[r] = here + extra
+        if extra < left:
+            _lay_strip(out, old, base, new, r + 1, left - extra, spare + here - base[r] - extra, fillings, final)
+            continue
+        key = tuple(new) if final else (tuple(new), old)
+        out[key] = out.get(key, 0) + fillings
+    new[r] = here
 
 
 def schur_term_product(mu: Partition, nu: Partition, cap: int | None = None) -> Combination:

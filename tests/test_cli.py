@@ -213,6 +213,20 @@ def test_chains_text_is_bounded_before_any_chain_is_listed(capsys, monkeypatch):
     assert (code, out, err) == (0, "(none)\n", "")
 
 
+def test_chains_without_a_chain_print_none_before_any_walk(capsys, monkeypatch):
+    def refuse(a):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(cli.poset, "_up_moves", refuse)
+    huge = 10**599
+    # a different invariant, a inside b's box: the walk would never end without the up-front check
+    code, out, err = run(capsys, "chains", f"{huge},0,0,{huge}", f"0,{huge},{huge},1")
+    assert (code, out, err) == (0, "(none)\n", "")
+    # the same invariant, a outside b's box (its p is smaller than b's)
+    code, out, err = run(capsys, "chains", f"{huge},0,0,0", f"1,{huge},0,1")
+    assert (code, out, err) == (0, "(none)\n", "")
+
+
 def test_exit_codes(capsys):
     code, out, err = run(capsys, "lr", "bogus", "[1]", "[2]")
     assert code == 1 and out == "" and "position 0" in err

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from tensorcat import ospcat
 from tensorcat.diagrams import EMPTY, Partition, gl_dimension, partitions
 from tensorcat.oracle import brute_force_plethysm
 from tensorcat.ospcat import (
@@ -65,6 +66,18 @@ def test_defect_equals_brute_force_chains():
             else:
                 assert found, (a, b)
                 assert {len(c) - 1 for c in found} == {d}, (a, b)
+
+
+def test_osp_chains_do_not_call_osp_leq(monkeypatch):
+    # the chains compare the parity once and walk b's box, a route to the defect of their own
+    elements = pair_box(4)
+    expected = {(a, b): osp_chains(a, b) for a in elements for b in elements}
+
+    def refuse(a, b):
+        raise AssertionError("osp_leq was called")
+
+    monkeypatch.setattr(ospcat, "osp_leq", refuse)
+    assert {(a, b): osp_chains(a, b) for a in elements for b in elements} == expected
 
 
 def test_layers_examples():

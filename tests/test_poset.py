@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from tensorcat.crosscheck import chains_have_defect_length, failures
+from tensorcat import poset
+from tensorcat.crosscheck import CHECKS, chains_have_defect_length, failures
 from tensorcat.errors import ParseError
 from tensorcat.poset import (
     QuadIndex,
@@ -61,6 +62,16 @@ def test_partial_order_axioms_exhaustive():
 
 def test_defect_equals_longest_chain_exhaustive():
     assert not failures(chains_have_defect_length, itertools.product(box(3), repeat=2))
+
+
+def test_a_fault_in_leq_fails_the_defect_vs_chains_check(monkeypatch):
+    # the chains walk b's box and never call leq, so a leq that refuses true relations
+    # moves defect alone, and --verify's own cases for this check catch it
+    (cases,) = [cases for name, _, cases in CHECKS if name == "defect vs exhaustive chains"]
+    faulty = {(a, b) for a, b in cases if leq(a, b) and a.l > b.l and a.m < b.m}
+    monkeypatch.setattr(poset, "leq", lambda a, b: leq(a, b) and not (a.l > b.l and a.m < b.m))
+    found = failures(chains_have_defect_length, cases)
+    assert len(found) == len(faulty) == 102 and set(found) == faulty
 
 
 def test_both_closed_forms_agree():

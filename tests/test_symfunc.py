@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from math import comb
 
 import pytest
 
@@ -8,7 +9,7 @@ from tensorcat.combination import Combination
 from tensorcat.crosscheck import schur_product_agrees
 from tensorcat.diagrams import EMPTY, Partition, add_box, gl_dimension, partitions
 from tensorcat.errors import LimitExceeded
-from tensorcat.oracle import lr_tableaux_brute
+from tensorcat.oracle import lr_tableaux_brute, standard_tableaux_brute
 from tensorcat.plethysm import cauchy_ext, cauchy_sym
 from tensorcat.symfunc import (
     lr_coefficient,
@@ -102,6 +103,21 @@ def test_strip_route_matches_scan_route():
                     assert schur_term_product(mu, nu) == brute_terms(mu, nu), (mu, nu)
                     pairs += 1
     assert pairs == 1215
+
+
+def test_products_above_degree_ten_keep_the_tableau_count():
+    # s_mu * s_nu sums the f^lam of its terms to the shuffles of a tableau of shape mu with
+    # one of shape nu: every ordered pair of degree 11 to 14, with f from the oracle's count
+    pairs = 0
+    for degree in range(11, 15):
+        for d1 in range(degree + 1):
+            for mu in partitions(d1):
+                for nu in partitions(degree - d1):
+                    terms = schur_term_product(mu, nu, cap=degree)
+                    total = sum(c * standard_tableaux_brute(lam) for lam, c in terms.items())
+                    assert total == comb(degree, d1) * standard_tableaux_brute(mu) * standard_tableaux_brute(nu)
+                    pairs += 1
+    assert pairs == 6352
 
 
 def test_product_keys_are_checked_partitions():
@@ -265,7 +281,7 @@ def test_equal_shapes_are_one_object():
 
 
 def test_cold_expansions_leave_no_reference_cycles():
-    # each search state's recursive closure must be freed by reference counting, not by the collector
+    # the search's states and strips must be freed by reference counting, not by the collector
     import gc
 
     pairs = [(mu, nu) for d1 in range(9) for d2 in range(9 - d1) for mu in partitions(d1) for nu in partitions(d2)]
