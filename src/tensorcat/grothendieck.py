@@ -27,12 +27,13 @@ occurs in J(l,m,n,p) exactly
 
 times, with a = |lam| - l, b = |pi| - p and k = m - a - |mu| = n - b - |nu|;
 ``decompose_j`` and ``socle_of`` (the slice a = b = k = 0) fill their result
-from it one (a, b, k) block at a time: the partitions of each slot degree and
-their f^x are looked up once per request, and a block's indices and
-multiplicities are zipped into the result dict without a Python-level step
-per term.  ``decompose_word`` walks a word box by box through
-``tensor_simple``: it is the only route for words with Q, F, S^kF or
-Lambda^kF, and on ``generator_word(q)`` the check of the closed form.
+from it one (a, b, k) block at a time.  Each block's simple indices, and the
+f^x of each slot degree, are built once per process and shared by every
+result that holds the block; a request only multiplies the weights and zips
+them onto the cached indices, with no index built per term.
+``decompose_word`` walks a word box by box through ``tensor_simple``: it is
+the only route for words with Q, F, S^kF or Lambda^kF, and on
+``generator_word(q)`` the check of the closed form.
 
 A request checks the degree cap once, before any work (``decompose_word``,
 ``decompose_j``, ``socle_of``, ``layers_of_i``); ``tensor_simple`` and
@@ -44,7 +45,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable
-from math import comb, factorial, prod
+from functools import cache
+from math import comb, factorial
 from operator import index as integer
 
 from .combination import Combination
@@ -193,22 +195,26 @@ def decompose_word(generators: Iterable[Generator], cap: int | None = None) -> C
     return dec
 
 
-def _slot_table(degrees: Iterable[int]) -> dict[int, tuple[tuple[Partition, ...], tuple[int, ...]]]:
-    """The partitions of each degree, with their f^x, looked up once per request."""
-    table = {}
-    for d in degrees:
-        xs = partitions(d)
-        table[d] = xs, tuple(map(standard_tableau_count, xs))
-    return table
+@cache
+def _block_keys(degrees: tuple[int, int, int, int]) -> tuple[SimpleIndex, ...]:
+    """The simple indices of these slot degrees in itertools.product order, built once
+    per process; the namedtuple's constructor is skipped, as the slots are partitions."""
+    slots = itertools.product(*map(partitions, degrees))
+    return tuple(map(tuple.__new__, itertools.repeat(SimpleIndex), slots))
 
 
-def _fill_schur_weyl(terms: dict, table: dict, degrees: tuple[int, int, int, int], weight: int) -> None:
+@cache
+def _tableau_counts(d: int) -> tuple[int, ...]:
+    """f^x for each partition x of d, in the order of ``partitions(d)``."""
+    return tuple(map(standard_tableau_count, partitions(d)))
+
+
+def _fill_schur_weyl(terms: dict, degrees: tuple[int, int, int, int], weight: int) -> None:
     """Set each (lam, mu, nu, pi) of these slot degrees to weight * f^lam f^mu f^nu f^pi
     in terms, in the order of itertools.product over the four slots."""
-    (lams, fl), (mus, fm), (nus, fn), (pis, fp) = [table[d] for d in degrees]
-    keys = map(tuple.__new__, itertools.repeat(SimpleIndex), itertools.product(lams, mus, nus, pis))
-    thin = [weight * a * b for a in fm for b in fn]
-    terms.update(zip(keys, map(prod, itertools.product(fl, thin, fp))))
+    fl, fm, fn, fp = map(_tableau_counts, degrees)
+    cells = [weight * a * b * c for a in fm for b in fn for c in fp]
+    terms.update(zip(_block_keys(degrees), [x * cell for x in fl for cell in cells]))
 
 
 def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
@@ -219,13 +225,12 @@ def decompose_j(q: QuadIndex, cap: int | None = None) -> Combination:
     """
     check_cap(sum(q), cap)
     l, m, n, p = q
-    table = _slot_table(range(max(l + m, n + p) + 1))
     terms: dict = {}
     for a in range(m + 1):
         for b in range(n + 1):
             for k in range(min(m - a, n - b) + 1):
                 weight = comb(m, a) * comb(n, b) * comb(m - a, k) * comb(n - b, k) * factorial(k)
-                _fill_schur_weyl(terms, table, (l + a, m - a - k, n - b - k, p + b), weight)
+                _fill_schur_weyl(terms, (l + a, m - a - k, n - b - k, p + b), weight)
     return Combination(terms)
 
 
@@ -233,7 +238,7 @@ def socle_of(q: QuadIndex, cap: int | None = None) -> Combination:
     """The semisimple socle: the factors whose quadruple degree is exactly q."""
     check_cap(sum(q), cap)
     terms: dict = {}
-    _fill_schur_weyl(terms, _slot_table(set(q)), q, 1)
+    _fill_schur_weyl(terms, tuple(q), 1)
     return Combination(terms)
 
 

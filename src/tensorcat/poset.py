@@ -134,13 +134,16 @@ def _inside(x: QuadIndex, b: QuadIndex) -> bool:
 def chains(a: QuadIndex, b: QuadIndex) -> list[list[QuadIndex]]:
     """All saturated chains from a up to b.
 
-    Every up-move keeps ``invariant``, so it is compared once, here; an
-    element with a's invariant lies below b exactly when it lies in b's box.
-    The walk prunes by that box alone and never calls ``leq``, so the chains
-    are a route to the defect that does not share the order's test.  Upward,
-    l and p only decrease and m and n only increase, so the walk stays in
-    the box spanned by a and b and needs no external bound.
+    A chain's moves (x1..x4 as in ``chain_count``) must balance: x4 - x3 is
+    both (l - l') - (m' - m) and (p - p') - (n' - n).  That balance is
+    compared once, here, from the coordinates and not through ``invariant``
+    (to which it is algebraically equal); every up-move keeps it, so an
+    element that balances against b lies below b exactly when it lies in b's
+    box.  The walk prunes by that box alone and never calls ``leq``, so the
+    chains are a route to the defect that shares no test with the order.
+    Upward, l and p only decrease and m and n only increase, so the walk
+    stays in the box spanned by a and b and needs no external bound.
     """
-    if invariant(a) != invariant(b):
+    if (a.l - b.l) - (b.m - a.m) != (a.p - b.p) - (b.n - a.n):
         return []
     return saturated_chains(a, b, _up_moves, _inside)

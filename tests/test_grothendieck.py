@@ -198,6 +198,24 @@ def test_closed_form_keys_are_simple_indices_in_block_order():
             assert key.quad == q and key.degree == sum(q), (q, key)
 
 
+def test_results_share_each_block_of_simple_indices():
+    # a block's indices are built once per process: a socle and every J(q) that
+    # holds the same (lam, mu, nu, pi) degrees key their terms by the same objects
+    def block(q, quad):
+        return [key for key in decompose_j(q) if key.quad == quad]
+
+    shared = QuadIndex(2, 1, 1, 2)
+    socle = list(socle_of(shared))
+    assert len(socle) == 4
+    # in J(1,2,1,2) this is the block a = 1, b = k = 0; in J(0,3,1,2) it is a = 2
+    for q in (QuadIndex(1, 2, 1, 2), QuadIndex(0, 3, 1, 2)):
+        keys = block(q, shared)
+        assert len(keys) == 4 and all(key is s for key, s in zip(keys, socle)), q
+    # and the block (1,1,0,2), a socle of neither, is a = 0, k = 1 and a = k = 1
+    first, second = (block(q, QuadIndex(1, 1, 0, 2)) for q in (QuadIndex(1, 2, 1, 2), QuadIndex(0, 3, 1, 2)))
+    assert first and len(first) == len(second) and all(x is y for x, y in zip(first, second))
+
+
 def test_socle_examples_and_multiplicities():
     assert socle_of(QuadIndex(0, 1, 1, 0)) == Combination({simple(mu=[1], nu=[1]): 1})
     assert socle_of(QuadIndex(1, 0, 0, 1)) == Combination({simple(lam=[1], pi=[1]): 1})

@@ -74,6 +74,19 @@ def test_a_fault_in_leq_fails_the_defect_vs_chains_check(monkeypatch):
     assert len(found) == len(faulty) == 102 and set(found) == faulty
 
 
+def test_a_fault_in_invariant_fails_the_defect_vs_chains_check(monkeypatch):
+    # the chains balance a's and b's moves from their coordinates, never through
+    # invariant, so a faulty invariant moves defect alone and the check catches
+    # every case it changes
+    (cases,) = [cases for name, _, cases in CHECKS if name == "defect vs exhaustive chains"]
+    true_defects = {(a, b): defect(a, b) for a, b in cases}
+    faulty = poset.invariant
+    monkeypatch.setattr(poset, "invariant", lambda q: faulty(q) + (q.l > 1))
+    changed = {case for case, d in true_defects.items() if defect(*case) != d}
+    found = failures(chains_have_defect_length, cases)
+    assert len(found) == len(changed) == 152 and set(found) == changed
+
+
 def test_both_closed_forms_agree():
     elements = box(3)
     for a in elements:
