@@ -80,8 +80,8 @@ def test_a_fault_in_invariant_fails_the_defect_vs_chains_check(monkeypatch):
     # every case it changes
     (cases,) = [cases for name, _, cases in CHECKS if name == "defect vs exhaustive chains"]
     true_defects = {(a, b): defect(a, b) for a, b in cases}
-    faulty = poset.invariant
-    monkeypatch.setattr(poset, "invariant", lambda q: faulty(q) + (q.l > 1))
+    true_invariant = poset.invariant
+    monkeypatch.setattr(poset, "invariant", lambda q: true_invariant(q) + (q.l > 1))
     changed = {case for case, d in true_defects.items() if defect(*case) != d}
     found = failures(chains_have_defect_length, cases)
     assert len(found) == len(changed) == 152 and set(found) == changed
