@@ -6,11 +6,12 @@ simple with one of the generating objects moves one box:
 
     W_*  : lam + box                 W   : pi + box
     V_*  : mu + box  or  nu - box    V   : nu + box  or  mu - box
-    V*   : V_* moves plus W_* move   V** : V moves plus W move
-    Q    : identity term plus F      F   : paired lam/pi moves (Cauchy)
+    V*   : V_* plus W_*              V** : V plus W
 
-and symmetric/exterior powers of F act through the Cauchy pair decompositions
-followed by Littlewood-Richardson products on the lam and pi slots.  All
+and the power tags are sums of Cauchy pairs, F = S^1F, Q = S^0F + S^1F,
+S^kF, Lambda^kF and S^kQ = S^0F + ... + S^kF, each multiplied in by one
+Littlewood-Richardson product on the lam and pi slots.  Each tag is declared
+once, in ``_BOX_MOVES``, ``_SPLITS`` or ``_POWERS``.  All
 decompositions are at the level of the Grothendieck group: a Combination of
 simple indices with positive integer multiplicities.
 
@@ -32,7 +33,7 @@ f^x of each slot degree, are built once per process and shared by every
 result that holds the block; a request only multiplies the weights and zips
 them onto the cached indices, with no index built per term.
 ``decompose_word`` walks a word box by box through ``tensor_simple``: it is
-the only route for words with Q, F, S^kF or Lambda^kF, and on
+the only route for words with Q, F, S^kF, Lambda^kF or S^kQ, and on
 ``generator_word(q)`` the check of the closed form.
 
 A request checks the degree cap once, before any work (``decompose_word``,
@@ -97,76 +98,64 @@ class Generator(namedtuple("Generator", "tag k", defaults=(0,))):
 
     __slots__ = ()
 
-    TAGS = ("V*", "V**", "V", "V_*", "W", "W_*", "Q", "F", "SkF", "SkQ", "LkF")
-
     def __new__(cls, tag: str, k: int = 0):
-        if tag not in cls.TAGS:
+        if tag not in _BOX_MOVES and tag not in _POWERS and tag not in _SPLITS:
             raise ValueError(f"unknown generator tag {tag!r}")
         k = integer(k)
-        if tag in ("SkF", "SkQ", "LkF") and k < 0:
+        if tag in _POWERS and min(_POWERS[tag][1](k), default=-1) < 0:
             raise ValueError(f"generator {tag} needs a non-negative power, got {k}")
         return super().__new__(cls, tag, k)
 
     @property
     def degree(self) -> int:
-        if self.tag in ("SkF", "SkQ", "LkF"):
-            return 2 * self.k
-        if self.tag in ("Q", "F"):
-            return 2
-        return 1
+        """Box and split tags add one box; a power tag adds 2 x its top power."""
+        rule = _POWERS.get(self.tag)
+        return 2 * max(rule[1](self.k)) if rule else 1
 
 
-V_DUAL = Generator("V*")
-V_STAR_DUAL = Generator("V**")
+# Each generator is declared once, as one of three rule kinds that tensor_simple,
+# Generator.__new__ and Generator.degree read.  A box tag lists its (slot, move)
+# pairs, one term per diagram reached.
+_BOX_MOVES = {
+    "W_*": ((0, add_box),),
+    "W": ((3, add_box),),
+    "V_*": ((1, add_box), (2, remove_box)),
+    "V": ((2, add_box), (1, remove_box)),
+}
+# A power tag is the sum of S^jF (or Lambda^jF) over its powers j, given as a function
+# of k; a tag whose powers are empty or negative for this k is refused.
+_POWERS = {
+    "F": (cauchy_sym, lambda k: (1,)),
+    "Q": (cauchy_sym, lambda k: (0, 1)),
+    "SkF": (cauchy_sym, lambda k: (k,)),
+    "LkF": (cauchy_ext, lambda k: (k,)),
+    "SkQ": (cauchy_sym, lambda k: range(k + 1)),
+}
 V_NAT = Generator("V")
 V_LOWER = Generator("V_*")
 W_GEN = Generator("W")
 W_STAR = Generator("W_*")
 Q_GEN = Generator("Q")
 F_GEN = Generator("F")
-
-
-def _moves_add(s: SimpleIndex, slot: int) -> list[SimpleIndex]:
-    return [SimpleIndex(*s[:slot], q, *s[slot + 1 :]) for q in add_box(s[slot])]
-
-
-def _moves_remove(s: SimpleIndex, slot: int) -> list[SimpleIndex]:
-    return [SimpleIndex(*s[:slot], q, *s[slot + 1 :]) for q in remove_box(s[slot])]
-
-
-def _tensor_f_power(s: SimpleIndex, tag: str, k: int) -> Combination:
-    """LR products of the Cauchy pairs against the lam and pi slots."""
-    pairs = cauchy_sym(k) if tag == "SkF" else cauchy_ext(k)
-    return thick_indices(slot_product(Combination({(s.lam, s.pi): 1}), pairs), s.mu, s.nu)
+# A split tag names its two generators, [V*] = [V_*] + [W_*] and [V_*^*] = [V] + [W].
+# It recurses through tensor_simple rather than taking the moves of both: the
+# per-layer counts of perfbench/test_tracer.py pin that recursion.
+_SPLITS = {"V*": (V_LOWER, W_STAR), "V**": (V_NAT, W_GEN)}
+V_DUAL = Generator("V*")
+V_STAR_DUAL = Generator("V**")
 
 
 def tensor_simple(s: SimpleIndex, g: Generator) -> Combination:
     """Composition factors, with multiplicity, of g tensored with the simple s."""
-    if g.tag == "W_*":
-        return Combination({idx: 1 for idx in _moves_add(s, 0)})
-    if g.tag == "W":
-        return Combination({idx: 1 for idx in _moves_add(s, 3)})
-    if g.tag == "V_*":
-        return Combination({idx: 1 for idx in _moves_add(s, 1) + _moves_remove(s, 2)})
-    if g.tag == "V":
-        return Combination({idx: 1 for idx in _moves_add(s, 2) + _moves_remove(s, 1)})
-    if g.tag == "V*":
-        return tensor_simple(s, V_LOWER) + tensor_simple(s, W_STAR)
-    if g.tag == "V**":
-        return tensor_simple(s, V_NAT) + tensor_simple(s, W_GEN)
-    if g.tag == "F":
-        return _tensor_f_power(s, "SkF", 1)
-    if g.tag == "Q":
-        return Combination({s: 1}) + _tensor_f_power(s, "SkF", 1)
-    if g.tag in ("SkF", "LkF"):
-        return _tensor_f_power(s, g.tag, g.k)
-    if g.tag == "SkQ":
-        out = {}
-        for j in range(g.k + 1):
-            for idx, mult in _tensor_f_power(s, "SkF", j).items():
-                out[idx] = out.get(idx, 0) + mult
-        return Combination(out)
-    raise AssertionError(g.tag)
+    if g.tag in _BOX_MOVES:
+        moves = _BOX_MOVES[g.tag]
+        return Combination({SimpleIndex(*s[:slot], q, *s[slot + 1 :]): 1 for slot, move in moves for q in move(s[slot])})
+    if g.tag in _SPLITS:
+        first, second = _SPLITS[g.tag]
+        return tensor_simple(s, first) + tensor_simple(s, second)
+    cauchy, powers = _POWERS[g.tag]
+    pairs = Combination({pair: 1 for j in powers(g.k) for pair in cauchy(j)})
+    return thick_indices(slot_product(Combination({(s.lam, s.pi): 1}), pairs), s.mu, s.nu)
 
 
 def tensor_decomposition(dec: Combination, g: Generator) -> Combination:

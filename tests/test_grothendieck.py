@@ -14,6 +14,7 @@ from tensorcat.grothendieck import (
     Q_GEN,
     Generator,
     SimpleIndex,
+    UNIT,
     V_DUAL,
     V_LOWER,
     V_NAT,
@@ -76,6 +77,21 @@ def test_sym_q_is_truncated_sum_of_f_powers():
     for j in range(3):
         total = total + tensor_simple(s, Generator("SkF", j))
     assert tensor_simple(s, Generator("SkQ", 2)) == total
+
+
+def test_each_declared_degree_is_what_a_step_adds():
+    # decompose_word checks the cap once, on the word's total degree: that is sound
+    # only if each generator's degree is the most any term of its step gains
+    tags = ("W_*", "W", "V_*", "V", "V*", "V**", "F", "Q", "SkF", "LkF", "SkQ")
+    assert {*grothendieck._BOX_MOVES, *grothendieck._SPLITS, *grothendieck._POWERS} == set(tags)
+    simples = (UNIT, simple(mu=[1], nu=[1]), simple(lam=[1], mu=[2], nu=[1, 1], pi=[2]))
+    for tag in tags:
+        for k in range(4) if tag in ("SkF", "LkF", "SkQ") else (0,):
+            g = Generator(tag, k)
+            for s in simples:
+                step = tensor_simple(s, g)
+                assert max(t.degree - s.degree for t in step) == g.degree, (g, s)
+    assert [Generator(tag, 2).degree for tag in tags] == [1] * 6 + [2, 2, 4, 4, 4]
 
 
 def test_tensor_decomposition_drops_cancelled_terms():
