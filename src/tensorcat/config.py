@@ -18,6 +18,7 @@ the program go through it, so each raises ``errors.LimitExceeded``.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from collections.abc import Mapping
 
@@ -53,9 +54,16 @@ def check_guard(value: int, guard: int | None, what: str = "total boxes") -> Non
     check_limit(value, DEFAULT_GROUP_GUARD if guard is None else guard, what, "the group-algebra guard")
 
 
+def _open_without_waiting(path: str, flags: int) -> int:
+    """Open without waiting for a FIFO's writer, then read blocking: a FIFO with no writer reads as empty."""
+    fd = os.open(path, flags | os.O_NONBLOCK)
+    os.set_blocking(fd, True)
+    return fd
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a ``key = value`` file, ignoring blanks and # comments."""
-    with open(path, "rb") as handle:
+    with open(path, "rb", opener=_open_without_waiting) as handle:
         data = handle.read(CONFIG_FILE_LIMIT + 1)
     if len(data) > CONFIG_FILE_LIMIT:
         raise ValueError(f"config file {path} exceeds {CONFIG_FILE_LIMIT} bytes")

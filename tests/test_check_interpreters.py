@@ -50,16 +50,20 @@ def test_sweep_passes_on_one_sha_and_fails_on_two_or_a_failed_check(tmp_path, ca
 
 
 def test_sweep_fails_when_the_domain_check_fails(tmp_path, capsys):
+    # the one check also compares the domain digests; a changed digest makes it fail
     tool = load_tool()
-    assert [path.name for path in tool.CHECKS] == ["test_golden_cli.py", "test_domain_digests.py"]
+    assert tool.CHECK == TOOL.parents[1] / "tests" / "test_golden_cli.py"
     path = tmp_path / "nodomains"
     path.write_text(
         "#!/bin/sh\n"
         'if [ "$1" = --version ]; then echo "Python 0.0.0"; exit 0; fi\n'
-        'case "$*" in *test_domain_digests.py*) echo mismatch >&2; exit 1;; esac\n'
+        f'if [ "$*" = "{tool.CHECK}" ] || [ "$*" = "-O {tool.CHECK}" ]; then echo "mismatch: lr" >&2; exit 1; fi\n'
         f"echo {'a' * 64}\n"
     )
     path.chmod(0o755)
     assert tool.main([str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out.count("FAILED") == 2 and "mismatch" in captured.err
+    assert [line.split("\t")[1:] for line in captured.out.splitlines()] == [
+        [mode, "0.0.0", "FAILED"] for mode in ("plain", "-O seed=1")
+    ]
+    assert captured.err.count("mismatch: lr") == 2

@@ -558,6 +558,23 @@ def test_config_file_size_is_bounded(tmp_path, capsys):
     assert code == 1 and out == "" and f"exceeds {CONFIG_FILE_LIMIT} bytes" in err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_a_fifo_config_without_a_writer_reads_as_empty(tmp_path, capsys):
+    # opening a FIFO waits for a writer unless asked not to; the config file is opened without waiting
+    fifo = tmp_path / "tensorcat.conf"
+    os.mkfifo(fifo)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for argv, extra in ((["--config", str(fifo)], {}), ([], {"TENSORCAT_CONFIG": str(fifo)})):
+        done = subprocess.run([sys.executable, "-m", "tensorcat", *argv, "layers", "1"], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path, **extra})
+        assert (done.returncode, done.stdout, done.stderr) == (0, GOLDEN[("layers", "1")], ""), argv
+    # a directory and a missing file are still refused in words naming the path
+    for config, number in ((tmp_path, errno.EISDIR), (tmp_path / "missing", errno.ENOENT)):
+        assert run(capsys, "--config", str(config), "layers", "1") == (
+            1, "", f"tensorcat: error: [Errno {number}] {os.strerror(number)}: '{config}'\n"
+        )
+
+
 def test_overlong_numbers_are_refused_in_tensorcat_s_own_words(tmp_path, capsys, monkeypatch):
     # int() refuses very long texts in words that differ between interpreters;
     # every number read from text is refused first, past 600 digits

@@ -1,36 +1,26 @@
 """Every command pinned on its whole small domain.
 
 The golden corpus (``test_golden_cli.py``) pins chosen calls byte for byte.
-This check pins every call of each command on a small domain, written below
+This module pins every call of each command on a small domain, written below
 as one generator per command.  Each call runs in-process through
-``cli.call``, in text and in ``--output json``, with an env holding only the
-case's variables (none here); the sha256 over the exit codes and stdouts of
-a command's calls must equal the one recorded in ``domain_digests.json``,
-beside the generator's name and the number of calls, so a changed domain
-shows too.
+``test_golden_cli.run``, in text and in ``--output json``, with an env
+holding only the case's variables (none here); the sha256 over the exit
+codes and stdouts of a command's calls must equal the one recorded in
+``domain_digests.json``, beside the generator's name and the number of
+calls, so a changed domain shows too.
 
-Check the digests outside pytest (standard library only; exits 1 naming each
-command that differs, else prints one sha256 over all the digests, which
-lets interpreters and ``-O`` runs be compared):
-
-    PYTHONPATH=src python tests/test_domain_digests.py
-
-Re-record (only when an output change is intended; name the re-recorded
-commands in CHANGES.md):
-
-    PYTHONPATH=src python tests/test_domain_digests.py --record
+The stand-alone check and ``--record`` of ``tests/test_golden_cli.py`` check
+and re-record these digests together with the golden corpus.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import hashlib
-import io
 import json
-import sys
 from itertools import product
 from pathlib import Path
+
+from test_golden_cli import run
 
 DIGESTS_PATH = Path(__file__).with_name("domain_digests.json")
 
@@ -219,19 +209,12 @@ DOMAINS = {
 
 def digest(domain) -> dict:
     """Run every call of one domain in text and in JSON; its generator's name, call count and sha256."""
-    from tensorcat.cli import call
-
     sha, calls = hashlib.sha256(), 0
-    with contextlib.redirect_stderr(io.StringIO()):
-        for argv in domain():
-            for mode in ([], ["--output", "json"]):
-                out = []
-                try:
-                    code = call(mode + argv, {}, out.append)
-                except Exception as exc:  # an internal error changes the digest; the other calls still run
-                    code = type(exc).__name__
-                sha.update(f"{code}\n{''.join(out)}\0".encode("utf-8"))
-            calls += 1
+    for argv in domain():
+        for mode in ([], ["--output", "json"]):
+            case = run(mode + argv, {})
+            sha.update(f"{case['exit']}\n{case['stdout']}\0".encode("utf-8"))
+        calls += 1
     return {"domain": domain.__name__, "calls": calls, "sha256": sha.hexdigest()}
 
 
@@ -254,24 +237,3 @@ def test_domain_digests():
     expected = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
     assert differences(digest_all(), expected) == []
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Check every command's domain digest, or re-record them.")
-    parser.add_argument("--record", action="store_true", help="overwrite domain_digests.json with the current digests")
-    args = parser.parse_args(argv)
-    actual = digest_all()
-    if args.record:
-        DIGESTS_PATH.write_text(json.dumps(actual, indent=1) + "\n", encoding="utf-8")
-        print(f"recorded {len(actual)} domains in {DIGESTS_PATH}", file=sys.stderr)
-        return 0
-    changed = differences(actual, json.loads(DIGESTS_PATH.read_text(encoding="utf-8")))
-    for name in changed:
-        print(f"mismatch: {name}", file=sys.stderr)
-    if changed:
-        return 1
-    print(hashlib.sha256("".join(entry["sha256"] for entry in actual.values()).encode("utf-8")).hexdigest())
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

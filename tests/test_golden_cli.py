@@ -1,18 +1,24 @@
-"""Byte-for-byte CLI regression corpus.
+"""The one check of the CLI pins: the byte-for-byte golden corpus and the domain digests.
 
-Every command below is run in-process through ``cli.call``, in text and in
-``--output json``, with an env holding only the case's variables; its stdout
-and exit code must equal the recorded values in ``golden_cli.json``.  The
-first cases are README's "Command line" examples, read from it.  The string
-``{tmp}`` stands for a per-test scratch directory (it holds the config file).
+Every command below is run in-process through ``run`` (the one caller of
+``cli.call`` for both pins), in text and in ``--output json``, with an env
+holding only the case's variables; its stdout and exit code must equal the
+recorded values in ``golden_cli.json``.  The first cases are README's
+"Command line" examples, read from it; the help cases are derived from
+``cli.COMMANDS``.  The string ``{tmp}`` stands for a per-test scratch
+directory (it holds the config file).  ``test_domain_digests.py`` declares
+the domains and hashes their calls through the same ``run``.
 
-Check the corpus outside pytest (standard library only; exits 1 naming the
-first case that differs, else prints the sha256 of the joined stdouts, which
-lets interpreters and ``-O`` runs be compared):
+Check both pins outside pytest (standard library only; exits 1 naming each
+golden case and each command whose domain digest differs, else prints the
+sha256 of the corpus's joined stdouts, which lets interpreters and ``-O``
+runs be compared):
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-Re-record (only when an output change is intended):
+Re-record both ``golden_cli.json`` and ``domain_digests.json`` (only when an
+output change is intended; name the re-recorded cases and commands in
+CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
@@ -29,6 +35,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from tensorcat.cli import COMMANDS
 
 CORPUS_PATH = Path(__file__).with_name("golden_cli.json")
 CONFIG_TEXT = "degree_cap = 4\n# comment\n"
@@ -92,12 +100,10 @@ _STATEFUL = [
 ]
 
 
-# --help at the top level, at osp and at each command: fixed text, whatever --output says
-_HELP = ["--help", "osp --help"] + [f"{command} --help" for command in (
-    "lr", "product", "plethysm", "decompose", "socle", "layers", "defect", "chains", "covers", "ext-trivial",
-    "ext-thick", "ext-vanishes", "resolution", "kernel-layer", "homdim", "quadkernel",
-    *(f"osp --kind o {leaf}" for leaf in ("leq", "defect", "layers", "ext-trivial", "conjugate")),
-)]
+# --help at the top level, at osp and at each declared command: fixed text, whatever --output says
+_HELP = ["--help", "osp --help"] + [
+    f"{name.replace('osp ', 'osp --kind o ')} --help" for name, *_ in COMMANDS
+]
 
 
 def commands() -> list[tuple[list[str], dict[str, str]]]:
@@ -111,14 +117,17 @@ def commands() -> list[tuple[list[str], dict[str, str]]]:
     return cases + [(line.split(), {}) for line in _HELP]
 
 
-def run(argv: list[str], env: dict[str, str], tmp: str) -> dict:
-    """Run one command in-process; returns its argv, env, exit code and stdout."""
+def run(argv: list[str], env: dict[str, str], tmp: str = "{tmp}") -> dict:
+    """Run one command in-process; its argv, env, exit code (an internal error's type name) and stdout."""
     from tensorcat.cli import call
 
     out = []
     with contextlib.redirect_stderr(io.StringIO()):
-        code = call([arg.replace("{tmp}", tmp) for arg in argv],
-                    {key: value.replace("{tmp}", tmp) for key, value in env.items()}, out.append)
+        try:
+            code = call([arg.replace("{tmp}", tmp) for arg in argv],
+                        {key: value.replace("{tmp}", tmp) for key, value in env.items()}, out.append)
+        except Exception as exc:  # an internal error fails the check; the other calls still run
+            code = type(exc).__name__
     return {"argv": argv, "env": env, "exit": code, "stdout": "".join(out).replace(tmp, "{tmp}")}
 
 
@@ -136,9 +145,10 @@ def test_golden_cli_corpus(tmp_path):
 
 
 def test_check_mode_under_optimize():
-    # the stand-alone check runs every case, {tmp} and environment ones included,
-    # and must pass with asserts stripped and a fixed hash seed, reading the corpus only
-    before = CORPUS_PATH.read_bytes()
+    # the stand-alone check runs every case, {tmp} and environment ones included, and every
+    # domain, and must pass with asserts stripped and a fixed hash seed, reading the records only
+    records = [CORPUS_PATH, CORPUS_PATH.with_name("domain_digests.json")]
+    before = [path.read_bytes() for path in records]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=path)
@@ -146,26 +156,53 @@ def test_check_mode_under_optimize():
         [sys.executable, "-O", __file__], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert CORPUS_PATH.read_bytes() == before
+    assert [path.read_bytes() for path in records] == before
+
+
+def test_check_mode_reports_a_changed_domain_digest_and_records_both(tmp_path, monkeypatch, capsys):
+    import test_domain_digests as domains
+
+    corpus, digests = tmp_path / "golden_cli.json", tmp_path / "domain_digests.json"
+    corpus.write_bytes(CORPUS_PATH.read_bytes())
+    recorded = {"layers": domains.digest(domains.layers_k_6)}
+    digests.write_text(json.dumps({"layers": {**recorded["layers"], "sha256": "0" * 64}}))
+    monkeypatch.setattr(domains, "DOMAINS", {"layers": domains.layers_k_6})
+    monkeypatch.setattr(domains, "DIGESTS_PATH", digests)
+    monkeypatch.setitem(globals(), "CORPUS_PATH", corpus)
+
+    assert main([]) == 1
+    assert capsys.readouterr().err == "mismatch: layers\n"
+    corpus.write_text("[]")
+    assert main(["--record"]) == 0
+    assert json.loads(digests.read_text()) == recorded
+    assert corpus.read_bytes() == Path(__file__).with_name("golden_cli.json").read_bytes()
+    assert main([]) == 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Check the golden CLI corpus, or re-record it.")
-    parser.add_argument("--record", action="store_true", help="overwrite golden_cli.json with the current outputs")
+    import test_domain_digests as domains  # it imports ``run`` from here
+
+    parser = argparse.ArgumentParser(description="Check the golden CLI corpus and the domain digests, or re-record both.")
+    parser.add_argument("--record", action="store_true",
+                        help="overwrite golden_cli.json and domain_digests.json with the current outputs")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         corpus = run_all(scratch)
+    digests = domains.digest_all()
     if args.record:
         CORPUS_PATH.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
-        print(f"recorded {len(corpus)} cases in {CORPUS_PATH}", file=sys.stderr)
+        domains.DIGESTS_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+        print(f"recorded {len(corpus)} cases in {CORPUS_PATH} and {len(digests)} domains in {domains.DIGESTS_PATH}",
+              file=sys.stderr)
         return 0
     expected = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
-    for got, want in zip(corpus, expected):
-        if got != want:
-            print(f"mismatch: {' '.join(want['argv'])} (env {want['env']})", file=sys.stderr)
-            return 1
+    changed = [f"{' '.join(want['argv'])} (env {want['env']})" for got, want in zip(corpus, expected) if got != want]
     if len(corpus) != len(expected):
-        print(f"mismatch: {len(corpus)} cases run, {len(expected)} recorded", file=sys.stderr)
+        changed.append(f"{len(corpus)} cases run, {len(expected)} recorded")
+    changed += domains.differences(digests, json.loads(domains.DIGESTS_PATH.read_text(encoding="utf-8")))
+    for what in changed:
+        print(f"mismatch: {what}", file=sys.stderr)
+    if changed:
         return 1
     print(hashlib.sha256("".join(case["stdout"] for case in corpus).encode("utf-8")).hexdigest())
     return 0
