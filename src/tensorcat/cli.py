@@ -12,9 +12,10 @@ process's words, environment and stdout.  ``COMMANDS`` (one
 ``@command`` per handler) and ``GROUPS`` are the whole grammar: ``read_argv``
 reads the words against them, strictly, and ``--help`` prints fixed text
 built from them.  An index or integer argument names its reader, which
-``execute`` applies once the configuration is resolved.  A new command also
-needs a fuzz shape and golden cases (tests/test_cli.py).  Handlers return lazy
-text lines and the engine's result, which ``--output json`` encodes with
+``execute`` applies once the configuration is resolved.  The grammar fuzz test
+(tests/test_cli.py) reads its words from the same table; a new command also
+needs golden cases (tests/golden_cli.json, checked by tests/test_golden_cli.py)
+and a domain (tests/test_domain_digests.py).  Handlers return lazy text lines and the engine's result, which ``--output json`` encodes with
 ``terms_json``.  A tensorcat process runs one call, so json, symalg and the
 cross-checks are imported only by the commands that use them.
 """

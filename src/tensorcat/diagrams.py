@@ -13,6 +13,7 @@ gives its position in the whole text.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import cache, partial
 from operator import ge, index as integer
 
@@ -147,35 +148,26 @@ def remove_box(p: Partition) -> tuple[Partition, ...]:
     return tuple(results)
 
 
+def _walk(remaining: int, largest: int, drop: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``remaining`` into parts of at most ``largest``, each part at least ``drop`` below the one
+    before, in ascending tuple order: the first part walks upward."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(1, min(remaining, largest) + 1):
+        for rest in _walk(remaining - first, first - drop, drop):
+            yield (first,) + rest
+
+
 @cache
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, canonically sorted."""
-    if n < 0:
-        return ()
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(sorted((Partition(p) for p in rec(n, n)), key=lambda q: tuple(q)))
+    return tuple(map(Partition, _walk(n, n, 0))) if n >= 0 else ()
 
 
 def strict_partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n with strictly decreasing parts."""
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first - 1):
-                yield (first,) + rest
-
-    return tuple(rec(n, n))
+    """All partitions of n with strictly decreasing parts, largest first part first."""
+    return tuple(reversed(tuple(_walk(n, n, 1))))
 
 
 def hook_lengths(p: Partition) -> list[list[int]]:

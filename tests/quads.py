@@ -1,14 +1,22 @@
-"""Indices and brute-force helpers shared by the test modules, imported as a
-plain module (``from quads import ...``): pytest puts this directory on ``sys.path``."""
+"""Indices, brute-force helpers and harness setup shared by the test modules, imported
+as a plain module (``from quads import ...``): pytest puts this directory on ``sys.path``."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
+import sys
+from pathlib import Path
+from types import ModuleType
 
 from tensorcat.diagrams import Partition, partitions
 from tensorcat.grothendieck import SimpleIndex
 from tensorcat.oracle import lr_tableaux_brute
 from tensorcat.poset import QuadIndex
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def quads_with_sum_at_most(bound: int) -> list[QuadIndex]:
@@ -54,3 +62,28 @@ def brute_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
             if coeff:
                 terms[lam] = coeff
     return terms
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This environment plus ``extra``, with this checkout's ``src`` first on PYTHONPATH: for a child ``python``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def load_tool(name: str) -> ModuleType:
+    """``tools/<name>.py`` as a fresh module, with ``tools`` on ``sys.path`` while it loads: the tools import
+    one another (``bench_pairs`` imports ``bench_record``)."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(TOOLS))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(TOOLS))
+    return module
+
+
+def run_record(failed: int = 0, **metrics: float) -> dict:
+    """A perfbench/run.py record, as written to .bench_out/result-*.json, cut to what the tools read."""
+    return {"meta": {}, "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()},
+            "failed": failed, "attempted": 10}

@@ -7,17 +7,9 @@ without running the corpus.
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_interpreters.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("check_interpreters", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from quads import ROOT, load_tool
 
 
 def stub(directory: Path, name: str, sha: str, code: int = 0) -> str:
@@ -33,7 +25,7 @@ def stub(directory: Path, name: str, sha: str, code: int = 0) -> str:
 
 
 def test_sweep_passes_on_one_sha_and_fails_on_two_or_a_failed_check(tmp_path, capsys):
-    tool = load_tool()
+    tool = load_tool("check_interpreters")
     same = [stub(tmp_path, f"same{n}", "a" * 64) for n in (1, 2)]
     other = stub(tmp_path, "other", "b" * 64)
     broken = stub(tmp_path, "broken", "a" * 64, code=1)
@@ -51,8 +43,8 @@ def test_sweep_passes_on_one_sha_and_fails_on_two_or_a_failed_check(tmp_path, ca
 
 def test_sweep_fails_when_the_domain_check_fails(tmp_path, capsys):
     # the one check also compares the domain digests; a changed digest makes it fail
-    tool = load_tool()
-    assert tool.CHECK == TOOL.parents[1] / "tests" / "test_golden_cli.py"
+    tool = load_tool("check_interpreters")
+    assert tool.CHECK == ROOT / "tests" / "test_golden_cli.py"
     path = tmp_path / "nodomains"
     path.write_text(
         "#!/bin/sh\n"

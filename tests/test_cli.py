@@ -8,21 +8,20 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcat import cli, plethysm
+from tensorcat import cli, ospcat, plethysm
 from tensorcat.cli import main, parse_simple_index
 from tensorcat.combination import Combination
+from tensorcat.diagrams import ascii_int, parse_partition
 from tensorcat.errors import ParseError
-from tensorcat.poset import QuadIndex
-from quads import simple
+from tensorcat.poset import QuadIndex, parse_quad
+from quads import ROOT, child_env, simple
 
-ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = ROOT / "schema" / "output.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
 VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)  # validate() would re-check the schema per call
@@ -40,11 +39,8 @@ def test_cli_import_loads_only_what_every_command_needs():
         "import sys; bare = set(sys.modules); import tensorcat.cli; "
         "print(' '.join(sorted(set(sys.modules) - bare)))"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True,
+                         timeout=60).stdout
     loaded = set(out.split())
     assert "tensorcat.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json", "string"}, loaded
@@ -383,10 +379,9 @@ def test_help_is_fixed_text(capsys):
     assert texts[("--help",)].startswith("usage: tensorcat [-h] [--output {text,json}]")
     assert texts[("osp", "-h")].splitlines()[-1] == "  conjugate         the simple of the other variant"
     # the same bytes on every terminal width
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     for argv in (["--help"], ["homdim", "--help"], ["nosuch"]):
         done = [subprocess.run([sys.executable, "-m", "tensorcat", *argv], capture_output=True, timeout=60,
-                               env={**os.environ, "PYTHONPATH": path, "COLUMNS": columns}) for columns in ("20", "300")]
+                               env=child_env(COLUMNS=columns)) for columns in ("20", "300")]
         assert done[0].stdout == done[1].stdout and done[0].stderr == done[1].stderr, argv
         assert done[0].returncode == (1 if argv == ["nosuch"] else 0), argv
 
@@ -397,11 +392,8 @@ def test_a_call_imports_no_argument_parser():
         "import sys, tensorcat.cli; tensorcat.cli.main(['decompose', '1,1,1,1']); "
         "print(' '.join(sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules))) or '-')"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=60,
-    ).stdout.splitlines()
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(), capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
     assert out[-1] == "-", out
 
 
@@ -459,11 +451,8 @@ def test_cli_import_loads_neither_typing_nor_re():
     # the records are collections.namedtuple types: no module imports typing, and nothing else pulls in re
     assert _import_sites("typing") == []
     script = "import sys, tensorcat.cli; print(' '.join(sorted({'typing', 're'} & set(sys.modules))) or '-')"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=60,
-    ).stdout.splitlines()
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(), capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
     assert out[-1] == "-", out
 
 
@@ -563,10 +552,9 @@ def test_a_fifo_config_without_a_writer_reads_as_empty(tmp_path, capsys):
     # opening a FIFO waits for a writer unless asked not to; the config file is opened without waiting
     fifo = tmp_path / "tensorcat.conf"
     os.mkfifo(fifo)
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     for argv, extra in ((["--config", str(fifo)], {}), ([], {"TENSORCAT_CONFIG": str(fifo)})):
         done = subprocess.run([sys.executable, "-m", "tensorcat", *argv, "layers", "1"], capture_output=True,
-                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path, **extra})
+                              text=True, timeout=60, env=child_env(**extra))
         assert (done.returncode, done.stdout, done.stderr) == (0, GOLDEN[("layers", "1")], ""), argv
     # a directory and a missing file are still refused in words naming the path
     for config, number in ((tmp_path, errno.EISDIR), (tmp_path / "missing", errno.ENOENT)):
@@ -606,8 +594,7 @@ def test_overlong_numbers_are_refused_in_tensorcat_s_own_words(tmp_path, capsys,
         assert (code, out) == (1, "") and err.startswith(f"tensorcat: error: bad {what} '111"), argv
         assert err.endswith("': more than 600 digits\n"), argv
     # the same words at CPython's lowest int() digit limit, where 640 digits would already be refused
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"}
+    env = child_env(PYTHONINTMAXSTRDIGITS="640")
     done = subprocess.run(
         [sys.executable, "-m", "tensorcat", "decompose", f"{ones},0,0,0"], env=env, capture_output=True, text=True,
         timeout=60,
@@ -675,28 +662,46 @@ def test_verify_failure_prints_the_report_and_exits_one(capsys, monkeypatch):
     assert [check["ok"] for check in document["result"]["checks"]] == [True, True, False, True, True, True, True]
 
 
-# Every command shape as words; a capital letter is drawn from its grammar.
-_SHAPES = (
-    "lr P P P", "product P P", "plethysm F N", "decompose Q", "socle Q", "layers N", "defect Q Q", "chains Q Q",
-    "covers Q --bound N", "ext-trivial S --degree N", "ext-thick S P P --degree N", "ext-vanishes S S --degree N",
-    "resolution N", "kernel-layer N N", "homdim Q H", "quadkernel Q", "quadkernel Q --check",
-    "osp --kind K leq R R", "osp --kind K defect R R", "osp --kind K layers N",
-    "osp --kind K ext-trivial P P --degree N", "osp --kind K conjugate P P",
-)
 # the cap's edge, far past it, a negative, then texts every integer reader refuses
 _N = st.sampled_from([*map(str, [*range(8), 12, 13, 100, 10**6, -1]), "+2", "1_0", "١", "1" * 601])
 _P = st.lists(st.integers(1, 8), max_size=5).map(lambda rows: str(sorted(rows, reverse=True)).replace(" ", ""))
-_WORDS = {
-    "N": _N,  # an entry or count
-    "P": _P,  # a partition
-    "Q": st.lists(_N, min_size=4, max_size=4).map(",".join),  # a quadruple
-    "R": st.lists(_N, min_size=2, max_size=2).map(",".join),  # an o/sp pair
-    "S": st.lists(_P, min_size=4, max_size=4).map(",".join),  # a simple index
-    "F": st.sampled_from(cli.PLETHYSM_FAMILIES),
-    "H": st.sampled_from(list(cli.HOM_MOVES)),
-    "K": st.sampled_from(["o", "sp"]),
+# the words each declared reader is fuzzed with
+_READS = {
+    ascii_int: _N,  # an entry or count
+    parse_partition: _P,
+    parse_quad: st.lists(_N, min_size=4, max_size=4).map(",".join),
+    ospcat.parse_pair: st.lists(_N, min_size=2, max_size=2).map(",".join),
+    parse_simple_index: st.lists(_P, min_size=4, max_size=4).map(",".join),
 }
-_ARGVS = st.tuples(*(st.tuples(*(_WORDS.get(w, st.just(w)) for w in shape.split())) for shape in _SHAPES))
+
+
+def _words(spec):
+    """The fuzz words of one argument: a choices tuple draws from itself, a reader from ``_READS``."""
+    if not isinstance(spec, tuple) and spec not in _READS:
+        raise LookupError(f"no fuzz words for the reader {spec.__module__}.{spec.__qualname__}")
+    return st.sampled_from(spec) if isinstance(spec, tuple) else _READS[spec]
+
+
+def _extend(shapes: list[list], declared) -> list[list]:
+    """Each shape followed by the declared arguments in order; a flag both omitted and given."""
+    for name, spec in declared:
+        if spec is None:
+            shapes = shapes + [[*shape, st.just(name)] for shape in shapes]
+        else:
+            shapes = [[*shape, *([st.just(name)] if name[0] == "-" else []), _words(spec)] for shape in shapes]
+    return shapes
+
+
+def _shapes(name: str) -> list[list]:
+    """Every argv shape of a declared command, as strategies: a group's word and options (``osp --kind``), then
+    the command's word and arguments, read from ``cli.declaration``."""
+    group, _, word = name.rpartition(" ")
+    shapes = _extend([[st.just(group)]], list(cli.declaration(group)[0].items())[:-1]) if group else [[]]
+    return _extend([[*shape, st.just(word)] for shape in shapes], cli.declaration(name)[0].items())
+
+
+# deferred, so that a reader without fuzz words fails the fuzz test by name, not the module's collection
+_ARGVS = st.deferred(lambda: st.tuples(*(st.tuples(*shape) for name, *_ in cli.COMMANDS for shape in _shapes(name))))
 
 
 @settings(derandomize=True, max_examples=8, deadline=None)
@@ -712,12 +717,9 @@ def test_grammar_fuzz_exits_cleanly(cap, mode, argvs):
             VALIDATOR.validate(json.loads(out.getvalue()))
 
 
-def test_every_declared_command_is_fuzzed_and_golden():
+def test_every_declared_command_is_golden():
     declared = {name for name, *_ in cli.COMMANDS}
     assert len(declared) == len(cli.COMMANDS)
-    # a shape's lower-case words that are not options spell its command's name
-    fuzzed = {" ".join(w for w in shape.split() if w.islower() and not w.startswith("-")) for shape in _SHAPES}
-    assert fuzzed == declared
     names = {handler: name for name, handler, *_ in cli.COMMANDS}
     passed = (cli.read_argv(case["argv"]) for case in CORPUS if case["exit"] == 0)
     golden = {(names[args.handler], args.output or "text") for args in passed if args.handler}  # not --verify, --help
@@ -725,13 +727,12 @@ def test_every_declared_command_is_fuzzed_and_golden():
 
 
 def test_subprocess_byte_determinism():
-    import subprocess
-    import sys
-
     argv = [sys.executable, "-m", "tensorcat", "--output", "json", "decompose", "0,2,1,0"]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
-    optimized = subprocess.run([sys.executable, "-O", *argv[1:]], capture_output=True)  # -O strips asserts
+    env = child_env()
+    first = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    second = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    # -O strips asserts
+    optimized = subprocess.run([sys.executable, "-O", *argv[1:]], capture_output=True, env=env, timeout=60)
     assert first.returncode == 0 == optimized.returncode
     assert first.stdout == second.stdout == optimized.stdout
     assert first.stdout.endswith(b"\n")
@@ -743,10 +744,10 @@ JSON = ["--output", "json"]
 
 def _tensorcat(argv: list[str], buffered: bool, **streams) -> subprocess.Popen:
     """``python -m tensorcat`` on ``argv``, with stdout block-buffered (the default) or not (``-u``)."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     flags = [] if buffered else ["-u"]
-    return subprocess.Popen([sys.executable, *flags, "-m", "tensorcat", *argv], env={**env, "PYTHONPATH": path},
+    return subprocess.Popen([sys.executable, *flags, "-m", "tensorcat", *argv], env=env,
                             **{"stderr": subprocess.PIPE, **streams})
 
 

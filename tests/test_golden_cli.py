@@ -30,7 +30,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -147,13 +146,13 @@ def test_golden_cli_corpus(tmp_path):
 def test_check_mode_under_optimize():
     # the stand-alone check runs every case, {tmp} and environment ones included, and every
     # domain, and must pass with asserts stripped and a fixed hash seed, reading the records only
+    from quads import child_env
+
     records = [CORPUS_PATH, CORPUS_PATH.with_name("domain_digests.json")]
     before = [path.read_bytes() for path in records]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-O", __file__], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-O", __file__], env=child_env(PYTHONHASHSEED="1"), capture_output=True, text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert [path.read_bytes() for path in records] == before

@@ -14,7 +14,7 @@ from tensorcat.crosscheck import symmetrizer_scalar_agrees
 from tensorcat.diagrams import Partition, partitions, standard_tableau_count
 from tensorcat.errors import LimitExceeded
 from tensorcat.linalg import rank_of_rows
-from tensorcat.oracle import composite_orbit_rank, contract_orbit_rank
+from tensorcat.oracle import composite_orbit_rank
 from tensorcat.poset import QuadIndex
 from tensorcat.symalg import (
     GroupAlgebraElement,
@@ -243,7 +243,7 @@ def test_hom_dimension_matches_operator_orbit_ranks():
         l, m, n, p = q
         assert composite_orbit_rank(l, m, n, p, moves=()) == move_word_dimension(q, ()), q
         if m >= 1 and n >= 1:
-            assert contract_orbit_rank(l, m, n, p) == move_word_dimension(q, ("contract",)), q
+            assert composite_orbit_rank(l, m, n, p, moves=("contract",)) == move_word_dimension(q, ("contract",)), q
         if m >= 1:
             assert composite_orbit_rank(l, m, n, p, moves=("left",)) == move_word_dimension(q, ("left",)), q
         if n >= 1:
