@@ -25,13 +25,16 @@ def ext_to_unit(x, j):
     return ext_to_thick(x, (EMPTY, EMPTY), j)
 
 
-def test_resolution_socle_is_conjugate_pairs():
-    # the resolution term Lambda^j F (x) I is the unit's thick target socle; the first three written out by hand
+def test_resolution_term_socles():
+    # the resolution term Lambda^j F (x) I is the unit's thick target socle
     assert thick_target_socle(0, EMPTY, EMPTY) == Combination({simple(): 1})
     assert thick_target_socle(1, EMPTY, EMPTY) == Combination({simple(lam=[1], pi=[1]): 1})
     assert thick_target_socle(2, EMPTY, EMPTY) == Combination(
         {simple(lam=[2], pi=[1, 1]): 1, simple(lam=[1, 1], pi=[2]): 1}
     )
+
+
+def test_resolution_socle_is_conjugate_pairs():
     for j in range(7):
         socle = thick_target_socle(j, EMPTY, EMPTY)
         assert socle == Combination(
