@@ -1,8 +1,10 @@
-"""Indices, brute-force helpers and harness setup shared by the test modules, imported
-as a plain module (``from quads import ...``): pytest puts this directory on ``sys.path``."""
+"""Indices, brute-force helpers, the package's parsed source and harness setup shared by the test
+modules, imported as a plain module (``from quads import ...``): pytest puts this directory on ``sys.path``."""
 
 from __future__ import annotations
 
+import ast
+import functools
 import importlib.util
 import itertools
 import os
@@ -17,6 +19,7 @@ from tensorcat.poset import QuadIndex
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = ROOT / "tools"
+PACKAGE = ROOT / "src" / "tensorcat"
 
 
 def quads_with_sum_at_most(bound: int) -> list[QuadIndex]:
@@ -62,6 +65,58 @@ def brute_terms(mu: Partition, nu: Partition) -> dict[Partition, int]:
             if coeff:
                 terms[lam] = coeff
     return terms
+
+
+def group_size(sizes) -> int:
+    """The order of the product of symmetric groups of ``sizes``, by listing each block's permutations."""
+    count = 1
+    for size in sizes:
+        count *= len(list(itertools.permutations(range(size))))
+    return count
+
+
+@functools.cache
+def package_sources() -> dict[str, str]:
+    """The text of each module of this checkout's package, by file stem, read once per session."""
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@functools.cache
+def package_trees() -> dict[str, ast.Module]:
+    """The syntax tree of each module of this checkout's package, by file stem, parsed once per session."""
+    return {stem: ast.parse(source) for stem, source in package_sources().items()}
+
+
+def identifier(node: ast.AST) -> str:
+    """The name a node reads or binds: a Name, an attribute, an imported alias or a definition."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None) or ""
+
+
+def owned_nodes(tree: ast.AST, owner: str | None = None):
+    """(node, the innermost function holding it or None at module level) for each node under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        yield node, owner
+        yield from owned_nodes(node, node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+
+def imports(tree: ast.AST):
+    """(owner, absolute module, name) of each import in a module of the package, at any depth:
+    ``import a.b`` reads ``("a.b", None)``, ``from .x import y`` ``("tensorcat.x", "y")``, ``from . import x``
+    ``("tensorcat", "x")``."""
+    for node, owner in owned_nodes(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield owner, alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("tensorcat" if node.level else None, node.module)))
+            for alias in node.names:
+                yield owner, module, alias.name
+
+
+def importers(top: str) -> set[str]:
+    """The modules of the package that import the top-level module ``top``, at any depth."""
+    return {stem for stem, tree in package_trees().items() for _, module, _ in imports(tree)
+            if module.split(".")[0] == top}
 
 
 def child_env(**extra: str) -> dict[str, str]:

@@ -37,7 +37,7 @@ from tensorcat.symalg import (
     young_scalar,
 )
 from tensorcat.symfunc import schur_term_product
-from quads import all_indices_up_to, box, quads_with_sum_at_most
+from quads import all_indices_up_to, box, group_size, quads_with_sum_at_most
 
 P = Partition
 
@@ -169,19 +169,13 @@ def test_criterion_07_hom_dimensions():
     failures = []
     for q in quads_with_sum_at_most(5):
         l, m, n, p = q
-        if move_word_dimension(q, ()) != _enumerated_group_size((l, m, n, p)):
+        if move_word_dimension(q, ()) != group_size((l, m, n, p)):
             failures.append(("end", q))
-        if m >= 1 and n >= 1 and move_word_dimension(q, ("contract",)) != _enumerated_group_size(
-            (l, m, n, p)
-        ):
+        if m >= 1 and n >= 1 and move_word_dimension(q, ("contract",)) != group_size((l, m, n, p)):
             failures.append(("contract", q))
-        if m >= 1 and move_word_dimension(q, ("left",)) != _enumerated_group_size(
-            (l + 1, m, n, p)
-        ):
+        if m >= 1 and move_word_dimension(q, ("left",)) != group_size((l + 1, m, n, p)):
             failures.append(("shift-left", q))
-        if n >= 1 and move_word_dimension(q, ("right",)) != _enumerated_group_size(
-            (l, m, n, p + 1)
-        ):
+        if n >= 1 and move_word_dimension(q, ("right",)) != group_size((l, m, n, p + 1)):
             failures.append(("shift-right", q))
     for q in quads_with_sum_at_most(4):
         l, m, n, p = q
@@ -200,13 +194,6 @@ def test_criterion_07_hom_dimensions():
     ok = not failures
     _report(7, "hom dimensions vs explicit constructions", ok)
     assert ok, failures[:5]
-
-
-def _enumerated_group_size(sizes) -> int:
-    count = 1
-    for size in sizes:
-        count *= len(list(itertools.permutations(range(size))))
-    return count
 
 
 def test_criterion_08_quadratic_kernel():

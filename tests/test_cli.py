@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import ast
 import contextlib
 import errno
+import functools
 import io
 import json
 import os
@@ -20,7 +20,7 @@ from tensorcat.combination import Combination
 from tensorcat.diagrams import ascii_int, parse_partition
 from tensorcat.errors import ParseError
 from tensorcat.poset import QuadIndex, parse_quad
-from quads import ROOT, child_env, simple
+from quads import ROOT, child_env, importers, imports, package_trees, simple
 
 SCHEMA_PATH = ROOT / "schema" / "output.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
@@ -33,15 +33,22 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+@functools.cache
+def _start_up() -> tuple[set[str], set[str], set[str]]:
+    """sys.modules of one ``python -S`` child: at start, after ``import tensorcat.cli`` and after one call."""
+    script = (
+        "import sys; bare = set(sys.modules); import tensorcat.cli; imported = set(sys.modules); "
+        "tensorcat.cli.main(['decompose', '1,1,1,1']); print(*bare); print(*imported); print(*sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(), capture_output=True, text=True,
+                         check=True, timeout=60).stdout.splitlines()
+    return tuple(set(line.split()) for line in out[-3:])
+
+
 def test_cli_import_loads_only_what_every_command_needs():
     # a call's start-up is part of its cost: these modules serve one command or none
-    script = (
-        "import sys; bare = set(sys.modules); import tensorcat.cli; "
-        "print(' '.join(sorted(set(sys.modules) - bare)))"
-    )
-    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True,
-                         timeout=60).stdout
-    loaded = set(out.split())
+    bare, imported, _ = _start_up()
+    loaded = imported - bare
     assert "tensorcat.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json", "string"}, loaded
     # the oracle side is reached only through crosscheck, only by --verify
@@ -49,14 +56,12 @@ def test_cli_import_loads_only_what_every_command_needs():
 
 
 def test_only_cmd_verify_imports_crosscheck():
-    sites = set()  # (module, top-level function or None) of each import naming crosscheck
-    for path in (ROOT / "src" / "tensorcat").glob("*.py"):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
-                    if any("crosscheck" in name.split(".") for name in names):
-                        sites.add((path.stem, getattr(top, "name", None)))
+    sites = {  # (module, innermost function or None) of each import naming crosscheck
+        (stem, owner)
+        for stem, tree in package_trees().items()
+        for owner, module, name in imports(tree)
+        if "crosscheck" in f"{module}.{name}".split(".")
+    }
     assert sites == {("cli", "cmd_verify")}
 
 
@@ -388,13 +393,8 @@ def test_help_is_fixed_text(capsys):
 
 def test_a_call_imports_no_argument_parser():
     # the grammar is read without argparse, so a call loads neither it nor what it pulls in
-    script = (
-        "import sys, tensorcat.cli; tensorcat.cli.main(['decompose', '1,1,1,1']); "
-        "print(' '.join(sorted({'argparse', 'gettext', 'locale', 'shutil'} & set(sys.modules))) or '-')"
-    )
-    out = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(), capture_output=True, text=True,
-                         check=True, timeout=60).stdout.splitlines()
-    assert out[-1] == "-", out
+    _, _, called = _start_up()
+    assert not {"argparse", "gettext", "locale", "shutil"} & called, called
 
 
 def test_config_path_may_not_be_empty(tmp_path, capsys, monkeypatch):
@@ -431,29 +431,16 @@ def test_integer_arguments_are_strict_ascii(capsys, monkeypatch):
     assert code == 2 and out == "" and "degree 0 exceeds the configured cap -1" in err
 
 
-def _import_sites(module: str) -> list[tuple[str, int]]:
-    """(file, line) of each import of the top-level ``module`` in the package's source."""
-    sites = []
-    for path in (ROOT / "src" / "tensorcat").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
-            names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-            sites += [(path.name, node.lineno) for name in names if name.split(".")[0] == module]
-    return sites
-
-
 def test_argparse_converts_no_value():
     # cli reads its own grammar inside main's one try, so no module of the package imports argparse
-    assert _import_sites("argparse") == []
+    assert importers("argparse") == set()
 
 
 def test_cli_import_loads_neither_typing_nor_re():
     # the records are collections.namedtuple types: no module imports typing, and nothing else pulls in re
-    assert _import_sites("typing") == []
-    script = "import sys, tensorcat.cli; print(' '.join(sorted({'typing', 're'} & set(sys.modules))) or '-')"
-    out = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(), capture_output=True, text=True,
-                         check=True, timeout=60).stdout.splitlines()
-    assert out[-1] == "-", out
+    assert importers("typing") == set()
+    _, imported, _ = _start_up()
+    assert not {"typing", "re"} & imported, imported
 
 
 def test_output_determinism(capsys):

@@ -4,7 +4,6 @@ import ast
 import copy
 import itertools
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -23,6 +22,7 @@ from tensorcat.diagrams import (
 )
 from tensorcat.errors import ParseError
 from tensorcat.oracle import standard_tableaux_brute
+from quads import identifier, package_trees
 
 
 def test_normalization_and_invariants():
@@ -229,11 +229,8 @@ def test_parse_partition():
 def test_parse_error_is_raised_only_by_diagrams():
     # one input grammar: every index text is read by diagrams.read_fields and its
     # field readers, so no other module builds a ParseError
-    sites = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tensorcat").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "ParseError":
-                sites.append(path.stem)
+    sites = [stem for stem, tree in package_trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and identifier(node.func) == "ParseError"]
     assert sites and set(sites) == {"diagrams"}, sites
 
 

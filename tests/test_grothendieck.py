@@ -7,7 +7,7 @@ import pytest
 
 from tensorcat import config, ext, grothendieck, ospcat, symfunc
 from tensorcat.combination import Combination
-from tensorcat.diagrams import Partition, partitions, standard_tableau_count
+from tensorcat.diagrams import Partition, gl_dimension, partitions, standard_tableau_count
 from tensorcat.errors import LimitExceeded
 from tensorcat.grothendieck import (
     F_GEN,
@@ -167,17 +167,11 @@ def test_stable_dimension_check():
                 for idx, mult in decompose_j(q).items():
                     total += (
                         mult
-                        * _gl(idx.lam, d)
+                        * gl_dimension(idx.lam, d)
                         * rational_dimension(idx.mu, idx.nu, nv)
-                        * _gl(idx.pi, c)
+                        * gl_dimension(idx.pi, c)
                     )
                 assert total == expected, (q, c, d)
-
-
-def _gl(p: Partition, n: int) -> int:
-    from tensorcat.diagrams import gl_dimension
-
-    return gl_dimension(p, n)
 
 
 def test_defect_grading_of_factors():

@@ -1,11 +1,7 @@
 from __future__ import annotations
 
-import ast
-from pathlib import Path
-
 import pytest
 
-from tensorcat import oracle
 from tensorcat.combination import Combination
 from tensorcat.diagrams import EMPTY, Partition, partitions
 from tensorcat.errors import LimitExceeded
@@ -23,6 +19,7 @@ from tensorcat.oracle import (
     stable_mixed_tensor,
     standard_tableaux_brute,
 )
+from quads import imports, package_trees
 
 P = Partition
 
@@ -212,26 +209,15 @@ ORACLE_MAY_IMPORT = {
 ENGINE_ROUTES = {"symfunc", "plethysm", "ext", "ospcat", "poset", "cli"}
 
 
-def _package_imports(tree: ast.AST):
-    """(module, name) for each import from tensorcat; name is None for a whole module."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "tensorcat":
-                    yield alias.name.removeprefix("tensorcat").lstrip("."), None
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and module.split(".")[0] != "tensorcat":
-                continue
-            base = module.removeprefix("tensorcat").lstrip(".") if node.level == 0 else module
-            for alias in node.names:
-                yield (base, alias.name) if base else (alias.name, None)
-
-
 def test_oracle_imports_no_engine_route():
-    imports = list(_package_imports(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))))
-    assert imports
-    for module, name in imports:
+    imported = []  # (module below tensorcat, name), name None for a whole module
+    for _, module, name in imports(package_trees()["oracle"]):
+        if module == "tensorcat" and name:
+            module, name = f"tensorcat.{name}", None  # from . import x
+        if module.split(".")[0] == "tensorcat":
+            imported.append((module.removeprefix("tensorcat."), name))
+    assert imported
+    for module, name in imported:
         top = module.split(".")[0]
         assert top not in ENGINE_ROUTES, (module, name)
         assert top in ORACLE_MAY_IMPORT, (module, name)

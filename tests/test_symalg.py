@@ -5,7 +5,6 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial, lcm
-from pathlib import Path
 
 import pytest
 
@@ -29,7 +28,8 @@ from tensorcat.symalg import (
     young_scalar,
     young_symmetrizer,
 )
-from quads import quads_with_sum_at_most
+from quads import (ROOT, group_size, identifier, importers, imports, owned_nodes, package_sources, package_trees,
+                   quads_with_sum_at_most)
 
 P = Partition
 
@@ -199,10 +199,7 @@ def test_end_dimension():
 
 def test_end_dimension_counts_group_elements():
     for q in quads_with_sum_at_most(5):
-        count = 1
-        for size in q:
-            count *= len(list(itertools.permutations(range(size))))
-        assert move_word_dimension(q, ()) == count
+        assert move_word_dimension(q, ()) == group_size(q)
 
 
 def test_hom_dimension_examples():
@@ -215,18 +212,11 @@ def test_hom_dimension_counts_induced_bases():
     for q in quads_with_sum_at_most(5):
         l, m, n, p = q
         if m >= 1 and n >= 1:
-            assert move_word_dimension(q, ("contract",)) == _group_size((l, m, n, p))
+            assert move_word_dimension(q, ("contract",)) == group_size((l, m, n, p))
         if m >= 1:
-            assert move_word_dimension(q, ("left",)) == _group_size((l + 1, m, n, p))
+            assert move_word_dimension(q, ("left",)) == group_size((l + 1, m, n, p))
         if n >= 1:
-            assert move_word_dimension(q, ("right",)) == _group_size((l, m, n, p + 1))
-
-
-def _group_size(sizes) -> int:
-    count = 1
-    for size in sizes:
-        count *= len(list(itertools.permutations(range(size))))
-    return count
+            assert move_word_dimension(q, ("right",)) == group_size((l, m, n, p + 1))
 
 
 def test_hom_dimension_inapplicable_flavors():
@@ -345,25 +335,11 @@ def test_group_algebra_product_refuses_mismatched_sizes():
         b * a
 
 
-def _imports_fractions(source: str) -> bool:
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions" for a in node.names):
-            return True
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "fractions":
-            return True
-    return False
-
-
 def test_only_symalg_imports_fractions():
-    assert _imports_fractions("from fractions import Fraction")
-    assert _imports_fractions("import fractions as f")
-    assert not _imports_fractions("from .fractions import Fraction")
-    importers = {
-        path.stem
-        for path in Path(symalg.__file__).parent.glob("*.py")
-        if _imports_fractions(path.read_text(encoding="utf-8"))
-    }
-    assert importers <= {"symalg"}, importers
+    assert list(imports(ast.parse("from fractions import Fraction"))) == [(None, "fractions", "Fraction")]
+    assert list(imports(ast.parse("import fractions as f"))) == [(None, "fractions", None)]
+    assert list(imports(ast.parse("from .fractions import Fraction"))) == [(None, "tensorcat.fractions", "Fraction")]
+    assert importers("fractions") <= {"symalg"}, importers("fractions")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -387,11 +363,11 @@ def test_no_unused_module_level_imports():
     assert _unused_imports("from .grothendieck import UNIT, simple\nsimple()") == ["UNIT"]
     assert _unused_imports("import os.path\nos.sep") == []
     assert _unused_imports("from .a import b  # noqa: F401") == []
-    unused = {
-        path.stem: names
-        for path in Path(symalg.__file__).parent.glob("*.py")
-        if (names := _unused_imports(path.read_text(encoding="utf-8")))
-    }
+    # the package, and the harness around it
+    sources = {f"src/tensorcat/{stem}.py": source for stem, source in package_sources().items()}
+    for path in [*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]:
+        sources[str(path.relative_to(ROOT))] = path.read_text(encoding="utf-8")
+    unused = {name: names for name, source in sources.items() if (names := _unused_imports(source))}
     assert not unused, unused
 
 
@@ -443,18 +419,16 @@ def test_every_public_engine_name_has_a_caller_outside_tests():
     assert _referenced_names("s = t.u") == {"t", "u"}
     assert _referenced_names("s = t.u", bare=False) == {"u"}
     assert _public_definitions("def f(): g()\nclass _C: pass\nclass D: pass") == {"f", "D"}
-    root = Path(__file__).resolve().parents[1]
-    package = root / "src" / "tensorcat"
     referenced = set()
-    for path in package.glob("*.py"):
-        referenced |= _referenced_names(path.read_text(encoding="utf-8"))
-    for path in (root / "perfbench").glob("*.py"):
+    for source in package_sources().values():
+        referenced |= _referenced_names(source)
+    for path in (ROOT / "perfbench").glob("*.py"):
         referenced |= _referenced_names(path.read_text(encoding="utf-8"), bare=False)
     test_only = {
-        f"{path.stem}.{name}"
-        for path in package.glob("*.py")
-        if path.stem not in ("oracle", "cli")
-        for name in _public_definitions(path.read_text(encoding="utf-8"))
+        f"{stem}.{name}"
+        for stem, source in package_sources().items()
+        if stem not in ("oracle", "cli")
+        for name in _public_definitions(source)
         if name not in referenced
     }
     assert test_only == set(TEST_ONLY_ROUTES), sorted(test_only ^ set(TEST_ONLY_ROUTES))
@@ -462,33 +436,20 @@ def test_every_public_engine_name_has_a_caller_outside_tests():
 
 def test_engine_has_no_assert_statement():
     # python -O strips assert statements, so an engine check raises explicitly
-    sites = [
-        f"{path.name}:{node.lineno}"
-        for path in Path(symalg.__file__).parent.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
+    sites = [f"{stem}.py:{node.lineno}" for stem, tree in package_trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
     assert not sites, sites
-
-
-def _identifier(node: ast.AST) -> str:
-    """The name a node reads or binds: a Name, an attribute, an imported alias or a definition."""
-    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None) or ""
 
 
 def test_every_refusal_is_raised_by_check_limit():
     # every cap, guard and fixed limit refuses through config.check_limit, the one
     # place a refusal is built, so each refusal has one type and one message form
     sites, refusal_names = [], set()
-    for path in sorted(Path(symalg.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            if _identifier(node).endswith("Exceeded"):
-                refusal_names.add(_identifier(node))
-            if isinstance(node, ast.Call) and _identifier(node.func).endswith("Exceeded"):
-                owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-                owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
-                sites.append((f"{path.stem}.{owner}", node.lineno))
+    for stem, tree in package_trees().items():
+        for node, owner in owned_nodes(tree):
+            if identifier(node).endswith("Exceeded"):
+                refusal_names.add(identifier(node))
+            if isinstance(node, ast.Call) and identifier(node.func).endswith("Exceeded"):
+                sites.append((f"{stem}.{owner or '<module>'}", node.lineno))
     assert [site for site, _ in sites] == ["config.check_limit"], sites
     assert refusal_names == {"LimitExceeded"}, refusal_names
