@@ -93,10 +93,11 @@ def identifier(node: ast.AST) -> str:
 
 
 def owned_nodes(tree: ast.AST, owner: str | None = None):
-    """(node, the innermost function holding it or None at module level) for each node under ``tree``."""
+    """(node, the innermost function holding it or None at module level) for each node under ``tree``; a
+    function's decorators and defaults count as inside it."""
     for node in ast.iter_child_nodes(tree):
         yield node, owner
-        yield from owned_nodes(node, node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+        yield from owned_nodes(node, node.name if isinstance(node, ast.FunctionDef) else owner)
 
 
 def imports(tree: ast.AST):
