@@ -17,6 +17,16 @@ cleared of denominators first, which keeps the rank, and its products are
 built on int coefficient dicts by ``_multiply``, the same product that
 ``GroupAlgebraElement.__mul__`` applies to Fraction coefficients.
 
+Symmetrizer-sized groups, S_n with n <= YOUNG_SYMMETRIZER_MAX_BOXES, build
+their elements once per process: ``_group_keys(n)`` maps each permutation to
+its one key (perm,), 874 permutations for n = 0..6.  The Young symmetrizers and
+the corner's translates take their keys from it and compose r*s with one
+itemgetter call, so all symmetrizers of S_n draw on one set of n! keys, and
+their coefficients are two shared Fractions, +1 and -1.  quadratic_kernel_check
+stays off the table: its slots reach S_8 under the default group guard, and a
+table held for the life of the process would keep 40,320 keys there (about
+7 MB).
+
 One closed form, move_word_dimension, gives the span of a word of moves out of
 J(q) in the move model; the empty-word, one-move, composition and kernel numbers
 are read off it.  These spans are not claimed as Hom spaces of the category:
@@ -25,10 +35,12 @@ are read off it.  These spans are not claimed as Hom spaces of the category:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from operator import index as integer
+from operator import itemgetter
 
 from .config import check_guard, check_limit
 from .diagrams import Partition, standard_tableau_count
@@ -38,6 +50,8 @@ from .poset import QuadIndex
 Perm = tuple[int, ...]
 
 YOUNG_SYMMETRIZER_MAX_BOXES = 6
+
+_SIGNS = {1: Fraction(1), -1: Fraction(-1)}  # every symmetrizer coefficient is one of these two
 
 
 def identity_perm(n: int) -> Perm:
@@ -122,14 +136,34 @@ def _canonical_filling(lam: Partition) -> list[list[int]]:
     return rows
 
 
-def _stabilizer_perms(groups: list[list[int]], n: int):
-    """All permutations of 0..n-1 permuting each listed block within itself."""
-    for choice in itertools.product(*[itertools.permutations(block) for block in groups]):
-        perm = list(range(n))
-        for block, image in zip(groups, choice):
-            for src, dst in zip(block, image):
-                perm[src] = dst
-        yield tuple(perm)
+@functools.cache
+def _group_keys(n: int) -> dict[Perm, tuple[Perm]]:
+    """Each permutation of 0..n-1, in itertools.permutations order, mapped to
+    its one group-algebra key (perm,).  Only symmetrizer-sized groups come
+    here: n <= YOUNG_SYMMETRIZER_MAX_BOXES."""
+    return {perm: (perm,) for perm in itertools.permutations(range(n))}
+
+
+def _right_composer(s: Perm):
+    """The map r -> r*s as one C call.  For n <= 1, s is the identity, and
+    itemgetter would return a scalar (n = 1) or refuse (n = 0)."""
+    return itemgetter(*s) if len(s) > 1 else tuple
+
+
+def _stabilizer_perms(blocks: list[list[int]], n: int):
+    """All permutations of 0..n-1 permuting each listed block within itself.
+
+    The blocks must partition 0..n-1.  Each element is the concatenation of
+    one permutation per block, in itertools.product order, put back into
+    label order by one itemgetter.
+    """
+    if n <= 1:
+        yield tuple(range(n))
+        return
+    place = {label: k for k, label in enumerate(itertools.chain.from_iterable(blocks))}
+    in_label_order = itemgetter(*(place[label] for label in range(n)))
+    for choice in itertools.product(*map(itertools.permutations, blocks)):
+        yield in_label_order(sum(choice, ()))
 
 
 def young_symmetrizer(lam: Partition) -> GroupAlgebraElement:
@@ -148,9 +182,10 @@ def young_symmetrizer(lam: Partition) -> GroupAlgebraElement:
         [filling[i][j] for i in range(conj[j])]
         for j in range(len(conj))
     ]
-    signed = [(s, Fraction(perm_sign(s))) for s in _stabilizer_perms(columns, n)]
+    keys = _group_keys(n)
+    signed = [(_right_composer(s), _SIGNS[perm_sign(s)]) for s in _stabilizer_perms(columns, n)]
     return GroupAlgebraElement(
-        (n,), {(compose(r, s),): sign for r in _stabilizer_perms(filling, n) for s, sign in signed}
+        (n,), {keys[times_s(r)]: sign for r in _stabilizer_perms(filling, n) for times_s, sign in signed}
     )
 
 
@@ -252,8 +287,10 @@ def _corner_rank(c: GroupAlgebraElement) -> int:
     (n,) = c.sizes
     den = math.lcm(*(v.denominator for v in c.coeffs.values()))
     integral = {g: v.numerator * (den // v.denominator) for g, v in c.coeffs.items()}
-    elements = [(g,) for g in itertools.permutations(range(n))]
-    translates = [{(compose(g, h),): v for (h,), v in integral.items()} for (g,) in elements]
+    keys = _group_keys(n)
+    elements = list(keys.values())
+    terms = [(_right_composer(h), v) for (h,), v in integral.items()]
+    translates = [{keys[times_h(g)]: v for times_h, v in terms} for g in keys]
     products = [_multiply(integral, row) for row in row_basis(translates, elements)]
     return rank_of_rows(products, elements)
 

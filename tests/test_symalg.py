@@ -4,7 +4,7 @@ import ast
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -49,17 +49,47 @@ def test_young_symmetrizer_row_and_column_cases():
     assert (c_col * c_col) == c_col.scale(2)
 
 
+def _filling_blocks(lam: Partition) -> tuple[list[list[int]], list[list[int]]]:
+    """The rows and the columns of the canonical filling of ``lam``: boxes numbered 0..n-1 row by row."""
+    conj = lam.conjugate()
+    rows = [list(range(sum(lam[:i]), sum(lam[: i + 1]))) for i in range(len(lam))]
+    return rows, [[rows[i][j] for i in range(conj[j])] for j in range(len(conj))]
+
+
+def test_stabilizer_perms_are_exactly_the_block_stabilizers():
+    for n in range(7):
+        for lam in partitions(n):
+            for blocks in _filling_blocks(lam):
+                found = list(symalg._stabilizer_perms(blocks, n))
+                expected = {p for p in itertools.permutations(range(n))
+                            if all(p[i] in block for block in blocks for i in block)}
+                assert len(set(found)) == len(found), (lam, blocks)
+                assert set(found) == expected, (lam, blocks)
+                assert len(found) == prod(factorial(len(block)) for block in blocks), (lam, blocks)
+
+
 def test_young_symmetrizer_is_row_sum_times_column_sum():
     for n in range(7):
         for lam in partitions(n):
-            conj = lam.conjugate()
-            rows = [list(range(sum(lam[:i]), sum(lam[: i + 1]))) for i in range(len(lam))]
-            columns = [[rows[i][j] for i in range(conj[j])] for j in range(len(conj))]
+            rows, columns = _filling_blocks(lam)
             row_sum = GroupAlgebraElement((n,), {(p,): 1 for p in symalg._stabilizer_perms(rows, n)})
             col_sum = GroupAlgebraElement((n,), {(p,): perm_sign(p) for p in symalg._stabilizer_perms(columns, n)})
             c = young_symmetrizer(lam)
             assert c == row_sum * col_sum, lam
+            assert list(c.coeffs) == list((row_sum * col_sum).coeffs), lam
             assert all(type(v) is Fraction for v in c.coeffs.values()), lam
+
+
+def test_symmetrizers_share_one_key_table_that_the_kernel_check_leaves_alone():
+    symalg._group_keys.cache_clear()
+    c, d = young_symmetrizer(P([3, 2])), young_symmetrizer(P([2, 2, 1]))
+    table = symalg._group_keys(5)
+    assert all(key is table[key[0]] for e in (c, d) for key in e.coeffs)
+    assert len({id(v) for e in (c, d) for v in e.coeffs.values()}) == 2  # one Fraction per sign
+    # the kernel's slots reach S_8 under the default guard, too large to keep
+    size = symalg._group_keys.cache_info().currsize
+    assert quadratic_kernel_check(QuadIndex(0, 4, 4, 0))
+    assert symalg._group_keys.cache_info().currsize == size == 1
 
 
 def test_young_symmetrizer_hook_case():
@@ -342,8 +372,9 @@ def test_only_symalg_imports_fractions():
     assert importers("fractions") <= {"symalg"}, importers("fractions")
 
 
-def _unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _unused_imports(tree: ast.Module, source: str) -> list[str]:
+    """Module-level imports of ``tree`` whose name no Name node reads; ``source`` is its text, for the
+    ``# noqa: F401`` lines."""
     lines = source.splitlines()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = []
@@ -360,14 +391,17 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_no_unused_module_level_imports():
-    assert _unused_imports("from .grothendieck import UNIT, simple\nsimple()") == ["UNIT"]
-    assert _unused_imports("import os.path\nos.sep") == []
-    assert _unused_imports("from .a import b  # noqa: F401") == []
+    for snippet, names in [("from .grothendieck import UNIT, simple\nsimple()", ["UNIT"]),
+                           ("import os.path\nos.sep", []),
+                           ("from .a import b  # noqa: F401", [])]:
+        assert _unused_imports(ast.parse(snippet), snippet) == names, snippet
     # the package, and the harness around it
-    sources = {f"src/tensorcat/{stem}.py": source for stem, source in package_sources().items()}
+    unused = {f"src/tensorcat/{stem}.py": names for stem, source in package_sources().items()
+              if (names := _unused_imports(package_trees()[stem], source))}
     for path in [*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]:
-        sources[str(path.relative_to(ROOT))] = path.read_text(encoding="utf-8")
-    unused = {name: names for name, source in sources.items() if (names := _unused_imports(source))}
+        source = path.read_text(encoding="utf-8")
+        if names := _unused_imports(ast.parse(source), source):
+            unused[str(path.relative_to(ROOT))] = names
     assert not unused, unused
 
 
@@ -384,14 +418,14 @@ TEST_ONLY_ROUTES = {
 }
 
 
-def _referenced_names(source: str, bare: bool = True) -> set[str]:
+def _referenced_names(tree: ast.AST, bare: bool = True) -> set[str]:
     """Names a module reads: attributes, imported names, dotted strings and, if ``bare``, bare names it loads.
 
     A benchmark file reaches the engine only through the first three, so its
     bare names (a local variable, say) are not counted.
     """
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             if bare and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -406,29 +440,29 @@ def _referenced_names(source: str, bare: bool = True) -> set[str]:
     return names
 
 
-def _public_definitions(source: str) -> set[str]:
+def _public_definitions(tree: ast.Module) -> set[str]:
     return {
         node.name
-        for node in ast.parse(source).body
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
 
 
 def test_every_public_engine_name_has_a_caller_outside_tests():
-    assert _referenced_names("import a\nb.c('x.y', 'not a name')") == {"b", "c", "x", "y"}
-    assert _referenced_names("s = t.u") == {"t", "u"}
-    assert _referenced_names("s = t.u", bare=False) == {"u"}
-    assert _public_definitions("def f(): g()\nclass _C: pass\nclass D: pass") == {"f", "D"}
+    assert _referenced_names(ast.parse("import a\nb.c('x.y', 'not a name')")) == {"b", "c", "x", "y"}
+    assert _referenced_names(ast.parse("s = t.u")) == {"t", "u"}
+    assert _referenced_names(ast.parse("s = t.u"), bare=False) == {"u"}
+    assert _public_definitions(ast.parse("def f(): g()\nclass _C: pass\nclass D: pass")) == {"f", "D"}
     referenced = set()
-    for source in package_sources().values():
-        referenced |= _referenced_names(source)
+    for tree in package_trees().values():
+        referenced |= _referenced_names(tree)
     for path in (ROOT / "perfbench").glob("*.py"):
-        referenced |= _referenced_names(path.read_text(encoding="utf-8"), bare=False)
+        referenced |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")), bare=False)
     test_only = {
         f"{stem}.{name}"
-        for stem, source in package_sources().items()
+        for stem, tree in package_trees().items()
         if stem not in ("oracle", "cli")
-        for name in _public_definitions(source)
+        for name in _public_definitions(tree)
         if name not in referenced
     }
     assert test_only == set(TEST_ONLY_ROUTES), sorted(test_only ^ set(TEST_ONLY_ROUTES))
