@@ -178,18 +178,21 @@ def cmd_covers(args, cfg):
     return map(str, found) if found else ["(none)"], found
 
 
+def _ext_output(args, cfg, target: tuple[Partition, Partition]):
+    check_cap(args.index.degree, cfg.degree_cap)
+    check_cap(args.degree, cfg.degree_cap)
+    return scalar_output(ext_mod.ext_to_thick(args.index, target, args.degree))
+
+
 @command("ext-trivial", ("index", parse_simple_index), DEGREE, help="Ext dimension into the unit object")
 def cmd_ext_trivial(args, cfg):
-    check_cap(args.index.degree, cfg.degree_cap)
-    return scalar_output(ext_mod.ext_to_thick(args.index, (EMPTY, EMPTY), args.degree))
+    return _ext_output(args, cfg, (EMPTY, EMPTY))
 
 
 @command("ext-thick", ("index", parse_simple_index), ("alpha", parse_partition), ("beta", parse_partition), DEGREE,
          help="Ext dimension into a purely thick simple")
 def cmd_ext_thick(args, cfg):
-    check_cap(args.index.degree, cfg.degree_cap)
-    check_cap(args.degree, cfg.degree_cap)
-    return scalar_output(ext_mod.ext_to_thick(args.index, (args.alpha, args.beta), args.degree))
+    return _ext_output(args, cfg, (args.alpha, args.beta))
 
 
 @command("ext-vanishes", ("source", parse_simple_index), ("target", parse_simple_index), DEGREE,

@@ -49,9 +49,9 @@ def check_cap(value: int, cap: int | None, what: str = "degree") -> None:
     check_limit(value, DEFAULT_DEGREE_CAP if cap is None else cap, what, "the configured cap")
 
 
-def check_guard(value: int, guard: int | None, what: str = "total boxes") -> None:
-    """Refuse ``value`` above the group-algebra guard (the default when None)."""
-    check_limit(value, DEFAULT_GROUP_GUARD if guard is None else guard, what, "the group-algebra guard")
+def check_guard(value: int, guard: int | None) -> None:
+    """Refuse a total of ``value`` boxes above the group-algebra guard (the default when None)."""
+    check_limit(value, DEFAULT_GROUP_GUARD if guard is None else guard, "total boxes", "the group-algebra guard")
 
 
 def _open_without_waiting(path: str, flags: int) -> int:

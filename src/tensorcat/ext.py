@@ -2,16 +2,15 @@
 
 The resolution has terms Lambda^j F (x) I whose socles are the exterior
 Cauchy pairs in the two thick slots.  In total degree d its layers form the
-Koszul complex K(i) = Lambda^i F (x) S^{d-i} F, which is exact for d >= 1;
-kernel and image layers are its right and left tails, and its full signed sum
-is the Euler shadow.  Each degree's tails are summed once, by the running
-differences right[j] = K(j) - right[j+1] and left[j] = K(j-1) - left[j-1],
+Koszul complex K(i) = Lambda^i F (x) S^{d-i} F, which is exact for d >= 1.
+Each degree has one table of tails, tail[j] = K(j) - tail[j+1], summed once
 and cached (``_koszul_tails``): every later layer of that degree is a lookup,
-while a one-shot layer pays for its whole degree.  Each degree's thick
-indices are built once, and all its tails share them.  Ext dimensions are
-closed-form exactly for purely thick targets, the unit (the thick target
-indexed by two empty diagrams) among them, and the sharpness of the defect
-grading supplies a vanishing test for every other pair.
+while a one-shot layer pays for its whole degree.  Kernel and image layers
+both read it; ``euler_shadow`` (tail[0]) is where exactness is stated, and
+its vanishing is why the image layers need no table of their own.  Ext
+dimensions are closed-form exactly for purely thick targets, the unit (the
+thick target indexed by two empty diagrams) among them, and the sharpness of
+the defect grading supplies a vanishing test for every other pair.
 """
 
 from __future__ import annotations
@@ -37,30 +36,22 @@ def _koszul_pairs(i: int, j: int) -> Combination:
 
 
 @cache
-def _koszul_tails(d: int) -> tuple[tuple[Combination, ...], tuple[Combination, ...]]:
-    """Both signed tails of the degree-d Koszul complex K(i) = Lambda^i F (x) S^{d-i} F.
+def _koszul_tails(d: int) -> tuple[Combination, ...]:
+    """The one tail table of the degree-d Koszul complex K(i) = Lambda^i F (x) S^{d-i} F.
 
-    Returns (right, left) on thick indices, each indexed by j = 0..d:
-    right[j] = K(j) - right[j+1] (right[d+1] = 0) is the signed sum over
-    i = j..d, and left[j] = K(j-1) - left[j-1] (left[0] = 0) the one over
-    i = 0..j-1.  Each K(i) is read once, so a whole degree costs 2(d+1) term
-    visits; the trade is that a single layer pays for its whole degree.
-    Each thick index (lam, (), (), pi) is built once, from the pairs of the
-    K(i), and all 2(d+1) tails share it.
+    On thick indices, for j = 0..d: tail[j] = K(j) - tail[j+1] (tail[d+1] = 0),
+    the signed sum over i = j..d.  The left tail over i = 0..j-1 differs from
+    it by (-1)^(j-1) tail[0], the Euler shadow, which vanishes by exactness,
+    so image layers read this table too.  Each K(i) is read once; the trade is
+    that a single layer pays for its whole degree.  Each thick index is built
+    once, from the pairs of the K(i), and all d+1 tails share it.
     """
     terms = [_koszul_pairs(i, d - i) for i in range(d + 1)]
-    right = [Combination()] * (d + 2)
-    for j in range(d, -1, -1):
-        right[j] = terms[j] - right[j + 1]
-    left = [Combination()] * (d + 1)
-    for j in range(1, d + 1):
-        left[j] = terms[j - 1] - left[j - 1]
     index = {(lam, pi): SimpleIndex(lam, EMPTY, EMPTY, pi) for term in terms for lam, pi in term}
-
-    def thick(tail: Combination) -> Combination:
-        return Combination({index[pair]: mult for pair, mult in tail.items()})
-
-    return tuple(map(thick, right[:-1])), tuple(map(thick, left))
+    tails = [Combination()] * (d + 2)
+    for j in range(d, -1, -1):
+        tails[j] = terms[j] - tails[j + 1]
+    return tuple(Combination({index[pair]: mult for pair, mult in tail.items()}) for tail in tails[:-1])
 
 
 def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
@@ -73,19 +64,20 @@ def kernel_layer(j: int, k: int, cap: int | None = None) -> Combination:
     if j < 0 or k < 0:
         raise ValueError("kernel layer indices must be non-negative")
     check_cap(2 * (j + k), cap)
-    return _koszul_tails(j + k)[0][j].require_nonnegative()
+    return _koszul_tails(j + k)[j].require_nonnegative()
 
 
 def image_layer(j: int, k: int, cap: int | None = None) -> Combination:
-    """Layer k of the image of the resolution map landing in degree j: the left tail.
+    """Layer k of the image of the resolution map landing in degree j.
 
     The signed sum of Lambda^i F (x) S^{j+k-i} F over i = 0..j-1; at j = 1 it
-    is S^{k+1}F.  It equals kernel_layer(j, k) because the complex is exact.
+    is S^{k+1}F.  Exactness (``euler_shadow`` vanishes) makes it the right
+    tail, so it is the same object kernel_layer(j, k) returns.
     """
     if j < 1 or k < 0:
         raise ValueError("image layers exist for degree >= 1 and layer >= 0")
     check_cap(2 * (j + k), cap)
-    return _koszul_tails(j + k)[1][j].require_nonnegative()
+    return _koszul_tails(j + k)[j].require_nonnegative()
 
 
 def ext_to_thick(x: SimpleIndex, target: tuple[Partition, Partition], q: int) -> int:
@@ -135,8 +127,8 @@ def ext_vanishes(s: SimpleIndex, t: SimpleIndex, q: int) -> bool:
 def euler_shadow(d: int) -> Combination:
     """Signed sum over i+j = d of (-1)^i [Lambda^i F (x) S^j F] on thick indices.
 
-    The resolution being exact, the result is empty for every d >= 1.
+    Exactness is stated here: the result is empty for every d >= 1.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return _koszul_tails(d)[0][0]
+    return _koszul_tails(d)[0]

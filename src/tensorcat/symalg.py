@@ -295,13 +295,14 @@ def _corner_rank(c: GroupAlgebraElement) -> int:
     return rank_of_rows(products, elements)
 
 
-def corner_algebra_dimension(lam: Partition, pi: Partition, guard: int | None = None) -> int:
+def corner_algebra_dimension(lam: Partition, pi: Partition) -> int:
     """Rank of the two-sided Young-projector corner of C[S_l x S_p].
 
     The corner of c_lam ⊗ c_pi is the tensor product of the two one-factor
     corners, so its rank is the product of theirs.  Scalar endomorphism
-    algebras show up as rank one here.
+    algebras show up as rank one here.  Refused above the default
+    group-algebra guard.
     """
     lam, pi = Partition(lam), Partition(pi)
-    check_guard(lam.degree + pi.degree, guard)
+    check_guard(lam.degree + pi.degree, None)
     return _corner_rank(young_symmetrizer(lam)) * _corner_rank(young_symmetrizer(pi))

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from tensorcat import cli, ospcat, plethysm
 from tensorcat.cli import main, parse_simple_index
-from tensorcat.combination import Combination
+from tensorcat.combination import Combination, index_label
 from tensorcat.diagrams import ascii_int, parse_partition
 from tensorcat.errors import ParseError
 from tensorcat.poset import QuadIndex, parse_quad
-from quads import ROOT, child_env, importers, imports, package_trees, simple
+from quads import ROOT, all_indices_up_to, child_env, importers, imports, package_trees, simple
 
 SCHEMA_PATH = ROOT / "schema" / "output.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text(encoding="utf-8"))
@@ -226,6 +226,16 @@ def test_chains_without_a_chain_print_none_before_any_walk(capsys, monkeypatch):
     # the same invariant, a outside b's box (its p is smaller than b's)
     code, out, err = run(capsys, "chains", f"{huge},0,0,0", f"1,{huge},0,1")
     assert (code, out, err) == (0, "(none)\n", "")
+
+
+def test_ext_trivial_is_ext_thick_at_the_empty_target(capsys):
+    # one body answers and refuses for both: the cap bounds the index degree and --degree alike
+    for index in all_indices_up_to(4):
+        text = index_label(index)
+        for degree in range(14):
+            trivial = run(capsys, "ext-trivial", text, "--degree", str(degree))
+            assert trivial == run(capsys, "ext-thick", text, "[]", "[]", "--degree", str(degree)), (text, degree)
+            assert trivial[0] == (2 if degree > 12 else 0), (text, degree)
 
 
 def test_exit_codes(capsys):
