@@ -4,12 +4,13 @@ Everything here works at the level of explicit monomials, explicit tableaux,
 or explicit linear operators on small tensor spaces, on purpose sharing no
 code path with the Littlewood-Richardson engine it is used to check:
 
-* Schur polynomials by semistandard-tableau enumeration, and greedy
-  leading-term decomposition of symmetric polynomials (one or two alphabets);
+* Schur polynomials by semistandard-tableau enumeration;
+* Schur multiplicities by one Weyl alternation, s_w = a_(w+rho) / a_rho,
+  which serves one alphabet, two alphabets and Laurent characters;
 * symmetric/exterior powers of squares and of tensor products by direct
   orbit summation over weight multisets;
 * stable decompositions of mixed tensor powers by rational character
-  arithmetic with inverse variables and Weyl alternation;
+  arithmetic with inverse variables;
 * standard-tableau counting by enumeration;
 * LR coefficients by cell filling: the tableaux of one skew shape, counted
   one cell at a time;
@@ -30,11 +31,10 @@ import itertools
 from functools import cache, reduce
 from math import comb
 
-from .combination import Combination, index_label
+from .combination import Combination
 from .config import check_limit
 from .diagrams import Partition, gl_dimension, partitions
 from .linalg import rank_of_rows
-from .symalg import perm_sign
 from .grothendieck import SimpleIndex
 
 EXPAND_MAX_BOXES = 8
@@ -59,14 +59,18 @@ def poly_product(a: Combination, b: Combination) -> Combination:
     return Combination(out)
 
 
+def _fixed_by_swaps(poly: Combination, positions) -> bool:
+    """True when swapping the variables at i and i + 1, for each i in positions, leaves poly unchanged."""
+    return all(
+        poly.coefficient(mono[:i] + (mono[i + 1], mono[i]) + mono[i + 2 :]) == c
+        for i in positions
+        for mono, c in poly.items()
+    )
+
+
 def is_symmetric(poly: Combination) -> bool:
-    """True when every monomial has the coefficient of its sorted rearrangement."""
-    return all(poly.coefficient(tuple(sorted(mono, reverse=True))) == c for mono, c in poly.items())
-
-
-def _embed(poly: Combination, before: int, after: int) -> Combination:
-    """The same polynomial among more variables: zero exponents before and after its own."""
-    return Combination({(0,) * before + mono + (0,) * after: c for mono, c in poly.items()})
+    """True when each swap of adjacent variables, and so each permutation, leaves poly unchanged."""
+    return _fixed_by_swaps(poly, range(len(next(iter(poly), ())) - 1))
 
 
 def expand_schur(lam: Partition, nvars: int) -> Combination:
@@ -103,59 +107,52 @@ def expand_schur(lam: Partition, nvars: int) -> Combination:
     return Combination(out)
 
 
-def _peel_schur(poly: Combination, sizes: tuple[int, ...], expect_nonnegative: bool = False) -> Combination:
-    """Greedy leading-term subtraction of products of Schur polynomials.
+def _alternate(poly: Combination, sizes: tuple[int, ...]) -> dict[tuple[Monomial, ...], int]:
+    """Schur multiplicities by Weyl alternation, s_w = a_(w+rho) / a_rho, alphabet by alphabet.
 
-    The variables split into consecutive alphabets of the given sizes.  The
-    leading monomial is the graded-lexicographic maximum taken alphabet by
-    alphabet; its coefficient times the product of one Schur polynomial per
-    alphabet is subtracted until nothing is left.  The result is indexed by
-    tuples of partitions, one per alphabet.
+    The variables split into consecutive alphabets of the given sizes, and
+    poly must be symmetric inside each, so poly * a_rho is the alternant of
+    x^rho * poly.  Shifted by rho = (size-1, ..., 1, 0) in each alphabet, a
+    monomial alternates to 0 when an alphabet repeats an entry, else to the
+    sign of its sorting times a_(w+rho), w the sorted entries minus rho.  The
+    result maps each tuple of weights w (one weakly decreasing tuple per
+    alphabet) to its summed coefficient.  Exponents may be negative.
     """
     cuts = list(itertools.accumulate(sizes, initial=0))
-    nvars = cuts[-1]
-    if any(len(mono) != nvars for mono in poly):
-        raise ValueError(f"exponent tuples do not have {nvars} entries")
-    slices = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    remaining = poly
-    out = {}
-    while remaining:
-        lead = max(remaining, key=lambda m: tuple(k for s in slices for k in (sum(m[s]), m[s])))
-        blocks = [lead[s] for s in slices]
-        if any(block != tuple(sorted(block, reverse=True)) or min(block, default=0) < 0 for block in blocks):
-            raise ValueError(f"leading monomial {lead} is not a partition weight in each alphabet")
-        shape = tuple(Partition(block) for block in blocks)
-        coeff = remaining[lead]
-        if expect_nonnegative and coeff < 0:
-            raise ArithmeticError(
-                f"negative coefficient {coeff} at {index_label(shape)} in a claimed decomposition"
-            )
-        out[shape] = out.get(shape, 0) + coeff
-        factors = [
-            _embed(expand_schur(lam, s.stop - s.start), s.start, nvars - s.stop)
-            for lam, s in zip(shape, slices)
-        ]
-        remaining = remaining - reduce(poly_product, factors).scale(coeff)
-    return Combination(out)
+    if any(len(mono) != cuts[-1] for mono in poly):
+        raise ValueError(f"exponent tuples do not have {cuts[-1]} entries")
+    alphabets = list(zip(cuts, cuts[1:]))
+    if not _fixed_by_swaps(poly, [i for lo, hi in alphabets for i in range(lo, hi - 1)]):
+        raise ValueError("polynomial is not symmetric in each alphabet")
+    out: dict[tuple[Monomial, ...], int] = {}
+    for mono, c in poly.items():
+        weights = []
+        for lo, hi in alphabets:
+            rho = range(hi - lo - 1, -1, -1)
+            shifted = [e + r for e, r in zip(mono[lo:hi], rho)]
+            if len(set(shifted)) < len(shifted):
+                break
+            c *= (-1) ** sum(x < y for x, y in itertools.combinations(shifted, 2))
+            weights.append(tuple(e - r for e, r in zip(sorted(shifted, reverse=True), rho)))
+        else:
+            key = tuple(weights)
+            out[key] = out.get(key, 0) + c
+    return out
 
 
-def decompose_into_schur(poly: Combination, expect_nonnegative: bool = False) -> Combination:
-    """Greedy graded-lex leading-term subtraction into the Schur basis.
+def decompose_into_schur(poly: Combination) -> Combination:
+    """Schur multiplicities of a symmetric polynomial.
 
-    Negative coefficients are legitimate for virtual characters; pass
-    expect_nonnegative=True to flag them instead, for inputs that are claimed
-    to be honest decompositions.
+    A virtual character has negative ones; a caller that claims an honest
+    character checks with ``require_nonnegative()``.
     """
-    if not is_symmetric(poly):
-        raise ValueError("polynomial is not symmetric")
     nvars = len(next(iter(poly), ()))
-    peeled = _peel_schur(poly, (nvars,), expect_nonnegative)
-    return Combination({lam: c for (lam,), c in peeled.items()})
+    return Combination({Partition(w): c for (w,), c in _alternate(poly, (nvars,)).items()})
 
 
 def decompose_pair_into_schur(poly: Combination, a: int, b: int) -> Combination:
     """Decompose a polynomial symmetric in each of two alphabets separately."""
-    return _peel_schur(poly, (a, b))
+    return Combination({(Partition(v), Partition(w)): c for (v, w), c in _alternate(poly, (a, b)).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +226,8 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination
     """Decompose (dual)^(x m) (x) (natural)^(x n) into rational irreducibles.
 
     Works inside GL(nvars) with genuine inverse variables; the multiplicity of
-    the highest weight w is extracted by Weyl alternation over the symmetric
-    group. Multiplicities are stable once nvars >= 2(m+n), which is required.
+    the highest weight w is read by Weyl alternation of the Laurent character.
+    Multiplicities are stable once nvars >= 2(m+n), which is required.
     """
     _require_nonnegative(m=m, n=n)
     check_limit(m + n, 4, "mixed tensor factors")
@@ -244,22 +241,10 @@ def stable_mixed_tensor(m: int, n: int, nvars: int | None = None) -> Combination
     dual = Combination({tuple(-e for e in w): 1 for w in units})
     character = reduce(poly_product, [dual] * m + [natural] * n, Combination({(0,) * nvars: 1}))
 
-    # The multiplicity of w is the coefficient of x^(w+rho) in character *
-    # a_rho, the alternant of x^rho * character (the character is symmetric).
-    # x^(mono+rho) alternates to 0 when mono+rho repeats an entry, else to
-    # the sign of its sorting permutation times a_(sorted mono+rho).
-    rho = range(nvars - 1, -1, -1)
-    result = {}
-    for mono, c in character.items():
-        shifted = [e + r for e, r in zip(mono, rho)]
-        if len(set(shifted)) < nvars:
-            continue
-        order = sorted(range(nvars), key=shifted.__getitem__, reverse=True)
-        w = [shifted[i] - r for i, r in zip(order, rho)]
-        nu = Partition(e for e in w if e > 0)
-        mu = Partition(-e for e in reversed(w) if e < 0)
-        result[mu, nu] = result.get((mu, nu), 0) + c * perm_sign(tuple(order))
-    return Combination(result).require_nonnegative()
+    out = {}
+    for (w,), c in _alternate(character, (nvars,)).items():  # w = (nu, 0, ..., 0, -reversed(mu))
+        out[Partition(-e for e in reversed(w) if e < 0), Partition(e for e in w if e > 0)] = c
+    return Combination(out).require_nonnegative()
 
 
 def rational_dimension(mu: Partition, nu: Partition, nvars: int) -> int:

@@ -58,19 +58,32 @@ def test_decompose_handles_hand_expansions():
     assert decompose_into_schur(poly_product(e2, e1)) == Combination({P([2, 1]): 1, P([1, 1, 1]): 1})
 
 
+def test_is_symmetric_checks_every_permutation():
+    # each monomial's sorted rearrangement is present, yet x1 and x1^2*x2 + x3^2*x2 are not symmetric
+    assert not is_symmetric(Combination({(1, 0): 1}))
+    assert not is_symmetric(Combination({(2, 1, 0): 1, (0, 1, 2): 1}))
+
+
 def test_decompose_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         decompose_into_schur(Combination({(1, 0): 1}))
+    with pytest.raises(ValueError):
+        decompose_into_schur(Combination({(2, 1, 0): 1, (0, 1, 2): 1}))
     with pytest.raises(ValueError):  # three variables are not two alphabets of one
         decompose_pair_into_schur(expand_schur(P([1]), 3), 1, 1)
+    # two alphabets of two: x1 is symmetric in neither, x1 + x2 + y1 not in the second
+    with pytest.raises(ValueError):
+        decompose_pair_into_schur(Combination({(1, 0, 0, 0): 1}), 2, 2)
+    with pytest.raises(ValueError):
+        decompose_pair_into_schur(Combination({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1}), 2, 2)
 
 
 def test_decompose_virtual_characters():
-    # s_2 - s_11 is a virtual character: allowed by default, flagged on demand
+    # s_2 - s_11 is a virtual character: decomposed as is, refused by require_nonnegative
     virtual = expand_schur(P([2]), 3) - expand_schur(P([1, 1]), 3)
     assert decompose_into_schur(virtual) == Combination({P([2]): 1, P([1, 1]): -1})
     with pytest.raises(ArithmeticError):
-        decompose_into_schur(virtual, expect_nonnegative=True)
+        decompose_into_schur(virtual).require_nonnegative()
 
 
 def test_pair_decomposition_roundtrip():
@@ -199,11 +212,10 @@ def test_rational_dimension():
 
 # the oracle may share data types and primitives with the engine, never a route
 ORACLE_MAY_IMPORT = {
-    "combination": {"Combination", "index_label"},
+    "combination": {"Combination"},
     "diagrams": {"Partition", "gl_dimension", "partitions"},
     "config": {"check_limit"},
     "linalg": {"rank_of_rows"},
-    "symalg": {"perm_sign"},
     "grothendieck": {"SimpleIndex"},
 }
 ENGINE_ROUTES = {"symfunc", "plethysm", "ext", "ospcat", "poset", "cli"}
