@@ -4,7 +4,10 @@ Everything here works at the level of explicit monomials, explicit tableaux,
 or explicit linear operators on small tensor spaces, on purpose sharing no
 code path with the Littlewood-Richardson engine it is used to check:
 
-* Schur polynomials by semistandard-tableau enumeration;
+* Schur polynomials and LR coefficients by one semistandard filler of a
+  skew shape, cell by cell in reverse reading order: s_lam sums the
+  contents of the fillings of lam, and c^lam_(mu,nu) counts the fillings of
+  lam/mu of content nu whose entries keep the lattice condition;
 * Schur multiplicities by one Weyl alternation, s_w = a_(w+rho) / a_rho,
   which serves one alphabet, two alphabets and Laurent characters;
 * symmetric/exterior powers of squares and of tensor products by direct
@@ -12,8 +15,6 @@ code path with the Littlewood-Richardson engine it is used to check:
 * stable decompositions of mixed tensor powers by rational character
   arithmetic with inverse variables;
 * standard-tableau counting by enumeration;
-* LR coefficients by cell filling: the tableaux of one skew shape, counted
-  one cell at a time;
 * ranks of one explicitly constructed operator family per word of moves
   (contract, left and right quotient projections), which realizes its span
   in symalg's move model (not claimed as a Hom space of the category); its
@@ -68,43 +69,48 @@ def _fixed_by_swaps(poly: Combination, positions) -> bool:
     )
 
 
-def is_symmetric(poly: Combination) -> bool:
-    """True when each swap of adjacent variables, and so each permutation, leaves poly unchanged."""
-    return _fixed_by_swaps(poly, range(len(next(iter(poly), ())) - 1))
+def _fillings(lam, mu, values: int, admit) -> dict[Monomial, int]:
+    """Contents of the semistandard fillings of lam/mu by 1..values, each with its count.
+
+    Cells are visited in reverse reading order (rows top to bottom, each row
+    right to left).  Each entry is at most its right neighbour's, greater
+    than its upper neighbour's, and accepted by admit(v, counts) before it
+    is placed, where counts[v] is how often v is already placed.
+    """
+    cells = [(r, c) for r, length in enumerate(lam) for c in reversed(range(mu[r] if r < len(mu) else 0, length))]
+    # rows[r + 1][c] holds cell (r, c); 0 above lam and in mu, values just right of each row
+    rows = [[0] * (lam[0] if lam else 0)] + [[0] * length + [values] for length in lam]
+    counts = [0] * (values + 1)
+    out: dict[Monomial, int] = {}
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            key = tuple(counts[1:])
+            out[key] = out.get(key, 0) + 1
+            return
+        r, c = cells[k]
+        row = rows[r + 1]
+        for v in range(rows[r][c] + 1, row[c + 1] + 1):
+            if admit(v, counts):
+                row[c] = v
+                counts[v] += 1
+                fill(k + 1)
+                counts[v] -= 1
+
+    fill(0)
+    return out
 
 
 def expand_schur(lam: Partition, nvars: int) -> Combination:
-    """Schur polynomial s_lam(x_1..x_nvars) as a sum over semistandard tableaux.
-
-    Cells are filled in row-major order; each value is at least its left
-    neighbour's and greater than its upper neighbour's.
-    """
+    """Schur polynomial s_lam(x_1..x_nvars) as a sum over semistandard tableaux."""
     lam = Partition(lam)
     check_limit(lam.degree, EXPAND_MAX_BOXES, "schur expansion boxes")
+    check_limit(nvars, 16, "schur expansion variables")
     if nvars < 1:
         raise ValueError("need at least one variable")
     if len(lam) > nvars:
         return Combination()
-    cells = [(i, j) for i, length in enumerate(lam) for j in range(length)]
-    rows = [[0] * length for length in lam]
-    weight = [0] * nvars
-    out = {}
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            key = tuple(weight)
-            out[key] = out.get(key, 0) + 1
-            return
-        i, j = cells[k]
-        low = max(rows[i][j - 1] if j else 1, rows[i - 1][j] + 1 if i else 1)
-        for v in range(low, nvars + 1):
-            rows[i][j] = v
-            weight[v - 1] += 1
-            fill(k + 1)
-            weight[v - 1] -= 1
-
-    fill(0)
-    return Combination(out)
+    return Combination(_fillings(lam, (), nvars, lambda v, counts: True))
 
 
 def _alternate(poly: Combination, sizes: tuple[int, ...]) -> dict[tuple[Monomial, ...], int]:
@@ -286,50 +292,18 @@ def standard_tableaux_brute(lam: Partition) -> int:
 def lr_tableaux_brute(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Count the LR tableaux of shape lam/mu and content nu cell by cell.
 
-    Zero unless lam contains mu and the degrees add up.  Cells are visited
-    in reverse reading order (rows top to bottom, each row right to left),
-    so the lattice condition is kept incrementally.
+    Zero unless lam contains mu and the degrees add up.  The cells are
+    filled in reverse reading order, so the lattice condition is kept
+    incrementally: so far, no entry v is placed more often than nu asks, or
+    more often than v - 1.
     """
     if not lam.contains(mu) or lam.degree != mu.degree + nu.degree:
         return 0
-    cells = []
-    for r in range(len(lam)):
-        start = mu[r] if r < len(mu) else 0
-        for c in range(lam[r] - 1, start - 1, -1):
-            cells.append((r, c))
-    values = len(nu)
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * (values + 1)
 
-    def in_skew(r: int, c: int) -> bool:
-        if r < 0 or r >= len(lam) or c >= lam[r]:
-            return False
-        return c >= (mu[r] if r < len(mu) else 0)
+    def lattice(v: int, counts: list[int]) -> bool:
+        return counts[v] < nu[v - 1] and (v == 1 or counts[v] < counts[v - 1])
 
-    def backtrack(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        upper = values
-        if in_skew(r, c + 1):
-            upper = min(upper, filling[(r, c + 1)])
-        lower = 1
-        if in_skew(r - 1, c):
-            lower = max(lower, filling[(r - 1, c)] + 1)
-        for v in range(lower, upper + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            counts[v] += 1
-            filling[(r, c)] = v
-            total += backtrack(idx + 1)
-            counts[v] -= 1
-        filling.pop((r, c), None)
-        return total
-
-    return backtrack(0)
+    return sum(_fillings(lam, mu, len(nu), lattice).values())
 
 
 def reconstruct_tensor_word(l: int, m: int, n: int, p: int) -> Combination:
